@@ -10,6 +10,7 @@ single timestamp key in the constants report.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -36,11 +37,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number(text: str) -> float:
-    """Parse a numeric flag, accepting scientific notation like 1e6."""
+    """Parse a finite numeric flag, accepting scientific notation like 1e6."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise _UsageError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise _UsageError(f"not a finite number: {text!r}")
+    return value
 
 
 def _integer(text: str) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import PI_LD
-from .sieves import DivisorTable, TableKind, sieve_divisors
+from .sieves import DivisorTable, TableKind, core_families, sieve_divisors
 
 _MAJORANT_SCAN_LIMIT = 2 * 10**6
 _MAJORANT_HEADROOM = 1.5
@@ -61,13 +61,11 @@ def divisor_majorant_constant() -> float:
     return _majorant_cache
 
 
-def _squarefree_flags(limit: int) -> np.ndarray:
-    limit = max(limit, 1)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[0] = False
-    for f in range(2, math.isqrt(limit) + 1):
-        flags[f * f::f * f] = False
-    return flags
+def _core_weights(d: np.ndarray, q: int, amax: int) -> np.ndarray:
+    """w(a) = d(a^2 q) a^(-3/2) for a = 1..amax, in extended precision."""
+    a = np.arange(1, amax + 1, dtype=np.int64)
+    return d[a * a * q].astype(np.longdouble) \
+        * a.astype(np.longdouble) ** np.longdouble(-1.5)
 
 
 def _tail_weighted_divisor_sum(M: float, p: float) -> float:
@@ -125,23 +123,12 @@ def cubic_diagonal_series(cutoff: int = 10**5,
         raise ValueError(f"cutoff must be >= 4, got {cutoff}")
     if table is None or table.kind is not TableKind.DIVISOR or table.limit < cutoff:
         table = sieve_divisors(cutoff)
-    d = table.values
-    qmax = cutoff // 4
-    sf = _squarefree_flags(qmax)
-    cores = np.nonzero(sf)[0]
+    cores, amaxes = core_families(cutoff)
     total = np.longdouble(0)
-    for q in cores:
-        q = int(q)
-        smax = math.isqrt(cutoff // q)
-        if smax < 2:
-            continue
-        a = np.arange(1, smax, dtype=np.int64)
-        w = d[a * a * q].astype(np.longdouble) \
-            * a.astype(np.longdouble) ** np.longdouble(-1.5)
-        conv = np.convolve(w, w)                    # conv[t] = G(t + 2)
-        s = np.arange(2, smax + 1, dtype=np.int64)
-        inner = d[s * s * q].astype(np.longdouble) \
-            * s.astype(np.longdouble) ** np.longdouble(-1.5) * conv[:smax - 1]
+    for q, amax in zip(cores.tolist(), amaxes.tolist()):
+        w = _core_weights(table.values, q, amax)
+        conv = np.convolve(w[:-1], w[:-1])          # conv[t] = G(t + 2)
+        inner = w[1:] * conv[:amax - 1]             # w(s) G(s), s = 2..amax
         total += np.longdouble(q) ** np.longdouble(-2.25) * np.sum(inner)
 
     c4 = divisor_majorant_constant()
@@ -149,7 +136,7 @@ def cubic_diagonal_series(cutoff: int = 10**5,
     S = np.floor(np.sqrt(cutoff / qs))
     S = np.maximum(S, 2.0)
     tail = float(np.sum(qs**-1.5 * (2.0 * (np.log(S) + 2.0) / S)))
-    tail += 2.0 / math.sqrt(max(qmax, 1)) * _full_inner("cubic")
+    tail += 2.0 / math.sqrt(cutoff // 4) * _full_inner("cubic")
     tail *= c4**3
     return SeriesValue(name="cubic_diagonal", value=float(total),
                        tail_bound=tail, cutoff=cutoff)
@@ -179,18 +166,11 @@ def quartic_diagonal_series(cutoff: int = 10**5,
     trivial = 2 * T * T - U
 
     qmax = cutoff // 4
-    sf = _squarefree_flags(qmax)
-    cores = np.nonzero(sf)[0]
+    cores, amaxes = core_families(cutoff)
     same_core = np.longdouble(0)
     overlap = np.longdouble(0)
-    for q in cores:
-        q = int(q)
-        amax = math.isqrt(cutoff // q)
-        if amax < 2:
-            continue
-        a = np.arange(1, amax + 1, dtype=np.int64)
-        w = d[a * a * q].astype(np.longdouble) \
-            * a.astype(np.longdouble) ** np.longdouble(-1.5)
+    for q, amax in zip(cores.tolist(), amaxes.tolist()):
+        w = _core_weights(d, q, amax)
         conv = np.convolve(w, w)
         qf = np.longdouble(q) ** np.longdouble(-3)
         same_core += qf * np.sum(conv * conv)
@@ -205,14 +185,12 @@ def quartic_diagonal_series(cutoff: int = 10**5,
     t_tail = c4 * _tail_weighted_divisor_sum(cutoff, 1.25)
     u_tail = c4**3 * _tail_weighted_divisor_sum(cutoff, 2.25)
     tail = 2.0 * t_tail * (2.0 * float(T) + t_tail) + u_tail
-    if len(cores):
-        qs = cores.astype(float)
-        B = np.maximum(np.floor(np.sqrt(cutoff / qs)), 2.0)
-        u = np.log(B) + 1.0
-        core_tails = 4.0 * (u * u + 2.0 * u + 2.0) / B
-        core_tail = float(np.sum(qs**-2.0 * core_tails))
-    else:
-        core_tail = 0.0
+    # below cutoff 4 the whole q = 1 family lies in the tail
+    qs = cores.astype(float) if len(cores) else np.ones(1)
+    B = np.maximum(np.floor(np.sqrt(cutoff / qs)), 2.0)
+    u = np.log(B) + 1.0
+    core_tails = 4.0 * (u * u + 2.0 * u + 2.0) / B
+    core_tail = float(np.sum(qs**-2.0 * core_tails))
     core_tail += (1.0 / max(qmax, 1)) * _full_inner("quartic")
     # counted twice: once for the family itself, once to cover the
     # truncation of the subtracted overlap

@@ -128,6 +128,38 @@ def sieve_r(limit: int,
                         values=work.astype(np.uint16))
 
 
+def core_tables(limit: int, r: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """(core, root) int64 arrays with n = root[n]^r * core[n] and core[n]
+    r-power-free, for 0 <= n <= limit (core[0] = 0).
+
+    Ascending strided writes root[f^r::f^r] = f leave root[n] equal to the
+    largest f with f^r | n.
+    """
+    if r < 2:
+        raise ValueError("power must be >= 2")
+    root = np.ones(limit + 1, dtype=np.int64)
+    f = 2
+    while f**r <= limit:
+        root[f**r::f**r] = f
+        f += 1
+    core = np.arange(limit + 1, dtype=np.int64) // root**r
+    return core, root
+
+
+def core_families(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The squarefree q <= limit // 4 and amax = isqrt(limit // q) >= 2.
+
+    These index the square-root identities with entries <= limit: each
+    family is {a^2 q : 1 <= a <= amax}, and sqrt(a^2 q) + sqrt(b^2 q) =
+    sqrt(s^2 q) needs s >= 2.  Squarefree q > limit // 4 carry only the
+    single entry q.
+    """
+    _, root = core_tables(limit // 4)
+    q = np.flatnonzero(root[1:] == 1) + 1
+    amax = np.array([math.isqrt(limit // int(v)) for v in q], dtype=np.int64)
+    return q, amax
+
+
 def _floor_arg(x) -> int:
     if x < 0:
         raise ValueError(f"summatory argument must be >= 0, got {x}")

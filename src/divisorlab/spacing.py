@@ -28,6 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BudgetError
+from .sieves import core_families, core_tables
 
 LD = np.longdouble
 
@@ -112,73 +113,7 @@ class GapResult:
 
 
 # ---------------------------------------------------------------------------
-# squarefree cores and exact identities
-
-def squarefree_core(n: int) -> tuple[int, int]:
-    """Split n = s^2 * q with q squarefree: trial division to the cube root,
-    then a perfect-square check on the remaining cofactor (which has at
-    most two prime factors)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    q = 1
-    s = 1
-    m = n
-    p = 2
-    while p * p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                q *= p
-        p += 1 if p == 2 else 2
-    r = math.isqrt(m)
-    if r * r == m:
-        s *= r
-    else:
-        q *= m
-    return q, s
-
-
-def power_free_split(n: int, r: int) -> tuple[int, int]:
-    """Split n = a^r * q with q r-power-free (full trial division)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if r < 2:
-        raise ValueError("power must be >= 2")
-    q = 1
-    a = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            a *= p ** (e // r)
-            q *= p ** (e % r)
-        p += 1 if p == 2 else 2
-    q *= m
-    return q, a
-
-
-def core_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(core, root) arrays with n = root[n]^2 * core[n], core squarefree.
-
-    Sieve over square divisors: ascending overwrites leave root[n] equal to
-    the largest f with f^2 | n.
-    """
-    root = np.ones(limit + 1, dtype=np.int64)
-    for f in range(2, math.isqrt(limit) + 1):
-        root[f * f::f * f] = f
-    ns = np.arange(limit + 1, dtype=np.int64)
-    core = np.zeros(limit + 1, dtype=np.int64)
-    core[1:] = ns[1:] // (root[1:] * root[1:])
-    return core, root
-
+# exact square-root identities
 
 @dataclass(frozen=True)
 class ExactTriple:
@@ -203,12 +138,7 @@ def enumerate_exact_triples(limit: int) -> list[ExactTriple]:
     if limit < 1:
         return []
     out: list[ExactTriple] = []
-    qmax = limit // 4
-    sf = _squarefree_mask(qmax)
-    for q in range(1, qmax + 1):
-        if not sf[q]:
-            continue
-        smax = math.isqrt(limit // q)
+    for q, smax in zip(*(c.tolist() for c in core_families(limit))):
         for s in range(2, smax + 1):
             k = s * s * q
             for a in range(1, s):
@@ -223,33 +153,20 @@ def enumerate_exact_quadruples(limit: int) -> np.ndarray:
     sqrt(m) + sqrt(n) = sqrt(k) + sqrt(l), as a lexicographically sorted
     (N, 4) integer array.
 
-    Two disjoint-by-construction families are merged: common-core tuples
-    (a^2 q, b^2 q, c^2 q, d^2 q) with a+b = c+d, and trivial pairings
-    {k, l} = {m, n} over pairs with distinct cores.  Together with the
-    common-core trivial pairings (inside the first family) this is the
-    whole solution set, by independence of square roots of distinct
-    squarefree numbers.
+    By independence of square roots of distinct squarefree numbers the
+    solution set is the union of three disjoint families: common-core
+    tuples (a^2 q, b^2 q, c^2 q, d^2 q) with a+b = c+d and q <= limit//4
+    (this includes their trivial pairings), the singletons (q, q, q, q)
+    for squarefree q > limit//4, and the trivial pairings {k, l} = {m, n}
+    over pairs with distinct cores.
     """
     if limit < 1:
         return np.empty((0, 4), dtype=np.int64)
     rows: list[np.ndarray] = []
-
-    # common-core family
-    qmax = limit // 4
-    sf = _squarefree_mask(qmax)
-    for q in range(1, qmax + 1):
-        if not sf[q]:
-            continue
-        amax = math.isqrt(limit // q)
-        if amax < 2:
-            continue
-        comp = (np.arange(1, amax + 1, dtype=np.int64)) ** 2 * q
+    for q, amax in zip(*(c.tolist() for c in core_families(limit))):
+        comp = np.arange(1, amax + 1, dtype=np.int64) ** 2 * q
         for s in range(2, 2 * amax + 1):
-            a_lo = max(1, s - amax)
-            a_hi = min(amax, s - 1)
-            if a_lo > a_hi:
-                continue
-            a = np.arange(a_lo, a_hi + 1, dtype=np.int64)
+            a = np.arange(max(1, s - amax), min(amax, s - 1) + 1, dtype=np.int64)
             pairs_m = comp[a - 1]
             pairs_n = comp[s - a - 1]
             na = len(a)
@@ -259,52 +176,37 @@ def enumerate_exact_quadruples(limit: int) -> np.ndarray:
             ll = np.tile(pairs_n, na)
             rows.append(np.stack([mm, nn, kk, ll], axis=1))
 
-    # all-equal singletons q > limit//4 (a = b = c = d = 1)
-    singles = np.arange(qmax + 1, limit + 1, dtype=np.int64)
-    if len(singles):
-        rows.append(np.stack([singles] * 4, axis=1))
+    core, root = core_tables(limit)
+    singles = np.flatnonzero(root[limit // 4 + 1:] == 1) + limit // 4 + 1
+    rows.append(np.stack([singles] * 4, axis=1))
 
-    # trivial pairings over pairs with distinct cores; same-core ones are
-    # already inside the first family (a+b = b+a)
-    core, _ = core_tables(limit)
     m = np.arange(1, limit + 1, dtype=np.int64)
     mg, ng = np.meshgrid(m, m, indexing="ij")
-    mg = mg.ravel()
-    ng = ng.ravel()
     diff = core[mg] != core[ng]
     mg, ng = mg[diff], ng[diff]
     rows.append(np.stack([mg, ng, mg, ng], axis=1))
     rows.append(np.stack([mg, ng, ng, mg], axis=1))
 
     allrows = np.concatenate(rows, axis=0)
-    return np.unique(allrows, axis=0)
+    return allrows[np.lexsort(allrows.T[::-1])]
 
 
-def _squarefree_mask(limit: int) -> np.ndarray:
-    limit = max(limit, 1)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[0] = False
-    for f in range(2, math.isqrt(limit) + 1):
-        mask[f * f::f * f] = False
-    return mask
+def _core_members(q: int, boxes: tuple[int, ...]) -> list[np.ndarray] | None:
+    """Per dyadic box (R, 2R], the ascending square parts a with a^2 q in
+    the box, or None when some box has none.
+
+    For squarefree q these are exactly the box members whose core is q
+    (core(a^2 q) = q for every a)."""
+    parts = [np.arange(math.isqrt(R // q) + 1, math.isqrt(2 * R // q) + 1,
+                       dtype=np.int64) for R in boxes]
+    return parts if all(len(p) for p in parts) else None
 
 
-def _range_members_with_core(lo: int, hi: int, q: int) -> np.ndarray:
-    """Square parts a with lo < a^2*q <= hi, ascending.
-
-    For squarefree q these are exactly the members of (lo, hi] whose core
-    is q (core(a^2 q) = q for every a)."""
-    a_lo = math.isqrt(max(lo, 0) // q) if q else 0
-    while a_lo * a_lo * q <= lo:
-        a_lo += 1
-    a_hi = math.isqrt(hi // q)
-    while (a_hi + 1) * (a_hi + 1) * q <= hi:
-        a_hi += 1
-    while a_hi * a_hi * q > hi:
-        a_hi -= 1
-    if a_hi < a_lo:
-        return np.empty(0, dtype=np.int64)
-    return np.arange(a_lo, a_hi + 1, dtype=np.int64)
+def _same_core_pairs(c1: np.ndarray, c2: np.ndarray) -> int:
+    """Number of pairs (i, j) with c1[i] == c2[j]."""
+    b1 = np.bincount(c1)
+    b2 = np.bincount(c2, minlength=len(b1))[:len(b1)]
+    return int(np.dot(b1, b2))
 
 
 # ---------------------------------------------------------------------------
@@ -449,30 +351,21 @@ def _zero_count_three_root(spec: BoxSpec) -> int:
     inequality, so the zero count is the number of same-core pairs."""
     M, Mp = spec.M, spec.Mp
     core, _ = core_tables(2 * max(M, Mp))
-    c1 = core[M + 1:2 * M + 1]
-    c2 = core[Mp + 1:2 * Mp + 1]
-    b1 = np.bincount(c1)
-    b2 = np.bincount(c2, minlength=len(b1))[:len(b1)]
-    return int(np.dot(b1, b2))
+    return _same_core_pairs(core[M + 1:2 * M + 1], core[Mp + 1:2 * Mp + 1])
 
 
 def _zero_count_four_root_minus(spec: BoxSpec) -> int:
     """Number of box tuples with sqrt m + sqrt n = sqrt k + sqrt l exactly."""
     M, Mp, K, L = spec.M, spec.Mp, spec.K, spec.L
-    top = 2 * max(M, Mp, K, L)
-    core, _ = core_tables(top)
+    core, _ = core_tables(2 * max(M, Mp, K, L))
 
     # case 1: all four share one squarefree core, a+b = c+d
     total = 0
-    seen_cores = np.unique(core[M + 1:2 * M + 1])
-    for q in seen_cores:
-        q = int(q)
-        A = _range_members_with_core(M, 2 * M, q)
-        B = _range_members_with_core(Mp, 2 * Mp, q)
-        C = _range_members_with_core(K, 2 * K, q)
-        D = _range_members_with_core(L, 2 * L, q)
-        if not (len(A) and len(B) and len(C) and len(D)):
+    for q in np.unique(core[M + 1:2 * M + 1]):
+        parts = _core_members(int(q), (M, Mp, K, L))
+        if parts is None:
             continue
+        A, B, C, D = parts
         smax = int(A[-1] + B[-1])
         h1 = np.bincount((A[:, None] + B[None, :]).ravel(), minlength=smax + 1)
         sums_cd = (C[:, None] + D[None, :]).ravel()
@@ -487,11 +380,7 @@ def _zero_count_four_root_minus(spec: BoxSpec) -> int:
             return 0
         c1 = core[lo1 + 1:hi1 + 1]
         c2 = core[lo2 + 1:hi2 + 1]
-        n1, n2 = len(c1), len(c2)
-        b1 = np.bincount(c1)
-        b2 = np.bincount(c2, minlength=len(b1))[:len(b1)]
-        same = int(np.dot(b1, b2))
-        return n1 * n2 - same
+        return len(c1) * len(c2) - _same_core_pairs(c1, c2)
 
     total += _distinct_core_pairs(K, L)    # (k,l) = (m,n)
     total += _distinct_core_pairs(L, K)    # (k,l) = (n,m)
@@ -502,17 +391,13 @@ def _zero_count_four_root_plus(spec: BoxSpec) -> int:
     """Number of box tuples with sqrt m + sqrt n + sqrt k = sqrt l exactly
     (possible only when all four share one core and a + b + c = e)."""
     M, Mp, K, L = spec.M, spec.Mp, spec.K, spec.L
-    top = 2 * max(M, Mp, K, L)
-    core, _ = core_tables(top)
+    core, _ = core_tables(2 * max(M, Mp, K, L))
     total = 0
     for q in np.unique(core[M + 1:2 * M + 1]):
-        q = int(q)
-        A = _range_members_with_core(M, 2 * M, q)
-        B = _range_members_with_core(Mp, 2 * Mp, q)
-        C = _range_members_with_core(K, 2 * K, q)
-        E = _range_members_with_core(L, 2 * L, q)
-        if not (len(A) and len(B) and len(C) and len(E)):
+        parts = _core_members(int(q), (M, Mp, K, L))
+        if parts is None:
             continue
+        A, B, C, E = parts
         sums = (A[:, None, None] + B[None, :, None] + C[None, None, :]).ravel()
         h = np.bincount(sums)
         emask = E[E < len(h)]
@@ -528,24 +413,17 @@ def _zero_count_four_root_kth(spec: BoxSpec) -> int:
     distinct kernels.
     """
     N, r = spec.M, spec.root_k
-    vals = list(range(N + 1, 2 * N + 1))
-    splits = {v: power_free_split(v, r) for v in vals}
+    core, root = core_tables(2 * N, r)
+    kernels, coeffs = core[N + 1:], root[N + 1:]
+    order = np.argsort(kernels, kind="stable")
+    groups = np.split(coeffs[order],
+                      np.flatnonzero(np.diff(kernels[order])) + 1)
     total = 0
-    by_kernel: dict[int, list[int]] = {}
-    for v in vals:
-        q, a = splits[v]
-        by_kernel.setdefault(q, []).append(a)
-    for q, alist in by_kernel.items():
-        arr = np.array(alist, dtype=np.int64)
-        sums = (arr[:, None] + arr[None, :]).ravel()
-        h = np.bincount(sums)
+    for a in groups:
+        h = np.bincount((a[:, None] + a[None, :]).ravel())
         total += int(np.dot(h, h))
-    # distinct-kernel trivial pairings
-    n_total = len(vals)
-    same_kernel_pairs = sum(len(v) ** 2 for v in by_kernel.values())
-    distinct = n_total * n_total - same_kernel_pairs
-    total += 2 * distinct  # orderings (n3,n4) = (n1,n2) and (n2,n1)
-    return total
+    # distinct-kernel trivial pairings, ordered (n3,n4) = (n1,n2) or (n2,n1)
+    return total + 2 * (N * N - _same_core_pairs(kernels, kernels))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: trial division, direct lattice
 enumeration, four-deep loops.  These are the reference implementations the
-fast code is measured against, so they must not share code paths with it.
+fast code is measured against, so they must not share code paths with it:
+nothing here imports divisorlab.
 """
 
 from __future__ import annotations
@@ -57,10 +58,60 @@ def alternating_sum_direct(y: int, d_values: np.ndarray) -> int:
     return int(np.sum(signs * d_values[1:y + 1].astype(np.int64)))
 
 
+def squarefree_core(n: int) -> tuple[int, int]:
+    """Split n = s^2 * q with q squarefree: trial division to the cube root,
+    then a perfect-square check on the remaining cofactor (which has at
+    most two prime factors)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    q = 1
+    s = 1
+    m = n
+    p = 2
+    while p * p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            s *= p ** (e // 2)
+            if e % 2:
+                q *= p
+        p += 1 if p == 2 else 2
+    r = math.isqrt(m)
+    if r * r == m:
+        s *= r
+    else:
+        q *= m
+    return q, s
+
+
+def power_free_split(n: int, r: int) -> tuple[int, int]:
+    """Split n = a^r * q with q r-power-free (full trial division)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if r < 2:
+        raise ValueError("power must be >= 2")
+    q = 1
+    a = 1
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            a *= p ** (e // r)
+            q *= p ** (e % r)
+        p += 1 if p == 2 else 2
+    q *= m
+    return q, a
+
+
 def brute_exact_triples(limit: int) -> set[tuple[int, int, int]]:
     """All ordered (m, n, k), components <= limit, sqrt m + sqrt n = sqrt k,
     detected by integer core arithmetic on every (m, n) pair."""
-    from divisorlab.spacing import squarefree_core
     out = set()
     cores = {v: squarefree_core(v) for v in range(1, limit + 1)}
     for m in range(1, limit + 1):
@@ -85,8 +136,8 @@ def brute_exact_quadruples(limit: int) -> np.ndarray:
     candidate is ~1e-11, so no true solution is missed and no false one
     survives).
     """
-    from divisorlab.spacing import core_tables
-    core, root = core_tables(limit)
+    splits = [(0, 1)] + [squarefree_core(v) for v in range(1, limit + 1)]
+    core, root = (np.array(col, dtype=np.int64) for col in zip(*splits))
     sq = np.sqrt(np.arange(limit + 1, dtype=np.float64))
     k_idx = np.arange(1, limit + 1)
     sqk = sq[1:limit + 1]
@@ -140,7 +191,6 @@ def brute_count_three_root(M: int, Mp: int, delta: float) -> int:
 
 
 def brute_count_four_root(M, Mp, K, L, delta, sign, exclude_exact) -> int:
-    from divisorlab.spacing import squarefree_core
     LD = np.longdouble
     t = LD(delta) * np.sqrt(LD(K))
     count = 0

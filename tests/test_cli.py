@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from divisorlab.cli import main
 from divisorlab.error_terms import ErrorTermKind, error_term
 from divisorlab.moments import moment
@@ -176,6 +178,20 @@ def test_unknown_command_is_usage_error(capsys):
 def test_missing_required_flag_is_usage_error(capsys):
     code, _, _ = run(capsys, "eval", "--kind", "delta")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--kind", "delta", "--x", "inf"),
+    ("eval", "--kind", "delta", "--x", "nan"),
+    ("eval", "--kind", "delta", "--x", "1e400"),
+    ("sieve", "--kind", "divisor", "--limit", "1e400"),
+    ("moment", "--kind", "delta", "--power", "2", "--to", "inf"),
+], ids=["x-inf", "x-nan", "x-1e400", "limit-1e400", "to-inf"])
+def test_non_finite_flag_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "not a finite number" in err
 
 
 def test_compute_error_exit_code(capsys):

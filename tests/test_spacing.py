@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from divisorlab import errors
-from divisorlab.spacing import (BoxSpec, SpacingForm, core_tables, count_box,
+from divisorlab.sieves import core_families, core_tables
+from divisorlab.spacing import (BoxSpec, SpacingForm, count_box,
                                 enumerate_exact_quadruples,
                                 enumerate_exact_triples, min_gap_four,
-                                min_gap_three, near_integer_count_by_sorting,
-                                power_free_split, squarefree_core)
+                                min_gap_three, near_integer_count_by_sorting)
 
 from oracles import (brute_count_four_root, brute_count_kth,
                      brute_count_three_root, brute_exact_quadruples,
-                     brute_exact_triples)
+                     brute_exact_triples, power_free_split, squarefree_core)
 
 
 # ---------------------------------------------------------------------------
@@ -28,18 +28,37 @@ def test_squarefree_core_small():
 
 
 def test_core_tables_agree_with_trial_division():
-    core, root = core_tables(5000)
-    for n in range(1, 5001):
-        q, s = squarefree_core(n)
-        assert core[n] == q and root[n] == s
+    for r in (2, 3, 4, 5):
+        core, root = core_tables(5000, r)
+        for n in range(1, 5001):
+            split = power_free_split(n, r)
+            assert (core[n], root[n]) == split
+            if r == 2:
+                assert squarefree_core(n) == split
+    with pytest.raises(ValueError):
+        core_tables(10, 1)
 
 
 def test_power_free_split():
-    assert power_free_split(8, 3) == (1, 2)
-    assert power_free_split(24, 3) == (3, 2)
-    assert power_free_split(16, 4) == (1, 2)
-    q, a = power_free_split(972, 5)            # 972 = 2^2 * 3^5
+    def split(n, r):
+        core, root = core_tables(n, r)
+        return int(core[n]), int(root[n])
+
+    assert split(8, 3) == (1, 2)
+    assert split(24, 3) == (3, 2)
+    assert split(16, 4) == (1, 2)
+    q, a = split(972, 5)                       # 972 = 2^2 * 3^5
     assert a ** 5 * q == 972 and q == 4
+    assert power_free_split(972, 5) == (q, a)
+
+
+def test_core_families_are_the_squarefree_cores_up_to_a_quarter():
+    for limit in range(0, 200):
+        q, amax = core_families(limit)
+        want = [v for v in range(1, limit // 4 + 1) if squarefree_core(v)[0] == v]
+        assert q.tolist() == want
+        assert amax.tolist() == [math.isqrt(limit // v) for v in want]
+        assert (amax >= 2).all()
 
 
 def test_exact_triples_small_limits():
