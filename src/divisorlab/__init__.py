@@ -2,8 +2,8 @@
 error terms, their truncated cosine expansions, moment asymptotics, and
 square-root spacing counts."""
 
-from .error_terms import (ErrorTermKind, PiecewiseErrorSegment, error_term,
-                          delta_star_identity_residual, segments)
+from .error_terms import (ErrorTermKind, delta_star_identity_residual,
+                          error_term)
 from .errors import (BudgetError, CapacityError, DegenerateFitError,
                      DivisorLabError, RangeError, TableFormatError,
                      TableKindMismatch)
@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetError", "CapacityError", "DegenerateFitError", "DivisorLabError",
-    "DivisorTable", "ErrorTermKind", "PiecewiseErrorSegment", "RangeError",
+    "DivisorTable", "ErrorTermKind", "RangeError",
     "TableFormatError", "TableKind", "TableKindMismatch",
     "alternating_summatory_d", "delta_star_identity_residual", "error_term",
-    "load_table", "save_table", "segments", "sieve_divisors", "sieve_r",
+    "load_table", "save_table", "sieve_divisors", "sieve_r",
     "summatory_d", "summatory_r",
 ]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import constants as constants_mod
 from . import moments, spacing, voronoi
-from .error_terms import ErrorTermKind, error_term
+from .error_terms import ErrorTermKind, error_term, step_table_need
 from .errors import DivisorLabError
 from .numerics import fmt17, render_json
 from .sieves import TableKind, load_table, save_table, sieve_divisors, sieve_r
@@ -96,10 +96,7 @@ def _load_or_sieve(kind: TableKind, limit: int, cache: Path | None):
 
 
 def _table_for(kind: ErrorTermKind, upto: float, cache: Path | None):
-    if kind is ErrorTermKind.CIRCLE:
-        return _load_or_sieve(TableKind.SUM_OF_TWO_SQUARES, int(upto) + 1, cache)
-    factor = 4 if kind is ErrorTermKind.DELTA_STAR else 1
-    return _load_or_sieve(TableKind.DIVISOR, factor * (int(upto) + 1), cache)
+    return _load_or_sieve(*step_table_need(kind, int(upto) + 1), cache)
 
 
 # ---------------------------------------------------------------------------

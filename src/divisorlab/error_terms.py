@@ -6,22 +6,23 @@ circle(x)     = R(x) - pi*x
 
 The step part is exact integer arithmetic; the smooth part is evaluated in
 80-bit extended precision, so absolute error stays below 1e-6 for x up to
-1e9.  The piecewise-segment view (step constant minus a smooth function on
-each unit or quarter-unit interval) is what the moments engine integrates.
+1e9.  Between consecutive jumps of the step part the error term is an exact
+step constant minus smooth_main_term; this module says where the jumps fall
+and which table holds the step constants, and the moments engine integrates
+over that grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 import numpy as np
 
 from .errors import RangeError
 from .numerics import EULER_GAMMA, PI_LD
-from .sieves import alternating_summatory_d, summatory_d, summatory_r
+from .sieves import (TableKind, alternating_summatory_d, summatory_d,
+                     summatory_r)
 
 
 class ErrorTermKind(Enum):
@@ -38,36 +39,22 @@ class ErrorTermKind(Enum):
         raise ValueError(f"unknown error-term kind {name!r} (known: {known})")
 
 
-@dataclass(frozen=True)
-class SmoothPart:
-    """Coefficients of the smooth function c_xlogx*x*log(x) + c_x*x + c_const
-    subtracted from the step sum on a segment."""
-    xlogx: float
-    x: float
-    const: float = 0.0
+def jump_denominator(kind: ErrorTermKind) -> int:
+    """The step part jumps only at multiples of 1/jump_denominator(kind).
 
-
-_SMOOTH = {
-    ErrorTermKind.DELTA: SmoothPart(xlogx=1.0, x=float(2 * EULER_GAMMA - 1)),
-    ErrorTermKind.DELTA_STAR: SmoothPart(xlogx=1.0, x=float(2 * EULER_GAMMA - 1)),
-    ErrorTermKind.CIRCLE: SmoothPart(xlogx=0.0, x=float(PI_LD)),
-}
-
-
-@dataclass(frozen=True)
-class PiecewiseErrorSegment:
-    """One maximal interval on which the step part is constant.
-
-    error(x) = constant_part - smooth(x) for left <= x < right, where
-    smooth is described by ``smooth_part``.  constant_part is an integer for
-    delta/circle and a half-integer for delta-star; both are exactly
-    representable as floats at any supported scale.
+    Delta and circle jump at integers; delta-star jumps at quarter-integers,
+    the union of the jump sets of D(x), D(2x) and D(4x).
     """
-    kind: ErrorTermKind
-    left: float
-    right: float
-    constant_part: float
-    smooth_part: SmoothPart
+    return 4 if kind is ErrorTermKind.DELTA_STAR else 1
+
+
+def step_table_need(kind: ErrorTermKind, upto) -> tuple[TableKind, int]:
+    """The table kind and limit whose prefix sums give the step part on
+    [1, upto]: r up to upto for circle, d up to jump_denominator(kind)*upto
+    otherwise (delta-star reads D(4x))."""
+    if kind is ErrorTermKind.CIRCLE:
+        return TableKind.SUM_OF_TWO_SQUARES, math.ceil(upto)
+    return TableKind.DIVISOR, math.ceil(jump_denominator(kind) * upto)
 
 
 def smooth_main_term(kind: ErrorTermKind, x) -> np.longdouble:
@@ -82,24 +69,22 @@ def smooth_main_term(kind: ErrorTermKind, x) -> np.longdouble:
     return xl * (np.log(xl) + (2 * EULER_GAMMA - 1))
 
 
-def step_sum(kind: ErrorTermKind, x) -> float:
-    """The exact step part of the error term at x (integer or half-integer)."""
-    if kind is ErrorTermKind.DELTA:
-        return float(summatory_d(x))
-    if kind is ErrorTermKind.CIRCLE:
-        return float(summatory_r(x))
-    # delta-star: -D(x) + 2 D(2x) - D(4x)/2, with each floor taken exactly
-    n1 = summatory_d(x)
-    n2 = summatory_d(2 * x)
-    n4 = summatory_d(4 * x)
-    return -n1 + 2 * n2 - 0.5 * n4
-
-
 def error_term(kind: ErrorTermKind, x) -> float:
-    """Evaluate the requested error term at a single point x >= 1."""
+    """Evaluate the requested error term at a single point x >= 1.
+
+    The step part is an exact integer (twice the step part for delta-star),
+    converted once to longdouble, which holds it exactly below 2^64.
+    """
     if x < 1:
         raise RangeError(f"error terms are defined for x >= 1, got {x}")
-    step = np.longdouble(step_sum(kind, x))
+    if kind is ErrorTermKind.DELTA:
+        step = np.longdouble(summatory_d(x))
+    elif kind is ErrorTermKind.CIRCLE:
+        step = np.longdouble(summatory_r(x))
+    else:
+        # delta-star: -D(x) + 2 D(2x) - D(4x)/2, with each floor taken exactly
+        doubled = -2 * summatory_d(x) + 4 * summatory_d(2 * x) - summatory_d(4 * x)
+        step = np.longdouble(doubled) / 2
     return float(step - smooth_main_term(kind, np.longdouble(x)))
 
 
@@ -115,31 +100,3 @@ def delta_star_identity_residual(x) -> float:
     alt = np.longdouble(alternating_summatory_d(x)) / 2
     lhs = alt - smooth_main_term(ErrorTermKind.DELTA, np.longdouble(x))
     return float(lhs - np.longdouble(error_term(ErrorTermKind.DELTA_STAR, x)))
-
-
-def _breakpoint_grid(kind: ErrorTermKind, a: float, b: float) -> np.ndarray:
-    """Ascending jump locations of the step part inside (a, b)."""
-    # delta/circle jump at integers; delta-star jumps at quarter-integers
-    # (the union of the jump sets of D(x), D(2x), D(4x)).
-    denom = 4 if kind is ErrorTermKind.DELTA_STAR else 1
-    first = math.floor(a * denom) + 1
-    last = math.ceil(b * denom) - 1
-    return np.arange(first, last + 1, dtype=np.int64) / denom
-
-
-def segments(kind: ErrorTermKind, a: float, b: float) -> Iterator[PiecewiseErrorSegment]:
-    """Stream the piecewise segments covering [a, b], in ascending order.
-
-    Consecutive segments differ in constant_part by the jump of the
-    underlying step sum at the shared breakpoint.
-    """
-    if not 1 <= a < b:
-        raise RangeError(f"need 1 <= a < b, got [{a}, {b}]")
-    smooth = _SMOOTH[kind]
-    cuts = [a] + [float(t) for t in _breakpoint_grid(kind, a, b)] + [b]
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        yield PiecewiseErrorSegment(
-            kind=kind, left=left, right=right,
-            constant_part=step_sum(kind, left),
-            smooth_part=smooth,
-        )

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .error_terms import ErrorTermKind, smooth_main_term
+from .error_terms import (ErrorTermKind, jump_denominator, smooth_main_term,
+                          step_table_need)
 from .errors import BudgetError, DegenerateFitError, RangeError
 from .numerics import KahanAccumulator, leggauss_01, loglog_slope
 from .sieves import DivisorTable, TableKind, sieve_divisors, sieve_r
@@ -79,28 +80,16 @@ class _StepTable:
     def __init__(self, kind: ErrorTermKind, upto: float,
                  table: DivisorTable | None = None):
         self.kind = kind
-        if kind is ErrorTermKind.CIRCLE:
-            need = int(math.ceil(upto))
-            want_kind = TableKind.SUM_OF_TWO_SQUARES
-            builder = sieve_r
-        elif kind is ErrorTermKind.DELTA:
-            need = int(math.ceil(upto))
-            want_kind = TableKind.DIVISOR
-            builder = sieve_divisors
-        else:
-            need = int(math.ceil(4 * upto))
-            want_kind = TableKind.DIVISOR
-            builder = sieve_divisors
-        if table is not None and (table.kind is not want_kind or table.limit < need):
-            table = None
-        if table is None:
-            table = builder(need)
+        self.denom = jump_denominator(kind)
+        want_kind, need = step_table_need(kind, upto)
+        if table is None or table.kind is not want_kind or table.limit < need:
+            table = sieve_r(need) if want_kind is TableKind.SUM_OF_TWO_SQUARES \
+                else sieve_divisors(need)
         # int64 prefix sums; exact well past desk scale
         self.limit = table.limit
         self.prefix = np.zeros(table.limit + 1, dtype=np.int64)
         np.cumsum(table.values, dtype=np.int64, out=self.prefix[0:])
         self.prefix[0] = 0
-        self.denom = 4 if kind is ErrorTermKind.DELTA_STAR else 1
 
     def constants(self, ticks: np.ndarray) -> np.ndarray:
         """Step constants for segments [t/denom, (t+1)/denom), longdouble."""
@@ -110,17 +99,23 @@ class _StepTable:
             return doubled.astype(np.longdouble) / 2
         return self.prefix[ticks].astype(np.longdouble)
 
-    def max_tick(self) -> int:
-        return self.limit
 
-
-def _chunk_partials(step: _StepTable, m0: int, m1: int, nodes, weights,
+def _chunk_partials(step: _StepTable, m0: int, m1: int, span, nodes, weights,
                     powers: tuple[int, ...]) -> dict[int, np.longdouble]:
-    """Integrals of error^k over full segments m0..m1-1, one pairwise pass."""
+    """Integrals of error^k over the segments m0..m1-1 in one pairwise pass,
+    or, when ``span`` = (x0, x1) is given, over that part of segment m0.
+
+    A head or tail piece is thus a one-element pass; np.sum of one element
+    is exact, so it rounds exactly as a scalar evaluation would.
+    """
     ticks = np.arange(m0, m1, dtype=np.int64)
+    if span is None:
+        left = ticks.astype(np.longdouble) / step.denom
+        width = np.longdouble(1) / step.denom
+    else:
+        left = np.array([span[0]], dtype=np.longdouble)
+        width = np.longdouble(span[1]) - left[0]
     consts = step.constants(ticks)
-    width = np.longdouble(1) / step.denom
-    left = ticks.astype(np.longdouble) / step.denom
     xs = left[:, None] + width * nodes[None, :]
     err = consts[:, None] - smooth_main_term(step.kind, xs)
     out: dict[int, np.longdouble] = {}
@@ -130,23 +125,6 @@ def _chunk_partials(step: _StepTable, m0: int, m1: int, nodes, weights,
         if k in powers:
             per_seg = np.sum(prod * weights[None, :], axis=1)
             out[k] = np.sum(per_seg) * width
-    return out
-
-
-def _partial_piece(step: _StepTable, x0: float, x1: float, nodes, weights,
-                   powers: tuple[int, ...]) -> dict[int, np.longdouble]:
-    """Integrals over a sub-segment [x0, x1] lying inside one step segment."""
-    tick = int(math.floor(x0 * step.denom))
-    const = step.constants(np.array([tick], dtype=np.int64))[0]
-    span = np.longdouble(x1) - np.longdouble(x0)
-    xs = np.longdouble(x0) + span * nodes
-    err = const - smooth_main_term(step.kind, xs)
-    out: dict[int, np.longdouble] = {}
-    prod = None
-    for k in range(1, max(powers) + 1):
-        prod = err if prod is None else prod * err
-        if k in powers:
-            out[k] = np.sum(prod * weights) * span
     return out
 
 
@@ -177,7 +155,7 @@ def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
     total_segments = int(math.ceil((stops[-1] - start) * denom)) + len(stops) + 2
     if total_segments > max_segments:
         raise BudgetError(f"{total_segments} segments exceed budget {max_segments}")
-    if (stops[-1] * denom) > step.max_tick():
+    if (stops[-1] * denom) > step.limit:
         raise RangeError(f"table covers only up to {step.limit}; "
                          f"cannot integrate to {stops[-1]}")
 
@@ -188,48 +166,29 @@ def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
     acc = {p: KahanAccumulator() for p in powers}
     results: dict[int, list[float]] = {p: [] for p in powers}
 
+    def run(part):
+        return _chunk_partials(step, *part, nodes, weights, powers)
+
     prev = start
-    for stop in stops:
-        a_tick = prev * denom
-        b_tick = stop * denom
-        m_lo = int(math.floor(a_tick))
-        m_hi = int(math.floor(b_tick))
-        if m_lo == m_hi:
-            # entire span inside one segment
-            if stop > prev:
-                piece = _partial_piece(step, prev, stop, nodes, weights, powers)
-                for p in powers:
-                    acc[p].add(piece[p])
-        else:
-            run_lo = m_lo
-            if a_tick > m_lo:
-                piece = _partial_piece(step, prev, (m_lo + 1) / denom,
-                                       nodes, weights, powers)
-                for p in powers:
-                    acc[p].add(piece[p])
-                run_lo = m_lo + 1
-            chunk_bounds = list(range(run_lo, m_hi, chunk_segments)) + [m_hi]
-            spans = list(zip(chunk_bounds[:-1], chunk_bounds[1:]))
-            if threads == 1 or len(spans) <= 1:
-                partials = [_chunk_partials(step, lo, hi, nodes, weights, powers)
-                            for lo, hi in spans]
-            else:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    partials = list(pool.map(
-                        lambda span: _chunk_partials(step, span[0], span[1],
-                                                     nodes, weights, powers),
-                        spans))
-            for part in partials:          # ascending chunk order
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for stop in stops:
+            a_tick, b_tick = prev * denom, stop * denom
+            m_lo, m_hi = math.floor(a_tick), math.floor(b_tick)
+            first = math.ceil(a_tick)
+            # (m0, m1, span) in Kahan add order: head piece, chunks, tail piece
+            parts = []
+            if first > a_tick:
+                parts.append((m_lo, m_lo + 1, (prev, min(stop, first / denom))))
+            parts += [(lo, min(lo + chunk_segments, m_hi), None)
+                      for lo in range(first, m_hi, chunk_segments)]
+            if first <= m_hi < b_tick:
+                parts.append((m_hi, m_hi + 1, (m_hi / denom, stop)))
+            for part in (map if threads == 1 else pool.map)(run, parts):
                 for p in powers:
                     acc[p].add(part[p])
-            if b_tick > m_hi:
-                piece = _partial_piece(step, m_hi / denom, stop,
-                                       nodes, weights, powers)
-                for p in powers:
-                    acc[p].add(piece[p])
-        for p in powers:
-            results[p].append(acc[p].value())
-        prev = stop
+            for p in powers:
+                results[p].append(acc[p].value())
+            prev = stop
     return results
 
 
@@ -243,7 +202,7 @@ def moment(kind: ErrorTermKind, power: int, interval, order: int = 8,
     profile = moment_profile(kind, (power,), [b], start=a, order=order,
                              threads=threads, table=table,
                              chunk_segments=chunk_segments)
-    denom = 4 if kind is ErrorTermKind.DELTA_STAR else 1
+    denom = jump_denominator(kind)
     count = int(math.ceil(b * denom) - math.floor(a * denom))
     return MomentResult(kind=kind, power=power, interval=(a, b),
                         integral=profile[power][0], quadrature_order=order,

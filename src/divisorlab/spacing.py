@@ -84,6 +84,10 @@ class BoxSpec:
                 raise ValueError("near-integer form needs |alpha| >= 1")
             if not 0 < self.delta < 0.5:
                 raise ValueError("near-integer form needs 0 < delta < 1/2")
+            top = LD(abs(self.beta)) + LD(abs(self.alpha)) * np.sqrt(LD(2 * self.K))
+            if np.spacing(top) > self.delta * 2.0 ** -20:
+                raise ValueError(f"|beta| + |alpha|*sqrt(2K) = {float(top):.3g} leaves "
+                                 f"too few fractional bits for delta {self.delta}")
         if self.form is SpacingForm.THREE_ROOT and self.Mp > self.M:
             raise ValueError("three-root form requires Mp <= M")
 

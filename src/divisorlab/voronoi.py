@@ -90,24 +90,21 @@ def build_series(kind: ErrorTermKind, truncation: int,
 def phases(series: VoronoiSeries, x, reduce_mod_2pi: bool = True) -> np.ndarray:
     """f*sqrt(n*x) + phase for n = 1..N, in longdouble, optionally folded.
 
+    A column of points (shape (B, 1)) gives one row of phases per point.
     The unreduced variant exists so tests can confirm the folding step is
     lossless; both run at the same extended precision.
     """
     ns = np.arange(1, series.truncation + 1, dtype=np.longdouble)
     t = np.longdouble(series.frequency_scale) * np.sqrt(ns * np.longdouble(x))
     if reduce_mod_2pi:
-        t = t - TWO_PI_LD * np.floor(t / TWO_PI_LD)
-    return t + np.longdouble(series.phase)
+        t -= TWO_PI_LD * np.floor(t / TWO_PI_LD)
+    t += np.longdouble(series.phase)
+    return t
 
 
 def evaluate_series(series: VoronoiSeries, x) -> float:
     """Evaluate the truncated expansion at one point x >= 1."""
-    if x < 1:
-        raise RangeError(f"series is evaluated for x >= 1, got {x}")
-    t = phases(series, x)
-    total = np.sum(series.coefficients * np.cos(t))
-    return float(np.longdouble(series.amplitude)
-                 * np.longdouble(x) ** np.longdouble(0.25) * total)
+    return float(evaluate_block(series, [x])[0])
 
 
 def truncated(kind: ErrorTermKind, truncation: int, x,
@@ -120,21 +117,21 @@ def evaluate_block(series: VoronoiSeries, xs, block_size: int = 64) -> np.ndarra
     """Evaluate the series on an x-grid, blocked so the n-loop stays in numpy.
 
     Results are bit-identical to per-point evaluation for any block size
-    (the per-x reduction over n is a fixed-shape pairwise sum).
+    (the per-x reduction over n is a fixed-shape pairwise sum).  Points whose
+    largest phase f*sqrt(N*x) reaches 2^32 are rejected: beyond it one
+    longdouble ulp of the phase exceeds 2^-31 and the folded cosine is noise.
     """
     xs_arr = np.asarray(xs, dtype=float)
     flat = xs_arr.ravel()
-    if flat.size and flat.min() < 1:
-        raise RangeError("series is evaluated for x >= 1")
-    ns = np.arange(1, series.truncation + 1, dtype=np.longdouble)
-    freq = np.longdouble(series.frequency_scale)
+    if flat.size and not (flat.min() >= 1 and series.frequency_scale * np.sqrt(
+            series.truncation * float(flat.max())) < 2.0 ** 32):
+        raise RangeError(f"series is evaluated for x >= 1 with phase f*sqrt(N*x) "
+                         f"< 2^32, got x in [{flat.min()}, {flat.max()}]")
     amp = np.longdouble(series.amplitude)
     out = np.empty(flat.shape, dtype=float)
     for start in range(0, flat.size, block_size):
         xb = flat[start:start + block_size].astype(np.longdouble)[:, None]
-        t = freq * np.sqrt(ns[None, :] * xb)
-        t -= TWO_PI_LD * np.floor(t / TWO_PI_LD)
-        t += np.longdouble(series.phase)
+        t = phases(series, xb)
         sums = np.sum(series.coefficients[None, :] * np.cos(t), axis=1)
         vals = amp * xb.ravel() ** np.longdouble(0.25) * sums
         out[start:start + block_size] = vals.astype(float)

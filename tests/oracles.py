@@ -58,6 +58,30 @@ def alternating_sum_direct(y: int, d_values: np.ndarray) -> int:
     return int(np.sum(signs * d_values[1:y + 1].astype(np.int64)))
 
 
+def piecewise_segments(kind_name: str, a: float, b: float) -> list[tuple]:
+    """(left, right, step constant) for the pieces of [a, b] between jumps of
+    the step part, summed from trial-division counts.
+
+    D(x) and R(x) jump at integers; delta-star's step -D(x) + 2D(2x) - D(4x)/2
+    jumps wherever x, 2x or 4x is an integer, so at quarter-integers.
+    """
+    quarters = kind_name == "delta-star"
+    count = two_squares_count if kind_name == "circle" else divisor_count
+
+    def step(y: float) -> int:
+        return sum(count(n) for n in range(1, math.floor(y) + 1))
+
+    grid = 4 if quarters else 1
+    cuts = [a] + [t / grid for t in range(math.floor(a * grid) + 1,
+                                          math.ceil(b * grid))] + [b]
+    out = []
+    for left, right in zip(cuts, cuts[1:]):
+        const = (-2 * step(left) + 4 * step(2 * left) - step(4 * left)) / 2 \
+            if quarters else step(left)
+        out.append((left, right, const))
+    return out
+
+
 def squarefree_core(n: int) -> tuple[int, int]:
     """Split n = s^2 * q with q squarefree: trial division to the cube root,
     then a perfect-square check on the remaining cofactor (which has at

@@ -200,6 +200,18 @@ def test_compute_error_exit_code(capsys):
     assert "x >= 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("voronoi", "--kind", "delta", "--truncation", "10", "--x", "1e300"),
+    ("spacing", "--form", "near-integer", "--K", "10", "--delta", "0.1",
+     "--alpha", "1e300"),
+], ids=["voronoi-phase", "near-integer-fraction"])
+def test_beyond_extended_precision_is_compute_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "compute error" in err
+
+
 def test_cache_dir_reuse(tmp_path, capsys):
     cache = tmp_path / "cache"
     code, _, _ = run(capsys, "--cache-dir", str(cache), "moment", "--kind",

@@ -1,11 +1,16 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
 from divisorlab import errors
 from divisorlab.error_terms import (ErrorTermKind, delta_star_identity_residual,
-                                    error_term, segments, smooth_main_term)
-from divisorlab.sieves import sieve_divisors
+                                    error_term, jump_denominator, smooth_main_term,
+                                    step_table_need)
+from divisorlab.moments import _StepTable, moment_profile
+from divisorlab.sieves import TableKind, sieve_divisors, summatory_d
+from oracles import piecewise_segments
 
 
 def test_delta_example():
@@ -45,38 +50,54 @@ def test_identity_residual_random():
         assert abs(delta_star_identity_residual(float(x))) <= 1e-8
 
 
+def _step_pieces(kind, a, b):
+    """(left, right, constant) of the step table's segments covering [a, b]."""
+    denom = jump_denominator(kind)
+    ticks = np.arange(math.floor(a * denom), math.ceil(b * denom))
+    consts = _StepTable(kind, b).constants(ticks)
+    return [(t / denom, (t + 1) / denom, c) for t, c in zip(ticks, consts)]
+
+
 def test_segments_delta():
-    segs = list(segments(ErrorTermKind.DELTA, 1, 3))
-    assert [(s.left, s.right) for s in segs] == [(1, 2.0), (2.0, 3)]
-    assert [s.constant_part for s in segs] == [1.0, 3.0]
+    assert jump_denominator(ErrorTermKind.DELTA) == 1
+    assert step_table_need(ErrorTermKind.DELTA, 3) == (TableKind.DIVISOR, 3)
+    assert _step_pieces(ErrorTermKind.DELTA, 1, 3) == [(1, 2, 1), (2, 3, 3)]
+    assert piecewise_segments("delta", 1, 3) == [(1, 2, 1), (2, 3, 3)]
 
 
 def test_segments_circle_single():
-    segs = list(segments(ErrorTermKind.CIRCLE, 1, 2))
-    assert len(segs) == 1
-    assert segs[0].constant_part == 4.0
+    assert step_table_need(ErrorTermKind.CIRCLE, 2) == (TableKind.SUM_OF_TWO_SQUARES, 2)
+    assert _step_pieces(ErrorTermKind.CIRCLE, 1, 2) == [(1, 2, 4)]
+    assert piecewise_segments("circle", 1, 2) == [(1, 2, 4)]
 
 
 def test_segments_delta_star_quarter_breakpoints():
-    segs = list(segments(ErrorTermKind.DELTA_STAR, 1, 1.5))
-    assert [(s.left, s.right) for s in segs] == [(1, 1.25), (1.25, 1.5)]
+    # delta-star reads D(4x), so its table reaches 4x and it jumps at 1.25
+    assert jump_denominator(ErrorTermKind.DELTA_STAR) == 4
+    assert step_table_need(ErrorTermKind.DELTA_STAR, 1.5) == (TableKind.DIVISOR, 6)
+    pieces = _step_pieces(ErrorTermKind.DELTA_STAR, 1, 1.5)
+    assert pieces == [(1, 1.25, 1), (1.25, 1.5, 0)]
+    assert piecewise_segments("delta-star", 1, 1.5) == pieces
 
 
 def test_segment_jumps_match_sieve():
     table = sieve_divisors(60)
-    segs = list(segments(ErrorTermKind.DELTA, 3, 50))
-    for a, b in zip(segs, segs[1:]):
-        jump = b.constant_part - a.constant_part
-        assert jump == table.value(int(b.left))
+    pieces = _step_pieces(ErrorTermKind.DELTA, 3, 50)
+    for a, b in zip(pieces, pieces[1:]):
+        assert b[2] - a[2] == table.value(int(b[0]))
 
 
 def test_segment_value_matches_error_term():
+    # the step table's constant at every tick is the brute-force step sum,
+    # and constant - smooth part is the error term there, bit for bit; the
+    # midpoint check shows nothing jumps inside a segment
     for kind in ErrorTermKind:
-        for seg in segments(kind, 5, 9):
-            mid_left = seg.left
-            got = float(np.longdouble(seg.constant_part)
-                        - smooth_main_term(kind, mid_left))
-            assert got == pytest.approx(error_term(kind, mid_left), abs=1e-10)
+        pieces = _step_pieces(kind, 1, 12)
+        assert pieces == piecewise_segments(kind.value, 1, 12)
+        for left, right, const in pieces:
+            for x in (left, (left + right) / 2):
+                got = float(const - smooth_main_term(kind, x))
+                assert got == error_term(kind, x)
 
 
 def test_piecewise_antiderivative_consistency():
@@ -88,17 +109,31 @@ def test_piecewise_antiderivative_consistency():
              lambda x: x * (mpmath.log(x) + 2 * mpmath.euler - 1)),
             (ErrorTermKind.CIRCLE, lambda x: mpmath.pi * x),
         ]:
-            for seg in segments(kind, 7, 12):
-                left_val = float(np.longdouble(seg.constant_part)
-                                 - smooth_main_term(kind, seg.left))
-                right_lim = float(np.longdouble(seg.constant_part)
-                                  - smooth_main_term(kind, seg.right))
-                drop = float(smooth(seg.right) - smooth(seg.left))
+            for left, right, const in _step_pieces(kind, 7, 12):
+                left_val = float(const - smooth_main_term(kind, left))
+                right_lim = float(const - smooth_main_term(kind, right))
+                drop = float(smooth(right) - smooth(left))
                 assert right_lim - left_val == pytest.approx(-drop, abs=1e-10)
 
 
+@pytest.mark.parametrize("kind, x", [(ErrorTermKind.DELTA, 1e15),
+                                     (ErrorTermKind.DELTA, 1e16),
+                                     (ErrorTermKind.DELTA_STAR, 2e15)])
+def test_step_part_exact_beyond_double_precision(kind, x):
+    # D(x) passes 2^53 near x = 2.7e14; the exact step part must not be
+    # rounded to a double before the smooth part is subtracted
+    with mpmath.workdps(50):
+        def delta(y):
+            return summatory_d(y) - mpmath.mpf(y) * (
+                mpmath.log(y) + 2 * mpmath.euler - 1)
+        if kind is ErrorTermKind.DELTA:
+            expected = delta(x)
+        else:
+            expected = -delta(x) + 2 * delta(2 * x) - delta(4 * x) / 2
+        assert abs(error_term(kind, x) - float(expected)) <= 1e-2
+
+
 def test_mean_tendency_bounded():
-    from divisorlab.moments import moment_profile
     prof = moment_profile(ErrorTermKind.DELTA, (1,), [10**3, 10**4, 10**5, 10**6])
     for X, value in zip((10**3, 10**4, 10**5, 10**6), prof[1]):
         assert abs(value / X) <= 1.0
@@ -125,7 +160,7 @@ def test_rejects_x_below_one():
     with pytest.raises(errors.RangeError):
         error_term(ErrorTermKind.DELTA, 0.5)
     with pytest.raises(errors.RangeError):
-        list(segments(ErrorTermKind.DELTA, 0.2, 3))
+        moment_profile(ErrorTermKind.DELTA, (1,), [3], start=0.2)
 
 
 def test_kind_parse():

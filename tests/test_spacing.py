@@ -336,6 +336,8 @@ def test_boxspec_validation():
         BoxSpec(form=SpacingForm.NEAR_INTEGER, K=10, delta=0.7, alpha=2.0)
     with pytest.raises(ValueError):
         BoxSpec(form=SpacingForm.NEAR_INTEGER, K=10, delta=0.1, alpha=0.5)
+    with pytest.raises(ValueError):   # alpha*sqrt(k) has no fractional bits left
+        BoxSpec(form=SpacingForm.NEAR_INTEGER, K=10, delta=0.1, alpha=1e300)
     with pytest.raises(ValueError):
         BoxSpec(form=SpacingForm.FOUR_ROOT_KTH, M=4, delta=0.1, root_k=1)
     with pytest.raises(ValueError):

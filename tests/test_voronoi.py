@@ -118,6 +118,8 @@ def test_validation_errors():
         build_series(ErrorTermKind.DELTA, 1)
     with pytest.raises(errors.RangeError):
         truncated(ErrorTermKind.DELTA, 4, 0.5)
+    with pytest.raises(errors.RangeError):   # phase 4*pi*sqrt(N*x) >= 2^32
+        evaluate_block(build_series(ErrorTermKind.DELTA, 10), [2.0, 1.2e17])
     with pytest.raises(ValueError):
         remainder_stats(ErrorTermKind.DELTA, 16, 1000.0, sample_count=50)
     with pytest.raises(errors.RangeError):
