@@ -10,10 +10,13 @@ Conventions used throughout:
     combination vanishes iff the per-core coefficient sums do.  No floating
     tolerance ever classifies a tuple as exactly zero.
   * Threshold comparisons (|combination| vs delta * scale) are evaluated in
-    80-bit extended precision.  The innermost variable is never enumerated:
-    its admissible range is a contiguous integer interval obtained by
-    inverting the monotone square root, so 4-variable boxes cost three
-    nested loops plus a range count.
+    80-bit extended precision by one solved-variable counter for all four
+    root forms: it enumerates the outer variables (a loop over the first,
+    broadcasts over the rest) and never the innermost one, whose admissible
+    values are a contiguous integer interval obtained by inverting the
+    monotone root.  The partial sum is always formed in the same order, so
+    exact ties |combination| = delta * scale are decided by the longdouble
+    rounding of that fixed evaluation order.
   * Bound values evaluate the reference bound shapes with the epsilon term
     dropped and the implied constant set to 1, so measured ratios carry all
     the constant information.
@@ -24,11 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
 from .errors import BudgetError
-from .sieves import core_families, core_tables
+from .sieves import DEFAULT_MEMORY_CEILING_BYTES, core_families, core_tables
 
 LD = np.longdouble
 
@@ -152,6 +156,12 @@ def enumerate_exact_triples(limit: int) -> list[ExactTriple]:
     return out
 
 
+# Peak memory of enumerate_exact_quadruples per pair (m, n) <= limit: the
+# pair meshgrid, the trivial-pairing rows, their concatenation and the
+# sorted copy.  Measured 236-240 bytes (fresh process, limits 300-2000).
+_QUADRUPLE_BYTES_PER_PAIR = 240
+
+
 def enumerate_exact_quadruples(limit: int) -> np.ndarray:
     """All ordered quadruples (m, n, k, l), components <= limit, with
     sqrt(m) + sqrt(n) = sqrt(k) + sqrt(l), as a lexicographically sorted
@@ -166,6 +176,10 @@ def enumerate_exact_quadruples(limit: int) -> np.ndarray:
     """
     if limit < 1:
         return np.empty((0, 4), dtype=np.int64)
+    need = _QUADRUPLE_BYTES_PER_PAIR * limit * limit
+    if need > DEFAULT_MEMORY_CEILING_BYTES:
+        raise BudgetError(f"quadruples up to {limit} need about {need} bytes, over "
+                          f"the {DEFAULT_MEMORY_CEILING_BYTES}-byte memory ceiling")
     rows: list[np.ndarray] = []
     for q, amax in zip(*(c.tolist() for c in core_families(limit))):
         comp = np.arange(1, amax + 1, dtype=np.int64) ** 2 * q
@@ -195,17 +209,6 @@ def enumerate_exact_quadruples(limit: int) -> np.ndarray:
     return allrows[np.lexsort(allrows.T[::-1])]
 
 
-def _core_members(q: int, boxes: tuple[int, ...]) -> list[np.ndarray] | None:
-    """Per dyadic box (R, 2R], the ascending square parts a with a^2 q in
-    the box, or None when some box has none.
-
-    For squarefree q these are exactly the box members whose core is q
-    (core(a^2 q) = q for every a)."""
-    parts = [np.arange(math.isqrt(R // q) + 1, math.isqrt(2 * R // q) + 1,
-                       dtype=np.int64) for R in boxes]
-    return parts if all(len(p) for p in parts) else None
-
-
 def _same_core_pairs(c1: np.ndarray, c2: np.ndarray) -> int:
     """Number of pairs (i, j) with c1[i] == c2[j]."""
     b1 = np.bincount(c1)
@@ -214,7 +217,7 @@ def _same_core_pairs(c1: np.ndarray, c2: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# interval helpers for the solved inner variable
+# counting with a solved inner variable
 
 def _count_in_interval(lo, hi, floor_lo, cap_hi, strict: bool):
     """Vectorized count of integers v with floor_lo <= v <= cap_hi and
@@ -225,10 +228,40 @@ def _count_in_interval(lo, hi, floor_lo, cap_hi, strict: bool):
     else:
         vmin = np.ceil(lo)
         vmax = np.floor(hi)
-    vmin = np.maximum(vmin, LD(floor_lo))
-    vmax = np.minimum(vmax, LD(cap_hi))
+    # masked assignment clamps about twice as fast as np.maximum on
+    # longdouble arrays
+    vmin[vmin < floor_lo] = floor_lo
+    vmax[vmax > cap_hi] = cap_hi
     cnt = vmax - vmin + 1
-    return np.where(cnt > 0, cnt, LD(0))
+    cnt[cnt < 0] = 0
+    return cnt
+
+
+def _count_solved(axes, t, inner_lo, inner_hi, r: int, strict: bool) -> int:
+    """Number of tuples (x, a_1, ..., v) with |x + a_1 + ... - v^(1/r)|
+    (<|<=) t and inner_lo <= v <= inner_hi, where x runs over axes[0] and
+    the later axes broadcast against each other.
+
+    v is never enumerated: it fills the integer interval between
+    max(s - t, 0)^r and max(s + t, 0)^r.  Clamping hi leaves an empty
+    interval where s + t <= 0, since inner_lo >= 1.  The sum s is always
+    added left to right, so threshold ties are decided the same way on
+    every call."""
+    total = 0
+    for x in axes[0]:
+        s = x
+        for a in axes[1:]:
+            s = s + a
+        lo, hi = s - t, s + t
+        lo[lo < 0] = 0
+        hi[hi < 0] = 0
+        total += int(np.sum(_count_in_interval(lo ** r, hi ** r, inner_lo,
+                                               inner_hi, strict)))
+    return total
+
+
+def _sqrt_box(R: int) -> np.ndarray:
+    return np.sqrt(np.arange(R + 1, 2 * R + 1, dtype=np.int64).astype(LD))
 
 
 def _interval_overlap(r1: int, r2: int) -> int:
@@ -238,115 +271,25 @@ def _interval_overlap(r1: int, r2: int) -> int:
     return max(0, hi - lo)
 
 
-# ---------------------------------------------------------------------------
-# per-form counting
-
 def _count_near_integer(spec: BoxSpec) -> int:
-    K = spec.K
-    if K > spec.budget:
-        raise BudgetError(f"box K={K} exceeds budget {spec.budget}")
-    k = np.arange(K + 1, 2 * K + 1, dtype=np.int64)
+    k = np.arange(spec.K + 1, 2 * spec.K + 1, dtype=np.int64)
     t = LD(spec.beta) + LD(spec.alpha) * np.sqrt(k.astype(LD))
     frac = t - np.floor(t)
     dist = np.minimum(frac, 1 - frac)
     return int(np.count_nonzero(dist < LD(spec.delta)))
 
 
-def near_integer_count_by_sorting(spec: BoxSpec) -> int:
-    """Independent route for the near-integer count: sort the fractional
-    parts and count both tails with binary searches."""
-    K = spec.K
-    k = np.arange(K + 1, 2 * K + 1, dtype=np.int64)
-    t = LD(spec.beta) + LD(spec.alpha) * np.sqrt(k.astype(LD))
-    frac = np.sort(t - np.floor(t))
-    d = LD(spec.delta)
-    left = int(np.searchsorted(frac, d, side="left"))
-    right = len(frac) - int(np.searchsorted(frac, 1 - d, side="right"))
-    return left + right
-
-
-def _count_three_root(spec: BoxSpec) -> int:
-    M, Mp = spec.M, spec.Mp
-    if M * Mp > spec.budget:
-        raise BudgetError(f"box volume {M * Mp} exceeds budget {spec.budget}")
-    t = LD(spec.delta) * np.sqrt(LD(M))
-    n = np.arange(Mp + 1, 2 * Mp + 1, dtype=np.int64)
-    sqrt_n = np.sqrt(n.astype(LD))
-    total = 0
-    for m in range(M + 1, 2 * M + 1):
-        s = np.sqrt(LD(m)) + sqrt_n
-        lo = s - t
-        hi = s + t
-        lo = np.maximum(lo, LD(0))
-        cnt = _count_in_interval(lo * lo, hi * hi, 1, np.inf, strict=False)
-        total += int(np.sum(cnt))
-    return total
-
-
-def _count_four_root_minus(spec: BoxSpec) -> tuple[int, int]:
-    """Returns (count, trivial_count) for the two-plus-two-minus form."""
-    M, Mp, K, L = spec.M, spec.Mp, spec.K, spec.L
-    if M * Mp * L > spec.budget:
-        raise BudgetError(f"box volume {M * Mp * L} exceeds budget {spec.budget}")
-    t = LD(spec.delta) * np.sqrt(LD(K))
-    n = np.arange(Mp + 1, 2 * Mp + 1, dtype=np.int64)
-    l = np.arange(L + 1, 2 * L + 1, dtype=np.int64)
-    sqrt_n = np.sqrt(n.astype(LD))[:, None]
-    sqrt_l = np.sqrt(l.astype(LD))[None, :]
-    total = 0
-    for m in range(M + 1, 2 * M + 1):
-        s = np.sqrt(LD(m)) + sqrt_n - sqrt_l
-        lo = np.maximum(s - t, LD(0))
-        hi = s + t
-        valid = hi > 0
-        cnt = _count_in_interval(lo * lo, hi * hi, K + 1, 2 * K, strict=False)
-        total += int(np.sum(cnt[valid]))
-    # trivial pairings (k,l) = (m,n) or (n,m); both demand box membership
-    p_mn = _interval_overlap(M, K) * _interval_overlap(Mp, L)
-    p_nm = _interval_overlap(M, L) * _interval_overlap(Mp, K)
-    all_four = max(0, min(2 * M, 2 * Mp, 2 * K, 2 * L) - max(M, Mp, K, L))
-    return total, p_mn + p_nm - all_four
-
-
-def _count_four_root_plus(spec: BoxSpec) -> int:
-    M, Mp, K, L = spec.M, spec.Mp, spec.K, spec.L
-    if M * Mp * K > spec.budget:
-        raise BudgetError(f"box volume {M * Mp * K} exceeds budget {spec.budget}")
-    t = LD(spec.delta) * np.sqrt(LD(K))
-    n = np.arange(Mp + 1, 2 * Mp + 1, dtype=np.int64)
-    k = np.arange(K + 1, 2 * K + 1, dtype=np.int64)
-    sqrt_n = np.sqrt(n.astype(LD))[:, None]
-    sqrt_k = np.sqrt(k.astype(LD))[None, :]
-    total = 0
-    for m in range(M + 1, 2 * M + 1):
-        s = np.sqrt(LD(m)) + sqrt_n + sqrt_k
-        lo = np.maximum(s - t, LD(0))
-        hi = s + t
-        cnt = _count_in_interval(lo * lo, hi * hi, L + 1, 2 * L, strict=False)
-        total += int(np.sum(cnt))
-    return total
-
-
-def _count_four_root_kth(spec: BoxSpec) -> int:
-    N, r = spec.M, spec.root_k
-    if N * N * N > spec.budget:
-        raise BudgetError(f"box volume {N**3} exceeds budget {spec.budget}")
-    inv = LD(1) / LD(r)
-    t = LD(spec.delta) * LD(N) ** inv
-    base = np.arange(N + 1, 2 * N + 1, dtype=np.int64).astype(LD) ** inv
-    total = 0
-    for i1 in range(N):
-        a = base[i1] + base[:, None] - base[None, :]
-        lo = np.maximum(a - t, LD(0))
-        hi = a + t
-        valid = hi > 0
-        cnt = _count_in_interval(lo ** r, hi ** r, N + 1, 2 * N, strict=True)
-        total += int(np.sum(cnt[valid]))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # exact-zero counting inside boxes
+
+def _equal_sums(left: list[np.ndarray], right: list[np.ndarray]) -> int:
+    """Number of pairs (one element from each left array, one from each
+    right array) whose left sum equals their right sum."""
+    h1, h2 = (np.bincount(reduce(np.add.outer, parts).ravel())
+              for parts in (left, right))
+    n = min(len(h1), len(h2))
+    return int(np.dot(h1[:n], h2[:n]))
+
 
 def _zero_count_three_root(spec: BoxSpec) -> int:
     """Number of box pairs (m, n) with sqrt m + sqrt n an exact sqrt k.
@@ -358,76 +301,39 @@ def _zero_count_three_root(spec: BoxSpec) -> int:
     return _same_core_pairs(core[M + 1:2 * M + 1], core[Mp + 1:2 * Mp + 1])
 
 
-def _zero_count_four_root_minus(spec: BoxSpec) -> int:
-    """Number of box tuples with sqrt m + sqrt n = sqrt k + sqrt l exactly."""
-    M, Mp, K, L = spec.M, spec.Mp, spec.K, spec.L
-    core, _ = core_tables(2 * max(M, Mp, K, L))
+def _zero_count_four(boxes: tuple[int, int, int, int], n_left: int,
+                     r: int = 2) -> int:
+    """Number of tuples in the dyadic boxes whose first n_left r-th roots
+    sum exactly to the sum of the others.
 
-    # case 1: all four share one squarefree core, a+b = c+d
-    total = 0
-    for q in np.unique(core[M + 1:2 * M + 1]):
-        parts = _core_members(int(q), (M, Mp, K, L))
-        if parts is None:
-            continue
-        A, B, C, D = parts
-        smax = int(A[-1] + B[-1])
-        h1 = np.bincount((A[:, None] + B[None, :]).ravel(), minlength=smax + 1)
-        sums_cd = (C[:, None] + D[None, :]).ravel()
-        h2 = np.bincount(sums_cd, minlength=smax + 1)[:smax + 1]
-        total += int(np.dot(h1, h2[:len(h1)]))
+    Write each n = a^r q with q r-power-free.  Roots over distinct kernels
+    are linearly independent, so either all four kernels coincide and the
+    parts a balance, or (two roots a side) the kernels on the left differ
+    and the right side is the left side reordered."""
+    core, root = core_tables(2 * max(boxes), r)
+    by_core = []
+    for R in boxes:
+        c, a = core[R + 1:2 * R + 1], root[R + 1:2 * R + 1]
+        order = np.argsort(c, kind="stable")
+        q, first = np.unique(c[order], return_index=True)
+        by_core.append(dict(zip(q.tolist(), np.split(a[order], first[1:]))))
+    total = sum(_equal_sums([p[q] for p in by_core[:n_left]],
+                            [p[q] for p in by_core[n_left:]])
+                for q in set.intersection(*map(set, by_core)))
+    if n_left != 2:
+        return total
+    R1, R2, R3, R4 = boxes
 
-    # case 2: distinct cores on the left, so {k,l} must equal {m,n}
-    def _distinct_core_pairs(r_m: int, r_n: int) -> int:
-        lo1, hi1 = max(M, r_m), min(2 * M, 2 * r_m)
-        lo2, hi2 = max(Mp, r_n), min(2 * Mp, 2 * r_n)
+    def distinct_core_pairs(r_m: int, r_n: int) -> int:
+        lo1, hi1 = max(R1, r_m), min(2 * R1, 2 * r_m)
+        lo2, hi2 = max(R2, r_n), min(2 * R2, 2 * r_n)
         if hi1 <= lo1 or hi2 <= lo2:
             return 0
         c1 = core[lo1 + 1:hi1 + 1]
         c2 = core[lo2 + 1:hi2 + 1]
         return len(c1) * len(c2) - _same_core_pairs(c1, c2)
 
-    total += _distinct_core_pairs(K, L)    # (k,l) = (m,n)
-    total += _distinct_core_pairs(L, K)    # (k,l) = (n,m)
-    return total
-
-
-def _zero_count_four_root_plus(spec: BoxSpec) -> int:
-    """Number of box tuples with sqrt m + sqrt n + sqrt k = sqrt l exactly
-    (possible only when all four share one core and a + b + c = e)."""
-    M, Mp, K, L = spec.M, spec.Mp, spec.K, spec.L
-    core, _ = core_tables(2 * max(M, Mp, K, L))
-    total = 0
-    for q in np.unique(core[M + 1:2 * M + 1]):
-        parts = _core_members(int(q), (M, Mp, K, L))
-        if parts is None:
-            continue
-        A, B, C, E = parts
-        sums = (A[:, None, None] + B[None, :, None] + C[None, None, :]).ravel()
-        h = np.bincount(sums)
-        emask = E[E < len(h)]
-        total += int(h[emask].sum())
-    return total
-
-
-def _zero_count_four_root_kth(spec: BoxSpec) -> int:
-    """Exact zeros of the equal-box form: n1^(1/r)+n2^(1/r) = n3^(1/r)+n4^(1/r).
-
-    With r-power-free kernels, either all four kernels coincide and the
-    coefficients satisfy a1+a2 = a3+a4, or {n1, n2} = {n3, n4} across
-    distinct kernels.
-    """
-    N, r = spec.M, spec.root_k
-    core, root = core_tables(2 * N, r)
-    kernels, coeffs = core[N + 1:], root[N + 1:]
-    order = np.argsort(kernels, kind="stable")
-    groups = np.split(coeffs[order],
-                      np.flatnonzero(np.diff(kernels[order])) + 1)
-    total = 0
-    for a in groups:
-        h = np.bincount((a[:, None] + a[None, :]).ravel())
-        total += int(np.dot(h, h))
-    # distinct-kernel trivial pairings, ordered (n3,n4) = (n1,n2) or (n2,n1)
-    return total + 2 * (N * N - _same_core_pairs(kernels, kernels))
+    return total + distinct_core_pairs(R3, R4) + distinct_core_pairs(R4, R3)
 
 
 # ---------------------------------------------------------------------------
@@ -457,25 +363,45 @@ def _bounds(spec: BoxSpec) -> tuple[float, float | None]:
 def count_box(spec: BoxSpec) -> SpacingCount:
     """Exact tuple count for the requested inequality form, with the
     epsilon-free bound value(s) and the count/bound ratio."""
+    form, delta = spec.form, LD(spec.delta)
+    M, Mp, K, L = spec.M, spec.Mp, spec.K, spec.L
+    outer = {SpacingForm.NEAR_INTEGER: (K,), SpacingForm.THREE_ROOT: (M, Mp),
+             SpacingForm.FOUR_ROOT_MINUS: (M, Mp, L),
+             SpacingForm.FOUR_ROOT_PLUS: (M, Mp, K),
+             SpacingForm.FOUR_ROOT_KTH: (M, M, M)}[form]
+    volume = math.prod(outer)
+    if volume > spec.budget:
+        raise BudgetError(f"box volume {volume} exceeds budget {spec.budget}")
     trivial = 0
     zeros: int | None = None
-    if spec.form is SpacingForm.NEAR_INTEGER:
+    if form is SpacingForm.NEAR_INTEGER:
         count = _count_near_integer(spec)
-    elif spec.form is SpacingForm.THREE_ROOT:
-        count = _count_three_root(spec)
+    elif form is SpacingForm.FOUR_ROOT_KTH:
+        inv = LD(1) / LD(spec.root_k)
+        b = np.arange(M + 1, 2 * M + 1, dtype=np.int64).astype(LD) ** inv
+        count = _count_solved((b, b[:, None], -b[None, :]), delta * LD(M) ** inv,
+                              M + 1, 2 * M, spec.root_k, strict=True)
+        zeros = _zero_count_four((M, M, M, M), 2, spec.root_k)
+    elif form is SpacingForm.THREE_ROOT:
+        count = _count_solved((_sqrt_box(M), _sqrt_box(Mp)), delta * np.sqrt(LD(M)),
+                              1, np.inf, 2, strict=False)
         zeros = _zero_count_three_root(spec)
-    elif spec.form is SpacingForm.FOUR_ROOT_MINUS:
-        count, trivial = _count_four_root_minus(spec)
-        zeros = _zero_count_four_root_minus(spec)
-    elif spec.form is SpacingForm.FOUR_ROOT_PLUS:
-        count = _count_four_root_plus(spec)
-        zeros = _zero_count_four_root_plus(spec)
     else:
-        count = _count_four_root_kth(spec)
-        zeros = _zero_count_four_root_kth(spec)
+        if form is SpacingForm.FOUR_ROOT_MINUS:
+            last, inner, n_left = -_sqrt_box(L), K, 2
+            # trivial pairings (k,l) = (m,n) or (n,m); both demand box membership
+            trivial = (_interval_overlap(M, K) * _interval_overlap(Mp, L)
+                       + _interval_overlap(M, L) * _interval_overlap(Mp, K)
+                       - max(0, min(2 * M, 2 * Mp, 2 * K, 2 * L) - max(M, Mp, K, L)))
+        else:
+            last, inner, n_left = _sqrt_box(K), L, 3
+        count = _count_solved((_sqrt_box(M), _sqrt_box(Mp)[:, None], last[None, :]),
+                              delta * np.sqrt(LD(K)), inner + 1, 2 * inner, 2,
+                              strict=False)
+        zeros = _zero_count_four((M, Mp, K, L), n_left)
     if spec.excludes_exact():
         if zeros is None:
-            raise ValueError(f"exact-zero exclusion unsupported for {spec.form.value}")
+            raise ValueError(f"exact-zero exclusion unsupported for {form.value}")
         count -= zeros
     primary, secondary = _bounds(spec)
     bound_value = primary if secondary is None else min(primary, secondary)
@@ -487,6 +413,14 @@ def count_box(spec: BoxSpec) -> SpacingCount:
 
 # ---------------------------------------------------------------------------
 # minimal scaled gaps
+
+def _gap_candidates(fl: np.ndarray, limit: int) -> list[np.ndarray]:
+    """The only values of the solved variable that can minimise a scaled
+    gap around s^2 with floor(s^2) = fl: 1, fl - 1, fl, fl + 1 and limit,
+    clipped to [1, limit]."""
+    return [np.clip(c, 1, limit) for c in (np.ones_like(fl), fl - 1, fl, fl + 1,
+                                           np.full_like(fl, limit))]
+
 
 def min_gap_three(limit: int, budget: int = 10**10) -> GapResult:
     """Minimum of |sqrt m + sqrt n - sqrt k| * sqrt(mnk) over m, n, k <= limit
@@ -513,9 +447,7 @@ def min_gap_three(limit: int, budget: int = 10**10) -> GapResult:
         fl = np.floor(s2).astype(np.int64)
         exact_k = np.where(core[m] == core[n],
                            (root[m] + root[n]) ** 2 * core[m], -1)
-        for cand in (np.ones_like(fl), fl - 1, fl, fl + 1,
-                     np.full_like(fl, limit)):
-            k = np.clip(cand, 1, limit)
+        for k in _gap_candidates(fl, limit):
             ok = k != exact_k
             gap = np.abs(s - sqrt_tab[k]) * np.sqrt(
                 (m * n * k).astype(LD))
@@ -552,9 +484,7 @@ def min_gap_four(limit: int, sign: int = 1, budget: int = 10**10) -> GapResult:
             + LD(sign) * sqrt_tab[k]
         s2 = np.where(s > 0, s * s, LD(0))
         fl = np.floor(s2).astype(np.int64)
-        for cand in (np.ones_like(fl), fl - 1, fl, fl + 1,
-                     np.full_like(fl, limit)):
-            lv = np.clip(cand, 1, limit)
+        for lv in _gap_candidates(fl, limit):
             gap = np.abs(s - sqrt_tab[lv])
             scaled = gap * LD(k) ** 2 * np.sqrt((m * n * lv).astype(LD))
             nz = _nonzero_mask_four(core, root, m, n, k, lv, sign)

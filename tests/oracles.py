@@ -256,3 +256,18 @@ def brute_count_kth(N: int, delta: float, r: int) -> int:
                     if abs(vals[a] + vals[b] - vals[c] - vals[d]) < t:
                         count += 1
     return count
+
+
+def near_integer_count_by_sorting(K: int, alpha: float, beta: float,
+                                  delta: float) -> int:
+    """Number of k in (K, 2K] with ||beta + alpha*sqrt(k)|| < delta, by
+    sorting the fractional parts and counting both tails with binary
+    searches."""
+    LD = np.longdouble
+    k = np.arange(K + 1, 2 * K + 1, dtype=np.int64)
+    t = LD(beta) + LD(alpha) * np.sqrt(k.astype(LD))
+    frac = np.sort(t - np.floor(t))
+    d = LD(delta)
+    left = int(np.searchsorted(frac, d, side="left"))
+    right = len(frac) - int(np.searchsorted(frac, 1 - d, side="right"))
+    return left + right

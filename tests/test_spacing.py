@@ -9,11 +9,12 @@ from divisorlab.sieves import core_families, core_tables
 from divisorlab.spacing import (BoxSpec, SpacingForm, count_box,
                                 enumerate_exact_quadruples,
                                 enumerate_exact_triples, min_gap_four,
-                                min_gap_three, near_integer_count_by_sorting)
+                                min_gap_three)
 
 from oracles import (brute_count_four_root, brute_count_kth,
                      brute_count_three_root, brute_exact_quadruples,
-                     brute_exact_triples, power_free_split, squarefree_core)
+                     brute_exact_triples, near_integer_count_by_sorting,
+                     power_free_split, squarefree_core)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +150,7 @@ def test_near_integer_example_and_second_route():
     spec = BoxSpec(form=SpacingForm.NEAR_INTEGER, K=10**4, delta=1e-3,
                    alpha=2.0, beta=0.0)
     res = count_box(spec)
-    assert res.count == near_integer_count_by_sorting(spec)
+    assert res.count == near_integer_count_by_sorting(10**4, 2.0, 0.0, 1e-3)
     # independent direct scan
     ks = np.arange(10**4 + 1, 2 * 10**4 + 1)
     t = 2.0 * np.sqrt(ks.astype(np.longdouble))
@@ -166,7 +167,33 @@ def test_near_integer_example_and_second_route():
 def test_near_integer_routes_agree(K, delta, alpha, beta):
     spec = BoxSpec(form=SpacingForm.NEAR_INTEGER, K=K, delta=delta,
                    alpha=alpha, beta=beta)
-    assert count_box(spec).count == near_integer_count_by_sorting(spec)
+    assert count_box(spec).count == near_integer_count_by_sorting(K, alpha, beta,
+                                                                  delta)
+
+
+# Small boxes where some |combination| equals delta*scale exactly (delta =
+# 2^-j; all but three-root 64^2 at j = 4 have such ties).  The longdouble
+# rounding of the fixed evaluation order decides each tie, so these pin the
+# library's counts as they were when the ties were first listed.
+@pytest.mark.parametrize("form,box,j,count,trivial,zeros", [
+    ("four-root-kth", {"M": 64}, 2, 11667954, 0, 8136),
+    ("four-root-kth", {"M": 64}, 3, 6529684, 0, 8136),
+    ("four-root-minus", {"M": 64, "Mp": 64, "K": 64, "L": 64}, 2, 11668180, 8128, 8136),
+    ("four-root-minus", {"M": 64, "Mp": 64, "K": 64, "L": 64}, 3, 6530128, 8128, 8136),
+    ("four-root-minus", {"M": 256, "Mp": 16, "K": 256, "L": 64}, 2, 26128595, 0, 22),
+    ("four-root-minus", {"M": 256, "Mp": 16, "K": 256, "L": 64}, 3, 11352965, 0, 22),
+    ("four-root-minus", {"M": 256, "Mp": 16, "K": 256, "L": 64}, 4, 5457789, 0, 22),
+    ("four-root-plus", {"M": 16, "Mp": 16, "K": 16, "L": 128}, 2, 211870, 0, 18),
+    ("three-root", {"M": 64, "Mp": 64}, 2, 640750, 0, 80),
+    ("three-root", {"M": 64, "Mp": 64}, 3, 320376, 0, 80),
+    ("three-root", {"M": 64, "Mp": 64}, 4, 160187, 0, 80),
+    ("three-root", {"M": 256, "Mp": 16}, 2, 1601902, 0, 42),
+    ("three-root", {"M": 256, "Mp": 16}, 3, 800963, 0, 42),
+    ("three-root", {"M": 256, "Mp": 16}, 4, 400481, 0, 42),
+])
+def test_threshold_tie_counts_pinned(form, box, j, count, trivial, zeros):
+    res = count_box(BoxSpec(form=SpacingForm.parse(form), delta=2.0 ** -j, **box))
+    assert (res.count, res.trivial_count, res.exact_zero_count) == (count, trivial, zeros)
 
 
 def test_trivial_pairings_reported_separately():
@@ -349,10 +376,22 @@ def test_budget_errors():
                    L=100, delta=0.1, budget=1000)
     with pytest.raises(errors.BudgetError):
         count_box(spec)
+    # one box per form: the budget caps the product of the enumerated sides
+    for form, box, volume in [
+            (SpacingForm.NEAR_INTEGER, dict(K=40, alpha=2.0), 40),
+            (SpacingForm.THREE_ROOT, dict(M=6, Mp=5), 6 * 5),
+            (SpacingForm.FOUR_ROOT_MINUS, dict(M=3, Mp=4, K=50, L=5), 3 * 4 * 5),
+            (SpacingForm.FOUR_ROOT_PLUS, dict(M=3, Mp=4, K=5, L=50), 3 * 4 * 5),
+            (SpacingForm.FOUR_ROOT_KTH, dict(M=4, root_k=3), 4 ** 3)]:
+        count_box(BoxSpec(form=form, delta=0.1, budget=volume, **box))
+        with pytest.raises(errors.BudgetError):
+            count_box(BoxSpec(form=form, delta=0.1, budget=volume - 1, **box))
     with pytest.raises(errors.BudgetError):
         min_gap_three(10**6)
     with pytest.raises(errors.BudgetError):
         min_gap_four(10**5)
+    with pytest.raises(errors.BudgetError):
+        enumerate_exact_quadruples(10**5)
 
 
 def test_form_parse():
