@@ -1,7 +1,9 @@
 """Command-line surface: table building, error-term evaluation, truncated
 series, moments and fits, spacing experiments, and constants reports.
 
-Exit status: 0 on success, 1 on usage errors, 2 on compute/range errors.
+Exit status: 0 on success, 1 on usage errors (an unknown ``--kind``,
+``--form`` or ``--name`` among them), 2 on compute/range and file errors.
+``short-interval`` and ``constants`` print JSON under either ``--format``.
 All numeric output is rendered with 17 significant digits; reruns with an
 identical configuration produce byte-identical artifacts except for the
 single timestamp key in the constants report.
@@ -15,16 +17,20 @@ import os
 import re
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import constants as constants_mod
 from . import moments, spacing, voronoi
 from .error_terms import ErrorTermKind, error_term, step_table_need
 from .errors import DivisorLabError
-from .numerics import fmt17, render_json
-from .sieves import TableKind, load_table, save_table, sieve_divisors, sieve_r
+from .numerics import render_json
+# sieve_divisors and sieve_r stay bound: perfbench/tracing.py wraps them here
+from .sieves import (TableKind, load_table, save_table, sieve,  # noqa: F401
+                     sieve_divisors, sieve_r)
 
 CACHE_ENV = "DIVISORLAB_CACHE"
+_KINDS = [kind.value for kind in ErrorTermKind]
 
 
 class _UsageError(Exception):
@@ -55,30 +61,22 @@ def _integer(text: str) -> int:
 
 
 def _grid(text: str) -> list[float]:
-    return [_number(part) for part in text.split(",") if part]
-
-
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        Path(path).write_text(text if text.endswith("\n") else text + "\n",
-                              encoding="utf-8")
-
-
-def _cache_dir(args) -> Path | None:
-    raw = args.cache_dir or os.environ.get(CACHE_ENV)
-    return Path(raw) if raw else None
+    values = [_number(part) for part in text.split(",") if part]
+    if not values:
+        raise _UsageError(f"empty grid: {text!r}")
+    return values
 
 
 _CACHE_PATTERN = re.compile(r"^(divisor|two-squares)-(\d+)\.dvt$")
 
 
-def _load_or_sieve(kind: TableKind, limit: int, cache: Path | None):
-    """Reuse the largest adequate cached table, else sieve (and cache)."""
-    tag = "divisor" if kind is TableKind.DIVISOR else "two-squares"
+def _table_for(kind: ErrorTermKind, upto: float, args):
+    """The step table of ``kind`` up to ``upto``: the smallest adequate table
+    in the cache directory, else a new sieve (cached when there is one)."""
+    raw = args.cache_dir or os.environ.get(CACHE_ENV)
+    cache = Path(raw) if raw else None
+    table_kind, limit = step_table_need(kind, int(upto) + 1)
+    tag = "divisor" if table_kind is TableKind.DIVISOR else "two-squares"
     if cache is not None and cache.is_dir():
         best = None
         for entry in sorted(cache.iterdir()):
@@ -87,204 +85,151 @@ def _load_or_sieve(kind: TableKind, limit: int, cache: Path | None):
                 if best is None or int(m.group(2)) < best[0]:
                     best = (int(m.group(2)), entry)
         if best is not None:
-            return load_table(best[1], expected_kind=kind)
-    table = sieve_divisors(limit) if kind is TableKind.DIVISOR else sieve_r(limit)
+            return load_table(best[1], expected_kind=table_kind)
+    table = sieve(table_kind, limit)
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)
         save_table(table, cache / f"{tag}-{limit}.dvt")
     return table
 
 
-def _table_for(kind: ErrorTermKind, upto: float, cache: Path | None):
-    return _load_or_sieve(*step_table_need(kind, int(upto) + 1), cache)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each builds one record of its result and hands it to _report
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else render_json(value)
+
+
+def _report(args, doc, rows: list[dict] | None = None) -> None:
+    """Write ``doc`` by render_json (a number renders as itself) to stdout or
+    ``--output``; under ``--format csv`` write ``rows`` instead, if given: a
+    header of their keys, then one line of cells per row."""
+    if args.format == "json" or rows is None:
+        text = render_json(doc)
+    else:
+        text = "\n".join([",".join(rows[0])]
+                         + [",".join(_cell(v) for v in row.values()) for row in rows])
+    if args.output is None:
+        sys.stdout.write(text + "\n")
+    else:
+        Path(args.output).write_text(text + "\n", encoding="utf-8")
+
 
 def _cmd_sieve(args) -> None:
+    if args.output is None:
+        raise _UsageError("sieve writes a table file; give --output FILE")
     kind = TableKind.DIVISOR if args.kind == "divisor" else TableKind.SUM_OF_TWO_SQUARES
-    table = sieve_divisors(args.limit) if kind is TableKind.DIVISOR \
-        else sieve_r(args.limit)
-    save_table(table, args.output)
+    save_table(sieve(kind, args.limit), args.output)
     sys.stdout.write(f"wrote {args.kind} table, limit {args.limit}, to {args.output}\n")
 
 
 def _cmd_eval(args) -> None:
-    kind = ErrorTermKind.parse(args.kind)
-    _write_output(fmt17(error_term(kind, args.x)), args.output)
+    kind = ErrorTermKind(args.kind)
+    _report(args, error_term(kind, args.x))
 
 
 def _cmd_voronoi(args) -> None:
-    kind = ErrorTermKind.parse(args.kind)
+    kind = ErrorTermKind(args.kind)
     if args.scale is not None:
         stats = voronoi.remainder_stats(kind, args.truncation, args.scale,
                                         sample_count=args.samples, seed=args.seed)
-        if args.format == "json":
-            text = render_json({
-                "kind": kind.value, "X": stats.X, "N": stats.truncation,
-                "sample_count": stats.sample_count, "seed": stats.seed,
-                "rms": stats.rms, "sup": stats.sup,
-            })
-        else:
-            text = "kind,X,N,sample_count,seed,rms,sup\n" + ",".join([
-                kind.value, fmt17(stats.X), str(stats.truncation),
-                str(stats.sample_count), str(stats.seed),
-                fmt17(stats.rms), fmt17(stats.sup)])
-        _write_output(text, args.output)
+        doc = {"kind": kind.value, "X": stats.X, "N": stats.truncation,
+               "sample_count": stats.sample_count, "seed": stats.seed,
+               "rms": stats.rms, "sup": stats.sup}
+        _report(args, doc, [doc])
     elif args.x is not None:
-        _write_output(fmt17(voronoi.truncated(kind, args.truncation, args.x)),
-                      args.output)
+        _report(args, voronoi.truncated(kind, args.truncation, args.x))
     else:
         raise _UsageError("voronoi needs either --x or --scale")
 
 
-def _moment_csv_row(kind, power, X, integral, theory) -> str:
-    if theory is None:
-        main = residual = ""
-    else:
-        main_val = theory * X ** moments.main_exponent(power)
-        main = fmt17(main_val)
-        residual = fmt17(integral - main_val)
-    return ",".join([kind.value, str(power), fmt17(X), fmt17(integral),
-                     main, residual])
+def _moment_row(kind, power, X, integral, main, residual) -> dict:
+    """The CSV row of one moment integral, for ``moment`` and ``fit``."""
+    return {"kind": kind.value, "power": power, "X": X, "integral": integral,
+            "main_term": main, "residual": residual}
 
 
 def _cmd_moment(args) -> None:
-    kind = ErrorTermKind.parse(args.kind)
-    cache = _cache_dir(args)
-    table = _table_for(kind, args.to, cache)
+    kind = ErrorTermKind(args.kind)
+    table = _table_for(kind, args.to, args)
     res = moments.moment(kind, args.power, (getattr(args, "from"), args.to),
                          order=args.order, threads=args.threads, table=table)
-    theory = None
+    doc = asdict(res)
+    main = residual = None
     if kind is ErrorTermKind.DELTA and args.power in (2, 3, 4):
         theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff)
-    if args.format == "json":
-        doc = {
-            "kind": kind.value, "power": args.power,
-            "interval": [getattr(args, "from"), args.to],
-            "integral": res.integral,
-            "quadrature_order": res.quadrature_order,
-            "partition_count": res.partition_count,
-        }
-        if theory is not None:
-            main = theory * args.to ** moments.main_exponent(args.power)
-            doc["main_term"] = main
-            doc["residual"] = res.integral - main
-        _write_output(render_json(doc), args.output)
-        return
-    header = "kind,power,X,integral,main_term,residual\n"
-    _write_output(header + _moment_csv_row(kind, args.power, args.to,
-                                           res.integral, theory), args.output)
+        main = theory * args.to ** moments.main_exponent(args.power)
+        residual = res.integral - main
+        doc.update(main_term=main, residual=residual)
+    _report(args, doc, [_moment_row(kind, args.power, args.to, res.integral,
+                                    main, residual)])
 
 
 def _cmd_fit(args) -> None:
-    kind = ErrorTermKind.parse(args.kind)
-    cache = _cache_dir(args)
-    grid = args.grid
-    table = _table_for(kind, max(grid), cache)
+    kind = ErrorTermKind(args.kind)
+    table = _table_for(kind, max(args.grid), args)
     theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff) \
         if args.power in (2, 3, 4) else None
-    report = moments.fit_main_term(kind, args.power, grid, order=args.order,
+    report = moments.fit_main_term(kind, args.power, args.grid, order=args.order,
                                    threads=args.threads, table=table,
                                    theory=theory)
-    if args.format == "json":
-        text = render_json({
-            "kind": kind.value,
-            "power": report.power,
-            "main_exponent": report.main_exponent,
-            "fitted_coefficient": report.fitted_coefficient,
-            "theory_coefficient": report.theory_coefficient,
-            "residual_series": [[x, r] for x, r in report.residual_series],
-            "residual_slope": report.residual_slope,
-        })
-    else:
-        lines = ["kind,power,X,integral,main_term,residual"]
-        for (x, resid) in report.residual_series:
-            main = report.theory_coefficient * x ** report.main_exponent
-            lines.append(",".join([kind.value, str(report.power), fmt17(x),
-                                   fmt17(main + resid), fmt17(main), fmt17(resid)]))
-        text = "\n".join(lines)
-    _write_output(text, args.output)
+    rows = []
+    for x, resid in report.residual_series:
+        main = report.theory_coefficient * x ** report.main_exponent
+        rows.append(_moment_row(kind, report.power, x, main + resid, main, resid))
+    _report(args, asdict(report), rows)
 
 
 def _cmd_short_interval(args) -> None:
-    kind = ErrorTermKind.parse(args.kind)
-    cache = _cache_dir(args)
-    table = _table_for(kind, args.x + args.h, cache)
+    kind = ErrorTermKind(args.kind)
+    table = _table_for(kind, args.x + args.h, args)
     res = moments.short_interval_ratio(kind, args.power, args.x, args.h,
                                        order=args.order, threads=args.threads,
                                        table=table)
-    text = render_json({
-        "kind": kind.value, "power": res.power, "X": res.X, "H": res.H,
-        "moment": res.moment, "main_term": res.main_term, "ratio": res.ratio,
-        "in_asymptotic_range": res.in_asymptotic_range,
-    })
-    _write_output(text, args.output)
+    _report(args, asdict(res))
 
 
-_SPACING_CSV_HEADER = "form,M,Mp,K,L,delta,count,bound_2_15,bound_2_16,ratio"
-
-
-def spacing_csv_row(result: spacing.SpacingCount) -> str:
-    spec = result.spec
-    cells = [spec.form.value]
-    for value in (spec.M, spec.Mp, spec.K, spec.L):
-        cells.append("" if value is None else str(value))
-    cells.append(fmt17(spec.delta))
-    cells.append(str(result.count))
-    cells.append(fmt17(result.bound_primary))
-    cells.append("" if result.bound_secondary is None
-                 else fmt17(result.bound_secondary))
-    cells.append(fmt17(result.ratio))
-    return ",".join(cells)
+# the spacing CSV row: these keys of the JSON doc, in this order
+_SPACING_COLUMNS = ("form", "M", "Mp", "K", "L", "delta", "count",
+                    "bound_2_15", "bound_2_16", "ratio")
 
 
 def _cmd_spacing(args) -> None:
-    form = spacing.SpacingForm.parse(args.form)
+    form = spacing.SpacingForm(args.form)
     spec = spacing.BoxSpec(form=form, delta=args.delta, M=args.M, Mp=args.Mp,
                            K=args.K, L=args.L, root_k=args.root_k,
                            alpha=args.alpha, beta=args.beta,
                            exclude_exact=args.exclude_exact)
     result = spacing.count_box(spec)
-    if args.format == "json":
-        doc = {
-            "form": form.value, "M": spec.M, "Mp": spec.Mp, "K": spec.K,
-            "L": spec.L, "delta": spec.delta, "root_k": spec.root_k,
-            "alpha": spec.alpha, "beta": spec.beta,
-            "exclude_exact": spec.excludes_exact(),
-            "count": result.count, "trivial_count": result.trivial_count,
-            "exact_zero_count": result.exact_zero_count,
-            "bound_2_15": result.bound_primary,
-            "bound_2_16": result.bound_secondary,
-            "bound_value": result.bound_value, "ratio": result.ratio,
-        }
-        _write_output(render_json(doc), args.output)
-        return
-    _write_output(_SPACING_CSV_HEADER + "\n" + spacing_csv_row(result),
-                  args.output)
+    doc = {
+        "form": form.value, "M": spec.M, "Mp": spec.Mp, "K": spec.K,
+        "L": spec.L, "delta": spec.delta, "root_k": spec.root_k,
+        "alpha": spec.alpha, "beta": spec.beta,
+        "exclude_exact": spec.excludes_exact(),
+        "count": result.count, "trivial_count": result.trivial_count,
+        "exact_zero_count": result.exact_zero_count,
+        "bound_2_15": result.bound_primary,
+        "bound_2_16": result.bound_secondary,
+        "bound_value": result.bound_value, "ratio": result.ratio,
+    }
+    _report(args, doc, [{key: doc[key] for key in _SPACING_COLUMNS}])
+
+
+# --name -> its function in constants, looked up per call: perfbench wraps it
+_CONSTANTS = {
+    "cubic_diagonal": "cubic_diagonal_series",
+    "quartic_diagonal": "quartic_diagonal_series",
+    "cubic_coefficient": "cubic_moment_coefficient",
+    "quartic_coefficient": "quartic_moment_coefficient",
+}
 
 
 def _cmd_constants(args) -> None:
-    table = None
-    if args.name in ("cubic_diagonal", "cubic_coefficient"):
-        series = constants_mod.cubic_diagonal_series(args.cutoff, table) \
-            if args.name == "cubic_diagonal" \
-            else constants_mod.cubic_moment_coefficient(args.cutoff, table)
-    elif args.name in ("quartic_diagonal", "quartic_coefficient"):
-        series = constants_mod.quartic_diagonal_series(args.cutoff, table) \
-            if args.name == "quartic_diagonal" \
-            else constants_mod.quartic_moment_coefficient(args.cutoff, table)
-    else:
-        raise _UsageError(f"unknown constant {args.name!r}")
-    text = render_json({
-        "name": series.name,
-        "value": series.value,
-        "tail_bound": series.tail_bound,
-        "cutoff": series.cutoff,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    })
-    _write_output(text, args.output)
+    series = getattr(constants_mod, _CONSTANTS[args.name])(args.cutoff)
+    _report(args, {**asdict(series),
+                   "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())})
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +252,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_sieve)
 
     p = sub.add_parser("eval", help="evaluate an error term at one point")
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("--x", type=_number, required=True)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("voronoi", help="truncated series value or remainder stats")
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("--truncation", "-N", type=_integer, required=True)
     p.add_argument("--x", type=_number, default=None)
     p.add_argument("--scale", type=_number, default=None,
@@ -322,7 +267,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_voronoi)
 
     p = sub.add_parser("moment", help="integrate a power of an error term")
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("--power", type=_integer, required=True)
     p.add_argument("--from", type=_number, default=1.0)
     p.add_argument("--to", type=_number, required=True)
@@ -332,7 +277,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_moment)
 
     p = sub.add_parser("fit", help="fit the main-term coefficient over an X grid")
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("--power", type=_integer, required=True)
     p.add_argument("--grid", type=_grid, required=True,
                    help="comma-separated ascending X values (>= 4)")
@@ -341,7 +286,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("short-interval", help="moment ratio over [X, X+H]")
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("--power", type=_integer, required=True)
     p.add_argument("--x", type=_number, required=True)
     p.add_argument("--h", type=_number, required=True)
@@ -349,7 +294,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_short_interval)
 
     p = sub.add_parser("spacing", help="exact count for one spacing box")
-    p.add_argument("--form", required=True)
+    p.add_argument("--form", required=True,
+                   choices=[form.value for form in spacing.SpacingForm])
     p.add_argument("--delta", type=_number, required=True)
     p.add_argument("--M", type=_integer, default=None)
     p.add_argument("--Mp", type=_integer, default=None)
@@ -362,9 +308,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_spacing)
 
     p = sub.add_parser("constants", help="diagonal series / moment coefficients")
-    p.add_argument("--name", required=True,
-                   choices=("cubic_diagonal", "quartic_diagonal",
-                            "cubic_coefficient", "quartic_coefficient"))
+    p.add_argument("--name", required=True, choices=_CONSTANTS)
     p.add_argument("--cutoff", type=_integer, default=10**5)
     p.set_defaults(func=_cmd_constants)
     return parser
@@ -389,6 +333,9 @@ def main(argv=None) -> int:
         return 1
     except (DivisorLabError, ValueError) as exc:
         sys.stderr.write(f"compute error: {exc}\n")
+        return 2
+    except OSError as exc:
+        sys.stderr.write(f"file error: {exc}\n")
         return 2
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import PI_LD
-from .sieves import DivisorTable, TableKind, core_families, sieve_divisors
+from .sieves import DivisorTable, TableKind, core_families, sieve, sieve_divisors
 
 _MAJORANT_SCAN_LIMIT = 2 * 10**6
 _MAJORANT_HEADROOM = 1.5
@@ -121,8 +121,7 @@ def cubic_diagonal_series(cutoff: int = 10**5,
     """
     if cutoff < 4:
         raise ValueError(f"cutoff must be >= 4, got {cutoff}")
-    if table is None or table.kind is not TableKind.DIVISOR or table.limit < cutoff:
-        table = sieve_divisors(cutoff)
+    table = sieve(TableKind.DIVISOR, cutoff, table)
     cores, amaxes = core_families(cutoff)
     total = np.longdouble(0)
     for q, amax in zip(cores.tolist(), amaxes.tolist()):
@@ -153,8 +152,7 @@ def quartic_diagonal_series(cutoff: int = 10**5,
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    if table is None or table.kind is not TableKind.DIVISOR or table.limit < cutoff:
-        table = sieve_divisors(cutoff)
+    table = sieve(TableKind.DIVISOR, cutoff, table)
     d = table.values
 
     ns = np.arange(1, cutoff + 1, dtype=np.longdouble)

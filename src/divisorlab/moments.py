@@ -22,7 +22,8 @@ from .error_terms import (ErrorTermKind, jump_denominator, smooth_main_term,
                           step_table_need)
 from .errors import BudgetError, DegenerateFitError, RangeError
 from .numerics import KahanAccumulator, leggauss_01, loglog_slope
-from .sieves import DivisorTable, TableKind, sieve_divisors, sieve_r
+# sieve_divisors and sieve_r stay bound: perfbench/tracing.py wraps them here
+from .sieves import DivisorTable, sieve, sieve_divisors, sieve_r  # noqa: F401
 
 DEFAULT_CHUNK_SEGMENTS = 1 << 16
 DEFAULT_SEGMENT_BUDGET = 10**9
@@ -81,15 +82,10 @@ class _StepTable:
                  table: DivisorTable | None = None):
         self.kind = kind
         self.denom = jump_denominator(kind)
-        want_kind, need = step_table_need(kind, upto)
-        if table is None or table.kind is not want_kind or table.limit < need:
-            table = sieve_r(need) if want_kind is TableKind.SUM_OF_TWO_SQUARES \
-                else sieve_divisors(need)
-        # int64 prefix sums; exact well past desk scale
+        table = sieve(*step_table_need(kind, upto), table)
+        # int64 prefix sums (values[0] = 0); exact well past desk scale
         self.limit = table.limit
-        self.prefix = np.zeros(table.limit + 1, dtype=np.int64)
-        np.cumsum(table.values, dtype=np.int64, out=self.prefix[0:])
-        self.prefix[0] = 0
+        self.prefix = np.cumsum(table.values, dtype=np.int64)
 
     def constants(self, ticks: np.ndarray) -> np.ndarray:
         """Step constants for segments [t/denom, (t+1)/denom), longdouble."""

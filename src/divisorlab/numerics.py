@@ -9,6 +9,8 @@ double precision alone cannot guarantee at the top of the supported range.
 
 from __future__ import annotations
 
+from enum import Enum
+
 import numpy as np
 
 # Constants parsed from strings so they carry full longdouble precision
@@ -62,8 +64,8 @@ def render_json(obj, indent: int = 0) -> str:
     """Tiny JSON renderer with floats forced to 17 significant digits.
 
     Supports the flat report structures this package emits (dict / list /
-    str / bool / int / float / None).  Deterministic key order is the
-    caller's responsibility (plain dicts preserve insertion order).
+    str / Enum, as its value / bool / int / float / None).  Deterministic key
+    order is the caller's responsibility (plain dicts preserve insertion order).
     """
     pad = " " * indent
     inner = " " * (indent + 2)
@@ -73,6 +75,8 @@ def render_json(obj, indent: int = 0) -> str:
         return "true"
     if obj is False:
         return "false"
+    if isinstance(obj, Enum):
+        return render_json(obj.value)
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{out}"'

@@ -9,6 +9,7 @@ safe up to a table limit of 1e12 (max d(n) there is 6720).
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -89,8 +90,8 @@ def sieve_divisors(limit: int,
         start = k * (k + 1)
         if start <= limit:
             values[start::k] += 2
-    # uint16 wrap-around is impossible below the asserted ceiling
-    assert int(values.max()) < 65535, "divisor count overflowed 16 bits"
+    if int(values.max()) >= 65535:
+        raise CapacityError(f"divisor count overflowed 16 bits at limit {limit}")
     return DivisorTable(limit=limit, kind=TableKind.DIVISOR, values=values)
 
 
@@ -123,9 +124,19 @@ def sieve_r(limit: int,
             if cm and k * m0 <= limit:
                 work[k * m0::4 * k] += cm
     work *= 4
-    assert int(work.min()) >= 0 and int(work.max()) < 65535
+    if int(work.min()) < 0 or int(work.max()) >= 65535:
+        raise CapacityError(f"r(n) left the 16-bit range at limit {limit}")
     return DivisorTable(limit=limit, kind=TableKind.SUM_OF_TWO_SQUARES,
                         values=work.astype(np.uint16))
+
+
+def sieve(kind: TableKind, limit: int,
+          table: DivisorTable | None = None) -> DivisorTable:
+    """``table`` if it holds ``kind`` up to ``limit``, else a new sieve of
+    that kind up to ``limit``."""
+    if table is not None and table.kind is kind and table.limit >= limit:
+        return table
+    return sieve_divisors(limit) if kind is TableKind.DIVISOR else sieve_r(limit)
 
 
 def core_tables(limit: int, r: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -245,14 +256,24 @@ def alternating_summatory_d(x) -> int:
 
 
 def save_table(table: DivisorTable, path) -> None:
-    """Write a table cache: magic, version, kind byte, limit, values, CRC-32."""
+    """Write a table cache: magic, version, kind byte, limit, values, CRC-32.
+
+    A temporary file beside ``path`` is renamed over it when complete, so a
+    write that dies part-way leaves no truncated file under that name.
+    """
     payload = table.values[1:].astype("<u2").tobytes()
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     header = _MAGIC + struct.pack("<IBQ", _FORMAT_VERSION, table.kind.value, table.limit)
-    with open(Path(path), "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        fh.write(struct.pack("<I", crc))
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(payload)
+            fh.write(struct.pack("<I", crc))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_table(path, expected_kind: TableKind | None = None) -> DivisorTable:

@@ -25,7 +25,8 @@ import numpy as np
 from .error_terms import ErrorTermKind, error_term
 from .errors import RangeError
 from .numerics import PI_LD, TWO_PI_LD
-from .sieves import DivisorTable, TableKind, sieve_divisors, sieve_r
+# sieve_divisors and sieve_r stay bound: perfbench/tracing.py wraps them here
+from .sieves import DivisorTable, TableKind, sieve, sieve_divisors, sieve_r  # noqa: F401
 
 _SQRT2_LD = np.sqrt(np.longdouble(2))
 
@@ -39,10 +40,6 @@ class VoronoiSeries:
     amplitude: float
     phase: float
     frequency_scale: float
-
-    @property
-    def N(self) -> int:
-        return self.truncation
 
 
 @dataclass(frozen=True)
@@ -62,19 +59,15 @@ def build_series(kind: ErrorTermKind, truncation: int,
     """Assemble the coefficient table and constants for one series."""
     if truncation < 2:
         raise ValueError(f"truncation length must be >= 2, got {truncation}")
-    if kind is ErrorTermKind.CIRCLE:
-        if table is None or table.kind is not TableKind.SUM_OF_TWO_SQUARES \
-                or table.limit < truncation:
-            table = sieve_r(truncation)
-        weights = table.values[1:truncation + 1].astype(np.longdouble)
+    circle = kind is ErrorTermKind.CIRCLE
+    table = sieve(TableKind.SUM_OF_TWO_SQUARES if circle else TableKind.DIVISOR,
+                  truncation, table)
+    weights = table.values[1:truncation + 1].astype(np.longdouble)
+    if circle:
         amplitude = -1 / float(PI_LD)
         phase = float(PI_LD / 4)
         freq = 2 * float(PI_LD)
     else:
-        if table is None or table.kind is not TableKind.DIVISOR \
-                or table.limit < truncation:
-            table = sieve_divisors(truncation)
-        weights = table.values[1:truncation + 1].astype(np.longdouble)
         if kind is ErrorTermKind.DELTA_STAR:
             signs = np.where(np.arange(1, truncation + 1) % 2 == 0, 1, -1)
             weights = weights * signs.astype(np.longdouble)

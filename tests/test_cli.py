@@ -194,6 +194,46 @@ def test_non_finite_flag_is_usage_error(capsys, argv):
     assert "not a finite number" in err
 
 
+def test_sieve_without_output_is_usage_error(capsys):
+    code, out, err = run(capsys, "sieve", "--kind", "divisor", "--limit", "100")
+    assert code == 1
+    assert out == "" and "--output" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--kind", "delta", "--x", "10"),
+    ("sieve", "--kind", "divisor", "--limit", "100"),
+], ids=["eval", "sieve"])
+def test_unwritable_output_is_file_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "--output", str(target), *argv)
+    assert code == 2
+    assert out == "" and err.startswith("file error:")
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("argv,names", [
+    (("eval", "--kind", "delta-prime", "--x", "10"),
+     [kind.value for kind in ErrorTermKind]),
+    (("moment", "--kind", "Delta", "--power", "2", "--to", "100"),
+     [kind.value for kind in ErrorTermKind]),
+    (("spacing", "--form", "two-root", "--M", "8", "--delta", "0.1"),
+     [form.value for form in SpacingForm]),
+], ids=["eval-kind", "moment-kind", "spacing-form"])
+def test_unknown_name_is_usage_error_listing_names(capsys, argv, names):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == "" and err.startswith("usage error:")
+    assert all(repr(name) in err for name in names)
+
+
+def test_empty_grid_is_usage_error(capsys):
+    code, out, err = run(capsys, "fit", "--kind", "delta", "--power", "2",
+                         "--grid", ",")
+    assert code == 1
+    assert out == "" and "empty grid" in err
+
+
 def test_compute_error_exit_code(capsys):
     code, _, err = run(capsys, "eval", "--kind", "delta", "--x", "0.5")
     assert code == 2

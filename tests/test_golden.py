@@ -4,7 +4,9 @@ Each ``divisorlab ...`` line of the README's CLI block runs through
 ``cli.main`` in a scratch directory; its stdout must match the file in
 ``tests/golden/`` byte for byte.  Two documented exceptions: the constants
 report drops its ``timestamp`` key, and ``sieve`` is checked by the sha256
-of the table file it writes.
+of the table file it writes.  ``FORMAT_COMMANDS`` pin the other ``--format``
+of each command the same way, in ``tests/golden/formats/``; among them
+``short-interval`` and ``constants``, which print JSON under either format.
 
 Re-record after an intended output change with ``python tests/test_golden.py``.
 """
@@ -27,6 +29,7 @@ from divisorlab.cli import CACHE_ENV, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
+FORMATS = GOLDEN / "formats"
 _TIMESTAMP = re.compile(r',\n *"timestamp": "[^"]*"')
 
 
@@ -61,6 +64,18 @@ def golden_text(argv: list[str]) -> str:
 
 
 COMMANDS = readme_commands()
+FORMAT_COMMANDS = [shlex.split(line) for line in (
+    "--format json moment --kind delta --power 3 --to 2e4 --cutoff 1000",
+    "--format json moment --kind delta-star --power 1 --from 2.5 --to 3000",
+    "--format csv fit --kind delta --power 4 --grid 1e3,2e3,4e3,8e3 --cutoff 1000",
+    "--format json voronoi --kind delta --truncation 64 --scale 1e4 --seed 7",
+    "--format json spacing --form four-root-minus --M 16 --Mp 8 --K 16 --L 8 "
+    "--delta 1e-3",
+    "--format json spacing --form near-integer --K 500 --delta 0.01 --alpha 2 "
+    "--beta 0.25",
+    "--format csv short-interval --kind delta --power 3 --x 1e4 --h 1e4",
+    "constants --name cubic_diagonal --cutoff 1000",
+)]
 
 
 def test_readme_lists_every_command():
@@ -78,13 +93,24 @@ def test_readme_command_output_is_golden(index, argv, tmp_path, monkeypatch):
     assert golden_text(argv).encode("utf-8") == want
 
 
+@pytest.mark.parametrize("index,argv", list(enumerate(FORMAT_COMMANDS, 1)),
+                         ids=[golden_name(i, a)
+                              for i, a in enumerate(FORMAT_COMMANDS, 1)])
+def test_other_format_output_is_golden(index, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    want = (FORMATS / golden_name(index, argv)).read_bytes()
+    assert golden_text(argv).encode("utf-8") == want
+
+
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
     os.environ.pop(CACHE_ENV, None)
-    for i, argv in enumerate(COMMANDS, 1):
-        with tempfile.TemporaryDirectory() as scratch:
-            os.chdir(scratch)
-            (GOLDEN / golden_name(i, argv)).write_bytes(
-                golden_text(argv).encode("utf-8"))
-            os.chdir(ROOT)
-        print("recorded", golden_name(i, argv), file=sys.stderr)
+    for directory, commands in ((GOLDEN, COMMANDS), (FORMATS, FORMAT_COMMANDS)):
+        directory.mkdir(exist_ok=True)
+        for i, argv in enumerate(commands, 1):
+            with tempfile.TemporaryDirectory() as scratch:
+                os.chdir(scratch)
+                (directory / golden_name(i, argv)).write_bytes(
+                    golden_text(argv).encode("utf-8"))
+                os.chdir(ROOT)
+            print("recorded", directory.name, golden_name(i, argv), file=sys.stderr)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from divisorlab import errors
+from divisorlab import errors, sieves
 from divisorlab.sieves import (TableKind, alternating_summatory_d,
-                               load_table, save_table, sieve_divisors, sieve_r,
-                               summatory_d, summatory_r)
+                               load_table, save_table, sieve, sieve_divisors,
+                               sieve_r, summatory_d, summatory_r)
 
 from oracles import (alternating_sum_direct, divisor_count, lattice_cumulative,
                      two_squares_count)
@@ -114,6 +114,18 @@ def test_capacity_error():
         sieve_divisors(10**13)
 
 
+def test_sieve_reuses_only_an_adequate_table():
+    divisors = sieve_divisors(50)
+    assert sieve(TableKind.DIVISOR, 50, divisors) is divisors
+    assert sieve(TableKind.DIVISOR, 20, divisors) is divisors
+    bigger = sieve(TableKind.DIVISOR, 51, divisors)
+    assert bigger.limit == 51 and (bigger.values == sieve_divisors(51).values).all()
+    circle = sieve(TableKind.SUM_OF_TWO_SQUARES, 50, divisors)
+    assert circle.kind is TableKind.SUM_OF_TWO_SQUARES
+    assert (circle.values == sieve_r(50).values).all()
+    assert (sieve(TableKind.DIVISOR, 30).values == sieve_divisors(30).values).all()
+
+
 def test_table_roundtrip(tmp_path):
     table = sieve_divisors(10)
     path = tmp_path / "d10.dvt"
@@ -166,3 +178,33 @@ def test_kind_mismatch(tmp_path):
     save_table(table, path)
     with pytest.raises(errors.TableKindMismatch):
         load_table(path, expected_kind=TableKind.DIVISOR)
+
+
+def test_interrupted_save_leaves_no_partial_table(tmp_path, monkeypatch):
+    """A write that fails half-way neither creates a file under the final
+    name nor damages the table already there, and leaves no temporary."""
+    real_open = open
+
+    class HalfWritten:
+        def __init__(self, name, mode):
+            self.fh = real_open(name, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(bytes(data)[:len(data) // 2])
+            raise OSError("disk full")
+
+    fresh, kept = tmp_path / "divisor-100.dvt", tmp_path / "divisor-50.dvt"
+    save_table(sieve_divisors(50), kept)
+    monkeypatch.setattr(sieves, "open", HalfWritten, raising=False)
+    for path in (fresh, kept):
+        with pytest.raises(OSError, match="disk full"):
+            save_table(sieve_divisors(100), path)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == [kept.name]
+    assert (load_table(kept).values == sieve_divisors(50).values).all()
