@@ -23,7 +23,7 @@ from pathlib import Path
 from . import constants as constants_mod
 from . import moments, spacing, voronoi
 from .error_terms import ErrorTermKind, error_term, step_table_need
-from .errors import DivisorLabError
+from .errors import DivisorLabError, TableFormatError, TableKindMismatch
 from .numerics import render_json
 # sieve_divisors and sieve_r stay bound: perfbench/tracing.py wraps them here
 from .sieves import (TableKind, load_table, save_table, sieve,  # noqa: F401
@@ -72,20 +72,21 @@ _CACHE_PATTERN = re.compile(r"^(divisor|two-squares)-(\d+)\.dvt$")
 
 def _table_for(kind: ErrorTermKind, upto: float, args):
     """The step table of ``kind`` up to ``upto``: the smallest adequate table
-    in the cache directory, else a new sieve (cached when there is one)."""
+    in the cache directory, else a new sieve (cached when there is one).  A
+    damaged cache file is reported on stderr and sieved again."""
     raw = args.cache_dir or os.environ.get(CACHE_ENV)
     cache = Path(raw) if raw else None
     table_kind, limit = step_table_need(kind, int(upto) + 1)
     tag = "divisor" if table_kind is TableKind.DIVISOR else "two-squares"
     if cache is not None and cache.is_dir():
-        best = None
-        for entry in sorted(cache.iterdir()):
-            m = _CACHE_PATTERN.match(entry.name)
-            if m and m.group(1) == tag and int(m.group(2)) >= limit:
-                if best is None or int(m.group(2)) < best[0]:
-                    best = (int(m.group(2)), entry)
-        if best is not None:
-            return load_table(best[1], expected_kind=table_kind)
+        found = sorted((int(m.group(2)), entry) for entry in cache.iterdir()
+                       if (m := _CACHE_PATTERN.match(entry.name))
+                       and m.group(1) == tag and int(m.group(2)) >= limit)
+        if found:
+            try:
+                return load_table(found[0][1], expected_kind=table_kind)
+            except (TableFormatError, TableKindMismatch) as exc:
+                sys.stderr.write(f"cache: {exc}; sieving again\n")
     table = sieve(table_kind, limit)
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)

@@ -27,18 +27,21 @@ honest floating-point brackets, not certified interval enclosures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import PI_LD
-from .sieves import DivisorTable, TableKind, core_families, sieve, sieve_divisors
+from .sieves import (DivisorTable, TableKind, check_memory, core_families, sieve,
+                     sieve_divisors)
 
 _MAJORANT_SCAN_LIMIT = 2 * 10**6
 _MAJORANT_HEADROOM = 1.5
-_majorant_cache: float | None = None
-_inner_full_cache: dict[str, float] = {}
+# peak bytes per unit of cutoff of quartic_diagonal_series, the table and the
+# T/U term arrays (tracemalloc, fresh process, cutoffs 1e6, 4e6 and 1e7)
+_QUARTIC_BYTES_PER_CUTOFF = 82
 
 
 @dataclass(frozen=True)
@@ -50,15 +53,13 @@ class SeriesValue:
     cutoff: int
 
 
+@functools.cache
 def divisor_majorant_constant() -> float:
     """C with d(n) <= C*n^(1/4) for all n (scanned base times 1.5 headroom)."""
-    global _majorant_cache
-    if _majorant_cache is None:
-        table = sieve_divisors(_MAJORANT_SCAN_LIMIT)
-        ns = np.arange(1, _MAJORANT_SCAN_LIMIT + 1, dtype=float)
-        ratios = table.values[1:].astype(float) / ns**0.25
-        _majorant_cache = float(ratios.max()) * _MAJORANT_HEADROOM
-    return _majorant_cache
+    table = sieve_divisors(_MAJORANT_SCAN_LIMIT)
+    ns = np.arange(1, _MAJORANT_SCAN_LIMIT + 1, dtype=float)
+    ratios = table.values[1:].astype(float) / ns**0.25
+    return float(ratios.max()) * _MAJORANT_HEADROOM
 
 
 def _core_weights(d: np.ndarray, q: int, amax: int) -> np.ndarray:
@@ -78,35 +79,31 @@ def _tail_weighted_divisor_sum(M: float, p: float) -> float:
     return p * M ** (-q) * (math.log(M) / q + 1.0 / (q * q) + 1.0 / q)
 
 
-def _tail_inner_cubic(S: float) -> float:
+def _tail_inner_cubic(S):
     """Upper bound for sum_{s > S} 2(log s + 1)/s^2, which dominates the
-    cubic inner sums g(s) = sum_{a+b=s} (ab s)^(-1) = 2 H_{s-1}/s^2."""
-    return 2.0 * (math.log(S) + 2.0) / S
+    cubic inner sums g(s) = sum_{a+b=s} (ab s)^(-1) = 2 H_{s-1}/s^2; S may
+    be an array."""
+    return 2.0 * (np.log(S) + 2.0) / S
 
 
-def _tail_inner_quartic(B: float) -> float:
+def _tail_inner_quartic(B):
     """Upper bound for sum_{s > B} (2 H_{s-1}/s)^2 via the integral of
-    4 (log t + 1)^2 t^(-2)."""
-    u = math.log(B) + 1.0
+    4 (log t + 1)^2 t^(-2); B may be an array."""
+    u = np.log(B) + 1.0
     return 4.0 * (u * u + 2.0 * u + 2.0) / B
 
 
+@functools.cache
 def _full_inner(name: str) -> float:
     """Numeric value of the complete inner sum over s >= 2 (plus its own
     integral tail), used for cores too large to admit any tuple."""
-    cached = _inner_full_cache.get(name)
-    if cached is not None:
-        return cached
     top = 100000
     h = np.cumsum(1.0 / np.arange(1, top + 1, dtype=float))  # H_1 .. H_top
     s = np.arange(2, top + 1, dtype=float)
     per_s = 2.0 * h[:top - 1] / s          # 2 H_{s-1} / s
     if name == "cubic":
-        val = float(np.sum(per_s / s)) + _tail_inner_cubic(float(top))
-    else:
-        val = float(np.sum(per_s**2)) + _tail_inner_quartic(float(top))
-    _inner_full_cache[name] = val
-    return val
+        return float(np.sum(per_s / s)) + _tail_inner_cubic(float(top))
+    return float(np.sum(per_s**2)) + _tail_inner_quartic(float(top))
 
 
 def cubic_diagonal_series(cutoff: int = 10**5,
@@ -134,7 +131,7 @@ def cubic_diagonal_series(cutoff: int = 10**5,
     qs = cores.astype(float)
     S = np.floor(np.sqrt(cutoff / qs))
     S = np.maximum(S, 2.0)
-    tail = float(np.sum(qs**-1.5 * (2.0 * (np.log(S) + 2.0) / S)))
+    tail = float(np.sum(qs**-1.5 * _tail_inner_cubic(S)))
     tail += 2.0 / math.sqrt(cutoff // 4) * _full_inner("cubic")
     tail *= c4**3
     return SeriesValue(name="cubic_diagonal", value=float(total),
@@ -152,6 +149,7 @@ def quartic_diagonal_series(cutoff: int = 10**5,
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    check_memory(_QUARTIC_BYTES_PER_CUTOFF * cutoff, f"quartic series to {cutoff}")
     table = sieve(TableKind.DIVISOR, cutoff, table)
     d = table.values
 
@@ -186,9 +184,7 @@ def quartic_diagonal_series(cutoff: int = 10**5,
     # below cutoff 4 the whole q = 1 family lies in the tail
     qs = cores.astype(float) if len(cores) else np.ones(1)
     B = np.maximum(np.floor(np.sqrt(cutoff / qs)), 2.0)
-    u = np.log(B) + 1.0
-    core_tails = 4.0 * (u * u + 2.0 * u + 2.0) / B
-    core_tail = float(np.sum(qs**-2.0 * core_tails))
+    core_tail = float(np.sum(qs**-2.0 * _tail_inner_quartic(B)))
     core_tail += (1.0 / max(qmax, 1)) * _full_inner("quartic")
     # counted twice: once for the family itself, once to cover the
     # truncation of the subtracted overlap

@@ -15,28 +15,23 @@ over that grid.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
 from .errors import RangeError
-from .numerics import EULER_GAMMA, PI_LD
-from .sieves import (TableKind, alternating_summatory_d, summatory_d,
-                     summatory_r)
+from .numerics import EULER_GAMMA, PI_LD, NamedEnum
+from .sieves import (TableKind, alternating_summatory_d, check_memory,
+                     summatory_d, summatory_r)
+
+# peak bytes per entry of a step table, the uint16 table and its int64 prefix
+# (tracemalloc, fresh process, each kind, 1e6 and 3e6 entries)
+_STEP_BYTES_PER_ENTRY = 10
 
 
-class ErrorTermKind(Enum):
+class ErrorTermKind(NamedEnum):
     DELTA = "delta"
     DELTA_STAR = "delta-star"
     CIRCLE = "circle"
-
-    @classmethod
-    def parse(cls, name: str) -> "ErrorTermKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        known = ", ".join(sorted(k.value for k in cls))
-        raise ValueError(f"unknown error-term kind {name!r} (known: {known})")
 
 
 def jump_denominator(kind: ErrorTermKind) -> int:
@@ -51,10 +46,12 @@ def jump_denominator(kind: ErrorTermKind) -> int:
 def step_table_need(kind: ErrorTermKind, upto) -> tuple[TableKind, int]:
     """The table kind and limit whose prefix sums give the step part on
     [1, upto]: r up to upto for circle, d up to jump_denominator(kind)*upto
-    otherwise (delta-star reads D(4x))."""
+    otherwise (delta-star reads D(4x)); CapacityError past the ceiling."""
+    limit = math.ceil(jump_denominator(kind) * upto)
+    check_memory(_STEP_BYTES_PER_ENTRY * (limit + 1), f"step table of {limit} entries")
     if kind is ErrorTermKind.CIRCLE:
-        return TableKind.SUM_OF_TWO_SQUARES, math.ceil(upto)
-    return TableKind.DIVISOR, math.ceil(jump_denominator(kind) * upto)
+        return TableKind.SUM_OF_TWO_SQUARES, limit
+    return TableKind.DIVISOR, limit
 
 
 def smooth_main_term(kind: ErrorTermKind, x) -> np.longdouble:

@@ -6,7 +6,7 @@ class DivisorLabError(Exception):
 
 
 class CapacityError(DivisorLabError):
-    """A sieve or table would exceed the configured memory ceiling."""
+    """An allocation would exceed the memory ceiling."""
 
 
 class RangeError(DivisorLabError):
@@ -14,7 +14,7 @@ class RangeError(DivisorLabError):
 
 
 class BudgetError(DivisorLabError):
-    """An enumeration or integration would exceed its work budget."""
+    """An enumeration would exceed the work budget."""
 
 
 class TableFormatError(DivisorLabError):

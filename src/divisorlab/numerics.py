@@ -1,5 +1,5 @@
-"""Shared numerical machinery: extended-precision constants, Gauss-Legendre
-nodes, compensated accumulation, and 17-significant-digit rendering.
+"""Shared machinery: extended-precision constants, Gauss-Legendre nodes,
+compensated accumulation, named-choice enums, 17-significant-digit rendering.
 
 All phase/smooth-part arithmetic in this package runs in numpy longdouble
 (80-bit extended on x86-64, 64-bit mantissa).  That keeps the cancellation
@@ -9,6 +9,7 @@ double precision alone cannot guarantee at the top of the supported range.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 
 import numpy as np
@@ -19,21 +20,14 @@ EULER_GAMMA = np.longdouble("0.577215664901532860606512090082402431")
 PI_LD = np.longdouble("3.14159265358979323846264338327950288")
 TWO_PI_LD = np.longdouble("6.28318530717958647692528676655900577")
 
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def leggauss_01(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1], as longdouble arrays."""
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
-    cached = _LEGGAUSS_CACHE.get(order)
-    if cached is None:
-        x, w = np.polynomial.legendre.leggauss(order)
-        nodes = (x.astype(np.longdouble) + 1) / 2
-        weights = w.astype(np.longdouble) / 2
-        cached = (nodes, weights)
-        _LEGGAUSS_CACHE[order] = cached
-    return cached
+    x, w = np.polynomial.legendre.leggauss(order)
+    return (x.astype(np.longdouble) + 1) / 2, w.astype(np.longdouble) / 2
 
 
 class KahanAccumulator:
@@ -53,6 +47,18 @@ class KahanAccumulator:
 
     def value(self) -> float:
         return float(self.total)
+
+
+class NamedEnum(Enum):
+    """An Enum of named choices, looked up by their string values."""
+
+    @classmethod
+    def parse(cls, name: str):
+        """The member named ``name``; the ValueError lists the known names."""
+        known = sorted(m.value for m in cls)
+        if name not in known:
+            raise ValueError(f"unknown {cls.__name__} {name!r}; known: {', '.join(known)}")
+        return cls(name)
 
 
 def fmt17(value) -> str:

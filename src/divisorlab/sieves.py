@@ -20,8 +20,12 @@ import numpy as np
 
 from .errors import CapacityError, RangeError, TableFormatError, TableKindMismatch
 
-# 2 bytes per entry; 2 GiB default ceiling keeps a workstation responsive.
-DEFAULT_MEMORY_CEILING_BYTES = 2 << 30
+# The one memory ceiling, checked before every allocation sized by a
+# caller's input; 2 GiB keeps a workstation responsive.
+MEMORY_CEILING_BYTES = 2 << 30
+# peak bytes per entry, tracemalloc in a fresh process at limits 1e6 and 4e6
+_TABLE_BYTES_PER_ENTRY = 2    # the uint16 values, sieved or loaded
+_CORE_BYTES_PER_ENTRY = 24    # core_tables: root, the index range, root^r
 
 # Beyond this the 16-bit storage assumption (d(n) < 6720 for n <= 1e12)
 # no longer holds, and D(x) approaches the practical int64 comfort zone.
@@ -62,19 +66,22 @@ class DivisorTable:
         return int(self.values[n])
 
 
-def _check_capacity(limit: int, memory_ceiling_bytes: int) -> None:
+def check_memory(nbytes: int, what: str) -> None:
+    """Raise CapacityError if ``what`` needs more than MEMORY_CEILING_BYTES."""
+    if nbytes > MEMORY_CEILING_BYTES:
+        raise CapacityError(f"{what} needs about {nbytes} bytes, over the "
+                            f"{MEMORY_CEILING_BYTES}-byte memory ceiling")
+
+
+def _check_capacity(limit: int) -> None:
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if limit > MAX_TABLE_LIMIT:
         raise CapacityError(f"limit {limit} exceeds the 16-bit-safe bound {MAX_TABLE_LIMIT}")
-    if 2 * (limit + 1) > memory_ceiling_bytes:
-        raise CapacityError(
-            f"table of limit {limit} needs {2 * (limit + 1)} bytes, "
-            f"ceiling is {memory_ceiling_bytes}")
+    check_memory(_TABLE_BYTES_PER_ENTRY * (limit + 1), f"table of limit {limit}")
 
 
-def sieve_divisors(limit: int,
-                   memory_ceiling_bytes: int = DEFAULT_MEMORY_CEILING_BYTES) -> DivisorTable:
+def sieve_divisors(limit: int) -> DivisorTable:
     """Sieve d(n) for n <= limit by counting divisor pairs below sqrt(n).
 
     For every k <= sqrt(limit): n = k^2 gets one divisor (k itself), and
@@ -82,7 +89,7 @@ def sieve_divisors(limit: int,
     sum_{k<=sqrt(L)} L/k ~ L*log(sqrt(L)) array cells, all via strided
     numpy adds, so it is fast and allocation-light.
     """
-    _check_capacity(limit, memory_ceiling_bytes)
+    _check_capacity(limit)
     values = np.zeros(limit + 1, dtype=np.uint16)
     root = math.isqrt(limit)
     for k in range(1, root + 1):
@@ -95,17 +102,17 @@ def sieve_divisors(limit: int,
     return DivisorTable(limit=limit, kind=TableKind.DIVISOR, values=values)
 
 
-def sieve_r(limit: int,
-            memory_ceiling_bytes: int = DEFAULT_MEMORY_CEILING_BYTES) -> DivisorTable:
+def sieve_r(limit: int) -> DivisorTable:
     """Sieve r(n), the number of (a, b) in Z^2 with a^2 + b^2 = n.
 
     Uses r(n) = 4 * sum_{d | n} chi(d) with chi the non-principal character
     mod 4.  Pair divisors (k, m), k <= m, and add chi(k) + chi(m) per pair;
     chi(m) along the slice n = k*m is periodic in m with period 4, so each
-    k costs a handful of strided adds.
+    k costs a handful of strided adds.  Every partial sum is bounded by
+    d(n) < 6720, so the work fits int16 and becomes the table in place.
     """
-    _check_capacity(limit, memory_ceiling_bytes)
-    work = np.zeros(limit + 1, dtype=np.int32)
+    _check_capacity(limit)
+    work = np.zeros(limit + 1, dtype=np.int16)
     root = math.isqrt(limit)
     chi = (0, 1, 0, -1)  # chi(d) for d mod 4
     for k in range(1, root + 1):
@@ -123,11 +130,11 @@ def sieve_r(limit: int,
             cm = chi[m0 % 4]
             if cm and k * m0 <= limit:
                 work[k * m0::4 * k] += cm
-    work *= 4
-    if int(work.min()) < 0 or int(work.max()) >= 65535:
+    if int(work.min()) < 0 or int(work.max()) >= 1 << 13:
         raise CapacityError(f"r(n) left the 16-bit range at limit {limit}")
+    work *= 4
     return DivisorTable(limit=limit, kind=TableKind.SUM_OF_TWO_SQUARES,
-                        values=work.astype(np.uint16))
+                        values=work.view(np.uint16))
 
 
 def sieve(kind: TableKind, limit: int,
@@ -148,6 +155,7 @@ def core_tables(limit: int, r: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """
     if r < 2:
         raise ValueError("power must be >= 2")
+    check_memory(_CORE_BYTES_PER_ENTRY * (limit + 1), f"core table up to {limit}")
     root = np.ones(limit + 1, dtype=np.int64)
     f = 2
     while f**r <= limit:
@@ -185,18 +193,13 @@ def _floor_arg(x) -> int:
 _CHUNK = 1 << 22
 
 
-def _sum_floor_quotients(n: int, start: int, stop: int, step: int,
-                         transform=None) -> int:
-    """sum over k in range(start, stop, step) of floor(n/k), chunked;
-    ``transform`` post-processes each quotient block before summing."""
+def _sum_floor_quotients(n: int, start: int, stop: int, step: int) -> int:
+    """sum over k in range(start, stop, step) of floor(n/k), chunked."""
     total = 0
     for lo in range(start, stop, step * _CHUNK):
         hi = min(stop, lo + step * _CHUNK)
         ks = np.arange(lo, hi, step, dtype=np.int64)
-        block = n // ks
-        if transform is not None:
-            block = transform(block)
-        total += int(np.sum(block, dtype=np.int64))
+        total += int(np.sum(n // ks, dtype=np.int64))
     return total
 
 
@@ -214,16 +217,18 @@ def summatory_d(x) -> int:
 
 
 def summatory_r(x) -> int:
-    """R(x) = sum_{n <= x} r(n) via the mod-4 character identity.
-
-    R(x) = 4 * sum_{j >= 0} (floor(x/(4j+1)) - floor(x/(4j+3))), cut off
-    exactly when 4j+1 > x.  O(x) elementary terms, all exact.
-    """
+    """R(x) = sum_{n <= x} r(n) = 4*isqrt(x) + 4*sum_{1 <= a <= sqrt(x)}
+    isqrt(x - a^2), the lattice points off the origin: axes, then quadrants.
+    Each isqrt is a float sqrt moved by at most one by exact integer checks."""
     n = _floor_arg(x)
-    if n == 0:
-        return 0
-    total = _sum_floor_quotients(n, 1, n + 1, 4) \
-        - _sum_floor_quotients(n, 3, n + 1, 4)
+    root = math.isqrt(n)
+    total = root
+    for lo in range(1, root + 1, _CHUNK):
+        v = n - np.arange(lo, min(root + 1, lo + _CHUNK), dtype=np.int64) ** 2
+        b = np.sqrt(v.astype(float)).astype(np.int64)
+        b -= (b * b > v)
+        b += ((b + 1) * (b + 1) <= v)
+        total += int(np.sum(b, dtype=np.int64))
     return 4 * total
 
 
@@ -232,9 +237,9 @@ def _count_odd_pairs(y: int) -> int:
     if y <= 0:
         return 0
     root = math.isqrt(y)
-    # number of odd b <= y/a is (floor(y/a) + 1) // 2
-    inner = _sum_floor_quotients(y, 1, root + 1, 2,
-                                 transform=lambda q: (q + 1) // 2)
+    # number of odd b <= y/a is (floor(y/a) + 1) // 2 = y//a - (y//2)//a
+    inner = _sum_floor_quotients(y, 1, root + 1, 2) \
+        - _sum_floor_quotients(y // 2, 1, root + 1, 2)
     odd_to_root = (root + 1) // 2
     return 2 * inner - odd_to_root * odd_to_root
 
@@ -277,31 +282,36 @@ def save_table(table: DivisorTable, path) -> None:
 
 
 def load_table(path, expected_kind: TableKind | None = None) -> DivisorTable:
-    """Read a table cache, verifying magic, version, length, and checksum."""
-    raw = Path(path).read_bytes()
+    """Read a table cache, verifying magic, version, length, and checksum;
+    the payload is read once, straight into the table's values[1:]."""
     header_len = 4 + 4 + 1 + 8
-    if len(raw) < header_len + 4:
-        raise TableFormatError(f"{path}: file too short for a table header")
-    if raw[:4] != _MAGIC:
-        raise TableFormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, kind_byte, limit = struct.unpack("<IBQ", raw[4:header_len])
-    if version != _FORMAT_VERSION:
-        raise TableFormatError(f"{path}: unsupported format version {version}")
-    try:
-        kind = TableKind(kind_byte)
-    except ValueError:
-        raise TableFormatError(f"{path}: unknown kind byte {kind_byte}") from None
-    expected_len = header_len + 2 * limit + 4
-    if len(raw) != expected_len:
-        raise TableFormatError(
-            f"{path}: expected {expected_len} bytes for limit {limit}, got {len(raw)}")
-    payload = raw[header_len:header_len + 2 * limit]
-    (crc_stored,) = struct.unpack("<I", raw[-4:])
+    with open(path, "rb") as fh:
+        header = fh.read(header_len)
+        if len(header) < header_len:
+            raise TableFormatError(f"{path}: file too short for a table header")
+        if header[:4] != _MAGIC:
+            raise TableFormatError(f"{path}: bad magic {header[:4]!r}")
+        version, kind_byte, limit = struct.unpack("<IBQ", header[4:])
+        if version != _FORMAT_VERSION:
+            raise TableFormatError(f"{path}: unsupported format version {version}")
+        try:
+            kind = TableKind(kind_byte)
+        except ValueError:
+            raise TableFormatError(f"{path}: unknown kind byte {kind_byte}") from None
+        expected_len = header_len + 2 * limit + 4
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected_len:
+            raise TableFormatError(
+                f"{path}: expected {expected_len} bytes for limit {limit}, got {size}")
+        check_memory(_TABLE_BYTES_PER_ENTRY * (limit + 1), f"table of limit {limit}")
+        values = np.zeros(limit + 1, dtype="<u2")
+        payload = values[1:].view(np.uint8)
+        fh.readinto(payload)
+        (crc_stored,) = struct.unpack("<I", fh.read(4))
     if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
         raise TableFormatError(f"{path}: checksum mismatch")
     if expected_kind is not None and kind != expected_kind:
         raise TableKindMismatch(
             f"{path}: table kind is {kind.name}, caller requested {expected_kind.name}")
-    values = np.zeros(limit + 1, dtype=np.uint16)
-    values[1:] = np.frombuffer(payload, dtype="<u2")
-    return DivisorTable(limit=int(limit), kind=kind, values=values)
+    return DivisorTable(limit=int(limit), kind=kind,
+                        values=values.astype(np.uint16, copy=False))

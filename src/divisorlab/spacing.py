@@ -26,31 +26,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import reduce
 
 import numpy as np
 
 from .errors import BudgetError
-from .sieves import DEFAULT_MEMORY_CEILING_BYTES, core_families, core_tables
+from .numerics import NamedEnum
+from .sieves import check_memory, core_families, core_tables
 
 LD = np.longdouble
 
+# the most tuples a count or gap search may enumerate
+WORK_BUDGET = 10**10
+# Peak bytes of count_box (tracemalloc, each form, sides to 1e6, blocks to
+# 4e6): 64-280 per unit of the sides summed, 129 per broadcast block element.
+_BOX_BYTES_PER_SIDE = 280
+_BOX_BYTES_PER_BLOCK = 130
 
-class SpacingForm(Enum):
+
+class SpacingForm(NamedEnum):
     FOUR_ROOT_KTH = "four-root-kth"    # |n1^(1/r)+n2^(1/r)-n3^(1/r)-n4^(1/r)| < delta*N^(1/r)
     NEAR_INTEGER = "near-integer"      # ||beta + alpha*sqrt(k)|| < delta
     THREE_ROOT = "three-root"          # |sqrt m + sqrt n - sqrt k| <= delta*sqrt(M)
     FOUR_ROOT_MINUS = "four-root-minus"  # |sqrt m + sqrt n - sqrt k - sqrt l| <= delta*sqrt(K)
     FOUR_ROOT_PLUS = "four-root-plus"    # 0 < |sqrt m + sqrt n + sqrt k - sqrt l| <= delta*sqrt(K)
-
-    @classmethod
-    def parse(cls, name: str) -> "SpacingForm":
-        for form in cls:
-            if form.value == name:
-                return form
-        known = ", ".join(sorted(f.value for f in cls))
-        raise ValueError(f"unknown spacing form {name!r} (known: {known})")
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,6 @@ class BoxSpec:
     alpha: float | None = None
     beta: float = 0.0
     exclude_exact: bool | None = None   # None -> form default
-    budget: int = 10**10
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -176,10 +174,7 @@ def enumerate_exact_quadruples(limit: int) -> np.ndarray:
     """
     if limit < 1:
         return np.empty((0, 4), dtype=np.int64)
-    need = _QUADRUPLE_BYTES_PER_PAIR * limit * limit
-    if need > DEFAULT_MEMORY_CEILING_BYTES:
-        raise BudgetError(f"quadruples up to {limit} need about {need} bytes, over "
-                          f"the {DEFAULT_MEMORY_CEILING_BYTES}-byte memory ceiling")
+    check_memory(_QUADRUPLE_BYTES_PER_PAIR * limit * limit, f"quadruples up to {limit}")
     rows: list[np.ndarray] = []
     for q, amax in zip(*(c.tolist() for c in core_families(limit))):
         comp = np.arange(1, amax + 1, dtype=np.int64) ** 2 * q
@@ -291,16 +286,6 @@ def _equal_sums(left: list[np.ndarray], right: list[np.ndarray]) -> int:
     return int(np.dot(h1[:n], h2[:n]))
 
 
-def _zero_count_three_root(spec: BoxSpec) -> int:
-    """Number of box pairs (m, n) with sqrt m + sqrt n an exact sqrt k.
-
-    k is unconstrained in this form and exact hits always satisfy the
-    inequality, so the zero count is the number of same-core pairs."""
-    M, Mp = spec.M, spec.Mp
-    core, _ = core_tables(2 * max(M, Mp))
-    return _same_core_pairs(core[M + 1:2 * M + 1], core[Mp + 1:2 * Mp + 1])
-
-
 def _zero_count_four(boxes: tuple[int, int, int, int], n_left: int,
                      r: int = 2) -> int:
     """Number of tuples in the dyadic boxes whose first n_left r-th roots
@@ -370,8 +355,11 @@ def count_box(spec: BoxSpec) -> SpacingCount:
              SpacingForm.FOUR_ROOT_PLUS: (M, Mp, K),
              SpacingForm.FOUR_ROOT_KTH: (M, M, M)}[form]
     volume = math.prod(outer)
-    if volume > spec.budget:
-        raise BudgetError(f"box volume {volume} exceeds budget {spec.budget}")
+    if volume > WORK_BUDGET:
+        raise BudgetError(f"box volume {volume} exceeds budget {WORK_BUDGET}")
+    sides = sum(v for v in (M, Mp, K, L) if v is not None)
+    check_memory(_BOX_BYTES_PER_SIDE * sides
+                 + _BOX_BYTES_PER_BLOCK * math.prod(outer[1:]), f"{form.value} box")
     trivial = 0
     zeros: int | None = None
     if form is SpacingForm.NEAR_INTEGER:
@@ -385,7 +373,10 @@ def count_box(spec: BoxSpec) -> SpacingCount:
     elif form is SpacingForm.THREE_ROOT:
         count = _count_solved((_sqrt_box(M), _sqrt_box(Mp)), delta * np.sqrt(LD(M)),
                               1, np.inf, 2, strict=False)
-        zeros = _zero_count_three_root(spec)
+        # k is unconstrained and exact hits always satisfy the inequality, so
+        # the zero count is the number of same-core pairs (m, n)
+        core, _ = core_tables(2 * max(M, Mp))
+        zeros = _same_core_pairs(core[M + 1:2 * M + 1], core[Mp + 1:2 * Mp + 1])
     else:
         if form is SpacingForm.FOUR_ROOT_MINUS:
             last, inner, n_left = -_sqrt_box(L), K, 2
@@ -422,7 +413,7 @@ def _gap_candidates(fl: np.ndarray, limit: int) -> list[np.ndarray]:
                                            np.full_like(fl, limit))]
 
 
-def min_gap_three(limit: int, budget: int = 10**10) -> GapResult:
+def min_gap_three(limit: int) -> GapResult:
     """Minimum of |sqrt m + sqrt n - sqrt k| * sqrt(mnk) over m, n, k <= limit
     with a nonzero combination; reports a minimizing triple with m <= n.
 
@@ -434,8 +425,8 @@ def min_gap_three(limit: int, budget: int = 10**10) -> GapResult:
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if limit * limit > budget:
-        raise BudgetError(f"pair volume {limit * limit} exceeds budget {budget}")
+    if limit * limit > WORK_BUDGET:
+        raise BudgetError(f"pair volume {limit * limit} exceeds budget {WORK_BUDGET}")
     core, root = core_tables(limit)
     sqrt_tab = np.sqrt(np.arange(limit + 1).astype(LD))
     best = LD(np.inf)
@@ -459,7 +450,7 @@ def min_gap_three(limit: int, budget: int = 10**10) -> GapResult:
     return GapResult(limit=limit, min_scaled_gap=float(best), argmin=best_tuple)
 
 
-def min_gap_four(limit: int, sign: int = 1, budget: int = 10**10) -> GapResult:
+def min_gap_four(limit: int, sign: int = 1) -> GapResult:
     """Minimum of |sqrt m + sqrt n + sign*sqrt k - sqrt l| * k^2 * sqrt(mnl)
     over m, n <= k <= limit, l <= limit, nonzero combinations only.
 
@@ -470,8 +461,8 @@ def min_gap_four(limit: int, sign: int = 1, budget: int = 10**10) -> GapResult:
         raise ValueError("sign must be +1 or -1")
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if limit**3 > budget:
-        raise BudgetError(f"triple volume {limit**3} exceeds budget {budget}")
+    if limit**3 > WORK_BUDGET:
+        raise BudgetError(f"triple volume {limit**3} exceeds budget {WORK_BUDGET}")
     core, root = core_tables(limit)
     sqrt_tab = np.sqrt(np.arange(limit + 1).astype(LD))
     best = LD(np.inf)

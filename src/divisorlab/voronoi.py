@@ -26,9 +26,15 @@ from .error_terms import ErrorTermKind, error_term
 from .errors import RangeError
 from .numerics import PI_LD, TWO_PI_LD
 # sieve_divisors and sieve_r stay bound: perfbench/tracing.py wraps them here
-from .sieves import DivisorTable, TableKind, sieve, sieve_divisors, sieve_r  # noqa: F401
+from .sieves import (DivisorTable, TableKind, check_memory, sieve,  # noqa: F401
+                     sieve_divisors, sieve_r)
 
 _SQRT2_LD = np.sqrt(np.longdouble(2))
+# evaluate_block works on max(1, BLOCK_TERMS // N) points at a time
+BLOCK_TERMS = 1 << 16
+# peak bytes per term: coefficients 16 plus one evaluate_block row 64
+# (tracemalloc, fresh process, N = 1e5 and 1e6, each kind)
+_SERIES_BYTES_PER_TERM = 80
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,7 @@ def build_series(kind: ErrorTermKind, truncation: int,
     """Assemble the coefficient table and constants for one series."""
     if truncation < 2:
         raise ValueError(f"truncation length must be >= 2, got {truncation}")
+    check_memory(_SERIES_BYTES_PER_TERM * truncation, f"series of {truncation} terms")
     circle = kind is ErrorTermKind.CIRCLE
     table = sieve(TableKind.SUM_OF_TWO_SQUARES if circle else TableKind.DIVISOR,
                   truncation, table)
@@ -69,8 +76,7 @@ def build_series(kind: ErrorTermKind, truncation: int,
         freq = 2 * float(PI_LD)
     else:
         if kind is ErrorTermKind.DELTA_STAR:
-            signs = np.where(np.arange(1, truncation + 1) % 2 == 0, 1, -1)
-            weights = weights * signs.astype(np.longdouble)
+            weights[::2] *= -1      # (-1)^n d(n): odd n are the even indices
         amplitude = 1 / float(PI_LD * _SQRT2_LD)
         phase = -float(PI_LD / 4)
         freq = 4 * float(PI_LD)
@@ -106,7 +112,7 @@ def truncated(kind: ErrorTermKind, truncation: int, x,
     return evaluate_series(build_series(kind, truncation, table), x)
 
 
-def evaluate_block(series: VoronoiSeries, xs, block_size: int = 64) -> np.ndarray:
+def evaluate_block(series: VoronoiSeries, xs) -> np.ndarray:
     """Evaluate the series on an x-grid, blocked so the n-loop stays in numpy.
 
     Results are bit-identical to per-point evaluation for any block size
@@ -122,12 +128,13 @@ def evaluate_block(series: VoronoiSeries, xs, block_size: int = 64) -> np.ndarra
                          f"< 2^32, got x in [{flat.min()}, {flat.max()}]")
     amp = np.longdouble(series.amplitude)
     out = np.empty(flat.shape, dtype=float)
-    for start in range(0, flat.size, block_size):
-        xb = flat[start:start + block_size].astype(np.longdouble)[:, None]
+    rows = max(1, BLOCK_TERMS // series.truncation)
+    for start in range(0, flat.size, rows):
+        xb = flat[start:start + rows].astype(np.longdouble)[:, None]
         t = phases(series, xb)
         sums = np.sum(series.coefficients[None, :] * np.cos(t), axis=1)
         vals = amp * xb.ravel() ** np.longdouble(0.25) * sums
-        out[start:start + block_size] = vals.astype(float)
+        out[start:start + rows] = vals.astype(float)
     return out.reshape(xs_arr.shape)
 
 

@@ -51,6 +51,17 @@ def lattice_cumulative(limit: int) -> np.ndarray:
     return np.cumsum(counts)
 
 
+def summatory_r_by_characters(x) -> int:
+    """R(x) = 4 * sum_{j >= 0} (floor(x/(4j+1)) - floor(x/(4j+3))), the
+    mod-4 character identity, in O(x) exact integer terms."""
+    n = math.floor(x)
+    total = 0
+    for lo in range(1, n + 1, 4 << 22):
+        ks = np.arange(lo, min(n + 1, lo + (4 << 22)), 4, dtype=np.int64)
+        total += int(np.sum(n // ks)) - int(np.sum(n // (ks + 2)))
+    return 4 * total
+
+
 def alternating_sum_direct(y: int, d_values: np.ndarray) -> int:
     """sum_{n <= y} (-1)^n d(n) from a sieved table."""
     ns = np.arange(1, y + 1)

@@ -282,7 +282,7 @@ def test_diagonal_prediction_for_series_cube():
     series = voronoi.build_series(DELTA, N)
     step = 5.0
     xs = np.arange(H, 2 * H + step, step)
-    vals = voronoi.evaluate_block(series, xs, block_size=4096).astype(np.longdouble)
+    vals = voronoi.evaluate_block(series, xs).astype(np.longdouble)
     weights = np.ones(len(xs), dtype=np.longdouble)
     weights[1:-1:2] = 4
     weights[2:-1:2] = 2
@@ -305,7 +305,7 @@ def test_diagonal_prediction_for_series_fourth_power():
     series = voronoi.build_series(DELTA, N)
     step = 5.0
     xs = np.arange(H, 2 * H + step, step)
-    vals = voronoi.evaluate_block(series, xs, block_size=4096).astype(np.longdouble)
+    vals = voronoi.evaluate_block(series, xs).astype(np.longdouble)
     weights = np.ones(len(xs), dtype=np.longdouble)
     weights[1:-1:2] = 4
     weights[2:-1:2] = 2

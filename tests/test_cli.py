@@ -1,11 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from divisorlab import cli, sieves
 from divisorlab.cli import main
 from divisorlab.error_terms import ErrorTermKind, error_term
 from divisorlab.moments import moment
-from divisorlab.sieves import TableKind, load_table
+from divisorlab.sieves import TableKind, load_table, save_table, sieve_divisors, sieve_r
 from divisorlab.spacing import BoxSpec, SpacingForm, count_box
 
 
@@ -263,6 +265,42 @@ def test_cache_dir_reuse(tmp_path, capsys):
     code, _, _ = run(capsys, "--cache-dir", str(cache), "moment", "--kind",
                      "delta", "--power", "1", "--to", "50")
     assert code == 0
+
+
+def test_step_table_over_ceiling_is_compute_error(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("allocation reached past the memory ceiling")
+
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 10**6)
+    monkeypatch.setattr(cli, "sieve", unreachable)
+    # delta-star reads D(4x): 4e5 entries at 10 bytes each
+    code, out, err = run(capsys, "moment", "--kind", "delta-star", "--power", "1",
+                         "--to", "1e5")
+    assert code == 2
+    assert out == "" and err.startswith("compute error:") and "ceiling" in err
+
+
+GOLDEN_DELTA_STAR = Path(__file__).parent / "golden" / "formats" / "02-moment.txt"
+
+
+@pytest.mark.parametrize("damage", ["bytes", "kind"])
+def test_damaged_cache_file_is_sieved_again(tmp_path, capsys, damage):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    # the table that --to 3000 needs for delta-star: D up to 4 * 3001
+    path = cache / "divisor-12004.dvt"
+    if damage == "bytes":
+        path.write_bytes(b"DVT1" + bytes(40))
+    else:
+        save_table(sieve_r(12004), path)
+    code, out, err = run(capsys, "--cache-dir", str(cache), "--format", "json",
+                         "moment", "--kind", "delta-star", "--power", "1",
+                         "--from", "2.5", "--to", "3000")
+    assert code == 0
+    assert out == GOLDEN_DELTA_STAR.read_text(encoding="utf-8")
+    assert err.startswith("cache: ") and err.count("\n") == 1
+    fresh = load_table(path, expected_kind=TableKind.DIVISOR)
+    assert (fresh.values == sieve_divisors(12004).values).all()
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from divisorlab import constants, errors, sieves
 from divisorlab.constants import (classical_mean_square_coefficient,
                                   cubic_diagonal_series,
                                   cubic_moment_coefficient,
@@ -124,6 +125,22 @@ def test_majorant_constant_is_safe():
     ns = np.arange(1, 10**6 + 1, dtype=float)
     ratios = table.values[1:].astype(float) / ns ** 0.25
     assert float(ratios.max()) <= c / 1.4
+
+
+def test_quartic_series_memory_ceiling(monkeypatch):
+    # 82 bytes per unit of cutoff, checked before the table is sieved
+    divisor_majorant_constant()   # its fixed scan table is cached first
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 82 * 1000)
+    assert quartic_diagonal_series(1000).cutoff == 1000
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("allocation reached past the memory ceiling")
+
+    monkeypatch.setattr(constants, "sieve", unreachable)
+    with pytest.raises(errors.CapacityError):
+        quartic_diagonal_series(1001)
+    with pytest.raises(errors.CapacityError):
+        quartic_moment_coefficient(10**4)
 
 
 def test_divisor_summatory_log_bound():

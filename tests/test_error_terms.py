@@ -179,3 +179,14 @@ def test_smooth_part_precision_large_x():
         # convert the reference through a string: np.longdouble(mpf) would
         # round through a 53-bit double and spoil the comparison
         assert abs(float(np.longdouble(mpmath.nstr(ref, 30)) - got)) < 1e-6
+
+
+def test_longdouble_is_extended_precision():
+    # x87 80-bit extended (x86-64 Linux) has a 63-bit fraction; where long
+    # double is a plain double (MSVC on Windows, macOS on Apple silicon)
+    # nmant is 52 and these claims fail: error terms to 1e-6 up to x = 1e9, the
+    # exact step part below 2^64, lossless folding of Voronoi phases below
+    # 2^32, and the spacing thresholds of the near-integer guard
+    assert np.finfo(np.longdouble).nmant >= 63, (
+        "numpy longdouble is not 80-bit extended precision; the precision "
+        "claims of error_terms, voronoi and spacing do not hold here")

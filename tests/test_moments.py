@@ -2,11 +2,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from divisorlab import errors
+from divisorlab import constants, errors, moments, sieves
 from divisorlab.error_terms import ErrorTermKind
-from divisorlab.moments import (DEFAULT_CHUNK_SEGMENTS, fit_coefficient,
-                                fit_main_term, main_exponent, moment,
-                                moment_profile, short_interval_ratio)
+from divisorlab.moments import (CHUNK_SEGMENTS, fit_coefficient, fit_main_term,
+                                main_exponent, moment, moment_profile,
+                                short_interval_ratio, theory_coefficient)
 from divisorlab.sieves import sieve_divisors
 from oracles import piecewise_segments
 
@@ -91,7 +91,7 @@ def test_circle_moment_vs_adaptive_quadrature():
 
 
 # float.hex of moment_profile, recorded when head and tail pieces still had
-# their own kernel: (kind, start, chunk_segments) -> per power, the
+# their own kernel: (kind, start, CHUNK_SEGMENTS) -> per power, the
 # cumulative integral at each stop.  Starts and stops off the jump grid
 # exercise head pieces, tail pieces and spans inside a single segment.
 PINNED_POWERS = (1, 3, 4, 9)
@@ -103,7 +103,7 @@ PINNED_PROFILE_HEX = {
         ('0x1.87db1cc34293bp-9', '0x1.735de81367c1ep-8', '0x1.0fa42fcdb7a0cp+3'),
         ('0x1.808bede88bb5fp-14', '0x1.f73e543fc237dp-14', '0x1.4e8535669fa13p+7'),
     ),
-    ('delta', 1.25, DEFAULT_CHUNK_SEGMENTS): (
+    ('delta', 1.25, CHUNK_SEGMENTS): (
         ('0x1.94148899539a8p-6', '0x1.3b81f9dfeec76p-4', '0x1.899596d75eac1p+0'),
         ('0x1.8b3c2a2ddc199p-8', '0x1.aba2f7d8a8d16p-7', '0x1.c29c0eda319bbp+1'),
         ('0x1.87db1cc34293bp-9', '0x1.735de81367c1ep-8', '0x1.0fa42fcdb7a0cp+3'),
@@ -115,7 +115,7 @@ PINNED_PROFILE_HEX = {
         ('0x1.80ce4b7cb3b51p-3', '0x1.08c465b2cf803p+31'),
         ('0x1.507db55001276p-2', '0x1.32e1607c20c55p+54'),
     ),
-    ('delta', 2.5, DEFAULT_CHUNK_SEGMENTS): (
+    ('delta', 2.5, CHUNK_SEGMENTS): (
         ('0x1.f08ce4e94e62bp-8', '0x1.3113b53bb8025p+13'),
         ('0x1.be278e4fdb9bfp-4', '0x1.2194573ec4872p+23'),
         ('0x1.80ce4b7cb3b51p-3', '0x1.08c465b2cf803p+31'),
@@ -127,7 +127,7 @@ PINNED_PROFILE_HEX = {
         ('0x1.b43d6a1878596p-9', '0x1.0496cd22d11f8p-5', '0x1.48f1fc36045abp+4'),
         ('-0x1.e8ae063f7c2c7p-14', '-0x1.21d5376c28625p-8', '0x1.e149b4fffdc5fp+7'),
     ),
-    ('delta-star', 1.25, DEFAULT_CHUNK_SEGMENTS): (
+    ('delta-star', 1.25, CHUNK_SEGMENTS): (
         ('-0x1.9f1eaa99df998p-6', '-0x1.f7b13953446bap-4', '0x1.532b2daebd582p-1'),
         ('-0x1.ac69018441891p-8', '-0x1.922d8579b1ec3p-5', '0x1.95f92044d512dp+1'),
         ('0x1.b43d6a1878596p-9', '0x1.0496cd22d11f8p-5', '0x1.48f1fc36045abp+4'),
@@ -139,7 +139,7 @@ PINNED_PROFILE_HEX = {
         ('0x1.0363125293a2ep+0', '0x1.0b83c973b5a24p+31'),
         ('0x1.01a101bcde479p+3', '0x1.9b2fdaac84542p+55'),
     ),
-    ('delta-star', 2.5, DEFAULT_CHUNK_SEGMENTS): (
+    ('delta-star', 2.5, CHUNK_SEGMENTS): (
         ('0x1.d7ab3636c3666p-5', '0x1.34d037443cd3ap+12'),
         ('0x1.dbc613c98fd0ep-3', '0x1.8d045b49c691cp+23'),
         ('0x1.0363125293a2ep+0', '0x1.0b83c973b5a24p+31'),
@@ -151,7 +151,7 @@ PINNED_PROFILE_HEX = {
         ('0x1.acdf83896b67cp-22', '0x1.b8a3597d2742ep-9', '0x1.6f7ee0c808617p+8'),
         ('-0x1.dde1ea23a262dp-42', '-0x1.744585b88c472p-14', '-0x1.25db36311d48cp+17'),
     ),
-    ('circle', 1.25, DEFAULT_CHUNK_SEGMENTS): (
+    ('circle', 1.25, CHUNK_SEGMENTS): (
         ('-0x1.21f6e76996f3bp-12', '-0x1.8b19aced7861bp-5', '-0x1.790fbb0651383p+2'),
         ('-0x1.cc2a02a8a4b87p-20', '-0x1.efc51cf7b229bp-8', '-0x1.a432ddc5723bcp+5'),
         ('0x1.acdf83896b67cp-22', '0x1.b8a3597d2742ep-9', '0x1.6f7ee0c808617p+8'),
@@ -163,7 +163,7 @@ PINNED_PROFILE_HEX = {
         ('0x1.0324e79daeacdp+0', '0x1.c51199e3983bap+33'),
         ('-0x1.0189662f75b81p+3', '-0x1.0e067db55c82ep+62'),
     ),
-    ('circle', 2.5, DEFAULT_CHUNK_SEGMENTS): (
+    ('circle', 2.5, CHUNK_SEGMENTS): (
         ('-0x1.e9583c8b301edp-2', '-0x1.424e16499d355p+15'),
         ('-0x1.748a81ab5f2b6p-1', '-0x1.c6f9e48860da5p+26'),
         ('0x1.0324e79daeacdp+0', '0x1.c51199e3983bap+33'),
@@ -174,23 +174,24 @@ PINNED_PROFILE_HEX = {
 
 @pytest.mark.parametrize("kind, start, chunk", sorted(PINNED_PROFILE_HEX))
 @pytest.mark.parametrize("threads", (1, 2))
-def test_fractional_profile_bits_pinned(kind, start, chunk, threads):
+def test_fractional_profile_bits_pinned(kind, start, chunk, threads, monkeypatch):
+    monkeypatch.setattr(moments, "CHUNK_SEGMENTS", chunk)
     prof = moment_profile(ErrorTermKind.parse(kind), PINNED_POWERS,
-                          PINNED_STOPS[start], start=start, threads=threads,
-                          chunk_segments=chunk)
+                          PINNED_STOPS[start], start=start, threads=threads)
     got = tuple(tuple(v.hex() for v in prof[p]) for p in PINNED_POWERS)
     assert got == PINNED_PROFILE_HEX[(kind, start, chunk)]
 
 
-def test_thread_count_does_not_change_bits():
+def test_thread_count_does_not_change_bits(monkeypatch):
     table = sieve_divisors(10**5)
     vals = [moment(DELTA, 3, (1, 10**5), threads=t, table=table).integral
             for t in (1, 2, 5)]
     assert vals[0] == vals[1] == vals[2]
     # fractional ends put head and tail pieces around many small chunks
+    monkeypatch.setattr(moments, "CHUNK_SEGMENTS", 7)
     for kind in (ErrorTermKind.DELTA_STAR, ErrorTermKind.CIRCLE):
         profiles = [moment_profile(kind, PINNED_POWERS, [3.1, 40000.6], start=2.5,
-                                   threads=t, chunk_segments=7)
+                                   threads=t)
                     for t in (1, 2, 5)]
         assert profiles[0] == profiles[1] == profiles[2]
 
@@ -244,9 +245,41 @@ def test_power_validation():
     assert main_exponent(2) == 1.5
 
 
-def test_segment_budget():
-    with pytest.raises(errors.BudgetError):
-        moment_profile(DELTA, (1,), [10**6], max_segments=1000)
+def _unreachable(*args, **kwargs):
+    raise AssertionError("allocation reached past the memory ceiling")
+
+
+def test_segment_budget(monkeypatch):
+    # the step table and its int64 prefix, 10 bytes per entry, are checked
+    # before the sieve runs or a passed table is summed
+    table = sieve_divisors(4 * 10**4)
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 10 * 10**4)
+    monkeypatch.setattr(moments, "sieve", _unreachable)
+    monkeypatch.setattr(moments.np, "cumsum", _unreachable)
+    for kind, stop in ((DELTA, 10**4), (ErrorTermKind.CIRCLE, 10**4),
+                       (ErrorTermKind.DELTA_STAR, 2500)):
+        with pytest.raises(errors.CapacityError):
+            moment_profile(kind, (1,), [stop])
+    with pytest.raises(errors.CapacityError):
+        moment(DELTA, 2, (1, 10**4), table=table)
+
+
+def test_theory_coefficient_is_computed_once(monkeypatch):
+    calls = []
+
+    def counted(cutoff):
+        calls.append(cutoff)
+        return real(cutoff)
+
+    real = constants.quartic_moment_coefficient
+    monkeypatch.setattr(constants, "quartic_moment_coefficient", counted)
+    theory_coefficient.cache_clear()
+    try:
+        first = theory_coefficient(DELTA, 4, 1000)
+        assert theory_coefficient(DELTA, 4, 1000) is first
+    finally:
+        theory_coefficient.cache_clear()
+    assert calls == [1000]
 
 
 def test_interval_validation():

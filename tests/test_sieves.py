@@ -7,7 +7,11 @@ from divisorlab.sieves import (TableKind, alternating_summatory_d,
                                sieve_r, summatory_d, summatory_r)
 
 from oracles import (alternating_sum_direct, divisor_count, lattice_cumulative,
-                     two_squares_count)
+                     summatory_r_by_characters, two_squares_count)
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("allocation reached past the memory ceiling")
 
 
 def test_divisor_sieve_small_values():
@@ -84,6 +88,12 @@ def test_summatory_r_vs_lattice_counting():
         assert summatory_r(x) == int(ref[x])
 
 
+@pytest.mark.parametrize("x", [0, 1, 2, 5, 10, 99, 12345, 10**6 + 7, 5 * 10**6,
+                               10**8, 2.75, 10**4 + 0.5])
+def test_summatory_r_vs_character_identity(x):
+    assert summatory_r(x) == summatory_r_by_characters(x)
+
+
 def test_alternating_sum_examples():
     assert alternating_summatory_d(1) == 2          # d(2)+d(4)-d(1)-d(3)
     assert alternating_summatory_d(0.2) == 0
@@ -107,11 +117,30 @@ def test_negative_arguments_rejected():
         alternating_summatory_d(-0.5)
 
 
-def test_capacity_error():
+def test_capacity_error(monkeypatch, tmp_path):
+    path = tmp_path / "t.dvt"
+    save_table(sieve_divisors(1000), path)
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 1000)
     with pytest.raises(errors.CapacityError):
-        sieve_divisors(10**6, memory_ceiling_bytes=1000)
+        sieve_divisors(10**6)
+    with pytest.raises(errors.CapacityError):
+        sieve_r(10**6)
+    with pytest.raises(errors.CapacityError):   # 2 bytes per entry of 1000
+        load_table(path)
+    monkeypatch.undo()
     with pytest.raises(errors.CapacityError):
         sieve_divisors(10**13)
+
+
+def test_core_table_memory_ceiling(monkeypatch):
+    # 24 bytes per entry, checked before the first array
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 24 * 1001)
+    assert len(sieves.core_tables(1000)[0]) == 1001
+    monkeypatch.setattr(sieves.np, "ones", _unreachable)
+    with pytest.raises(errors.CapacityError):
+        sieves.core_tables(1001)
+    with pytest.raises(errors.CapacityError):
+        sieves.core_families(4 * 1001)
 
 
 def test_sieve_reuses_only_an_adequate_table():

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from divisorlab import errors
+from divisorlab import errors, sieves, spacing
 from divisorlab.sieves import core_families, core_tables
 from divisorlab.spacing import (BoxSpec, SpacingForm, count_box,
                                 enumerate_exact_quadruples,
@@ -371,9 +371,10 @@ def test_boxspec_validation():
         BoxSpec(form=SpacingForm.THREE_ROOT, M=4, Mp=4, delta=-1.0)
 
 
-def test_budget_errors():
+def test_budget_errors(monkeypatch):
     spec = BoxSpec(form=SpacingForm.FOUR_ROOT_MINUS, M=100, Mp=100, K=100,
-                   L=100, delta=0.1, budget=1000)
+                   L=100, delta=0.1)
+    monkeypatch.setattr(spacing, "WORK_BUDGET", 1000)
     with pytest.raises(errors.BudgetError):
         count_box(spec)
     # one box per form: the budget caps the product of the enumerated sides
@@ -383,15 +384,39 @@ def test_budget_errors():
             (SpacingForm.FOUR_ROOT_MINUS, dict(M=3, Mp=4, K=50, L=5), 3 * 4 * 5),
             (SpacingForm.FOUR_ROOT_PLUS, dict(M=3, Mp=4, K=5, L=50), 3 * 4 * 5),
             (SpacingForm.FOUR_ROOT_KTH, dict(M=4, root_k=3), 4 ** 3)]:
-        count_box(BoxSpec(form=form, delta=0.1, budget=volume, **box))
+        monkeypatch.setattr(spacing, "WORK_BUDGET", volume)
+        count_box(BoxSpec(form=form, delta=0.1, **box))
+        monkeypatch.setattr(spacing, "WORK_BUDGET", volume - 1)
         with pytest.raises(errors.BudgetError):
-            count_box(BoxSpec(form=form, delta=0.1, budget=volume - 1, **box))
+            count_box(BoxSpec(form=form, delta=0.1, **box))
+    monkeypatch.undo()
     with pytest.raises(errors.BudgetError):
         min_gap_three(10**6)
     with pytest.raises(errors.BudgetError):
         min_gap_four(10**5)
-    with pytest.raises(errors.BudgetError):
+    # a memory ceiling, not a work budget: 240 bytes per pair
+    with pytest.raises(errors.CapacityError):
         enumerate_exact_quadruples(10**5)
+
+
+def test_box_memory_ceiling(monkeypatch):
+    # 280 bytes per unit of the sides summed, the solved inner side included,
+    # plus 130 per element of the broadcast block, checked before any table
+    def unreachable(*args, **kwargs):
+        raise AssertionError("allocation reached past the memory ceiling")
+
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 10**6)
+    for name in ("core_tables", "_sqrt_box", "_count_near_integer"):
+        monkeypatch.setattr(spacing, name, unreachable)
+    for form, box in [
+            (SpacingForm.FOUR_ROOT_MINUS, dict(M=1, Mp=1, K=10**4, L=1)),
+            (SpacingForm.FOUR_ROOT_PLUS, dict(M=1, Mp=1, K=1, L=10**4)),
+            (SpacingForm.FOUR_ROOT_PLUS, dict(M=1, Mp=100, K=100, L=1)),
+            (SpacingForm.THREE_ROOT, dict(M=10**4, Mp=1)),
+            (SpacingForm.NEAR_INTEGER, dict(K=10**4, alpha=2.0)),
+            (SpacingForm.FOUR_ROOT_KTH, dict(M=100))]:
+        with pytest.raises(errors.CapacityError):
+            count_box(BoxSpec(form=form, delta=0.1, **box))
 
 
 def test_form_parse():

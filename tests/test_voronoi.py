@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from divisorlab import errors
+from divisorlab import errors, sieves, voronoi
 from divisorlab.error_terms import ErrorTermKind, error_term
 from divisorlab.sieves import sieve_divisors
 from divisorlab.voronoi import (build_series, evaluate_block, evaluate_series,
@@ -69,12 +69,30 @@ def test_phase_reduction_lossless():
     assert float(np.max(np.abs(reduced - direct))) < 1e-9
 
 
-def test_block_evaluation_matches_pointwise():
+def test_block_evaluation_matches_pointwise(monkeypatch):
     series = build_series(ErrorTermKind.CIRCLE, 300)
     xs = np.linspace(500, 2500, 37)
-    blocked = evaluate_block(series, xs, block_size=8)
+    monkeypatch.setattr(voronoi, "BLOCK_TERMS", 8 * 300)   # 8 points per block
+    blocked = evaluate_block(series, xs)
     pointwise = np.array([evaluate_series(series, float(x)) for x in xs])
     assert np.array_equal(blocked, pointwise)
+
+
+def test_series_memory_ceiling(monkeypatch):
+    # coefficients plus one evaluation row, 80 bytes per term, are checked
+    # before the table is sieved
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 80 * 1000)
+    assert build_series(ErrorTermKind.DELTA, 1000).truncation == 1000
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("allocation reached past the memory ceiling")
+
+    monkeypatch.setattr(voronoi, "sieve", unreachable)
+    for kind in ErrorTermKind:
+        with pytest.raises(errors.CapacityError):
+            build_series(kind, 1001)
+    with pytest.raises(errors.CapacityError):
+        voronoi.truncated(ErrorTermKind.DELTA, 10**4, 2.0)
 
 
 def test_remainder_stats_deterministic():
