@@ -6,8 +6,8 @@ On each interval between consecutive jumps of the step sum the integrand
 segment integrates it to ~1e-13 relative.  Segments are processed in
 chunks of CHUNK_SEGMENTS; each chunk reduces internally with numpy's
 deterministic pairwise sum and the chunks combine in ascending order through
-a Kahan accumulator.  Thread count therefore never changes a single bit of
-the result.
+a Kahan accumulator; inside a chunk each segment's node sum is formed on its
+own, in cache-sized blocks.  Neither thread count nor block size changes a bit.
 """
 
 from __future__ import annotations
@@ -24,10 +24,16 @@ from .error_terms import (ErrorTermKind, jump_denominator, smooth_main_term,
 from .errors import DegenerateFitError, RangeError
 from .numerics import KahanAccumulator, leggauss_01, loglog_slope
 # sieve_divisors and sieve_r stay bound: perfbench/tracing.py wraps them here
-from .sieves import DivisorTable, sieve, sieve_divisors, sieve_r  # noqa: F401
+from .sieves import DivisorTable, check_memory, sieve, sieve_divisors, sieve_r  # noqa: F401
 
 # segments per chunk: the unit of pairwise reduction and of thread work
 CHUNK_SEGMENTS = 1 << 16
+# nodes per _chunk_partials block: few GIL hand-offs, temporaries fit in L2
+BLOCK_NODES = 1 << 15
+# peak bytes per block node of _chunk_partials (tracemalloc, each kind, orders
+# 3 to 5000) and per order^2 of leggauss (ru_maxrss, orders 1000 to 3000)
+_BLOCK_BYTES_PER_NODE = 112
+_LEGGAUSS_BYTES_PER_ORDER2 = 16
 
 MIN_POWER = 1
 MAX_POWER = 9
@@ -103,27 +109,25 @@ def _chunk_partials(step: _StepTable, m0: int, m1: int, span, nodes, weights,
     """Integrals of error^k over the segments m0..m1-1 in one pairwise pass,
     or, when ``span`` = (x0, x1) is given, over that part of segment m0.
 
-    A head or tail piece is thus a one-element pass; np.sum of one element
-    is exact, so it rounds exactly as a scalar evaluation would.
+    Node sums are formed BLOCK_NODES // order segments at a time.  A head or
+    tail piece is a one-element pass: np.sum of one element is exact.
     """
-    ticks = np.arange(m0, m1, dtype=np.int64)
-    if span is None:
-        left = ticks.astype(np.longdouble) / step.denom
-        width = np.longdouble(1) / step.denom
-    else:
-        left = np.array([span[0]], dtype=np.longdouble)
-        width = np.longdouble(span[1]) - left[0]
-    consts = step.constants(ticks)
-    xs = left[:, None] + width * nodes[None, :]
-    err = consts[:, None] - smooth_main_term(step.kind, xs)
-    out: dict[int, np.longdouble] = {}
-    prod = None
-    for k in range(1, max(powers) + 1):
-        prod = err if prod is None else prod * err
-        if k in powers:
-            per_seg = np.sum(prod * weights[None, :], axis=1)
-            out[k] = np.sum(per_seg) * width
-    return out
+    width = np.longdouble(1) / step.denom if span is None \
+        else np.longdouble(span[1]) - np.longdouble(span[0])
+    sums = {k: np.empty(m1 - m0, dtype=np.longdouble) for k in powers}
+    rows = max(1, BLOCK_NODES // len(nodes))
+    for i in range(0, m1 - m0, rows):
+        ticks = np.arange(m0 + i, min(m0 + i + rows, m1), dtype=np.int64)
+        left = ticks.astype(np.longdouble) / step.denom if span is None \
+            else np.array([span[0]], dtype=np.longdouble)
+        xs = left[:, None] + width * nodes[None, :]
+        err = step.constants(ticks)[:, None] - smooth_main_term(step.kind, xs)
+        prod = None
+        for k in range(1, max(powers) + 1):
+            prod = err if prod is None else prod * err
+            if k in powers:
+                sums[k][i:i + rows] = np.sum(prod * weights[None, :], axis=1)
+    return {k: np.sum(sums[k]) * width for k in powers}
 
 
 def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
@@ -146,10 +150,16 @@ def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
     if stops[0] < start:
         raise ValueError("first stop lies before the interval start")
 
-    step = _StepTable(kind, stops[-1], table)
-    denom = step.denom
-
+    check_memory(_LEGGAUSS_BYTES_PER_ORDER2 * order * order, f"quadrature of order {order}")
     nodes, weights = leggauss_01(order)
+    denom = jump_denominator(kind)
+    segments = math.ceil(stops[-1] * denom) - math.floor(start * denom)
+    workers = min(threads, segments // CHUNK_SEGMENTS + 3)
+    check_memory(workers * (16 * len(powers) * min(segments, CHUNK_SEGMENTS)  # chunk sums
+                            + _BLOCK_BYTES_PER_NODE * order
+                            * min(segments, max(1, BLOCK_NODES // order))),
+                 f"{workers} integration threads")
+    step = _StepTable(kind, stops[-1], table)
 
     acc = {p: KahanAccumulator() for p in powers}
     results: dict[int, list[float]] = {p: [] for p in powers}
@@ -205,7 +215,7 @@ def theory_coefficient(kind: ErrorTermKind, power: int,
     mean-square constant (external cross-check, not derived from the
     diagonal machinery).  The circle and alternating variants have their
     own constants, which this module does not tabulate; pass an explicit
-    coefficient for those.  Cached: the series behind it cost ~0.4 s.
+    coefficient for those.  Cached: the series behind it cost ~0.1 s.
     """
     if kind is not ErrorTermKind.DELTA:
         raise RangeError("theoretical moment coefficients are tabulated for "

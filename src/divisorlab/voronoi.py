@@ -35,6 +35,8 @@ BLOCK_TERMS = 1 << 16
 # peak bytes per term: coefficients 16 plus one evaluate_block row 64
 # (tracemalloc, fresh process, N = 1e5 and 1e6, each kind)
 _SERIES_BYTES_PER_TERM = 80
+# peak bytes per sample of remainder_stats (tracemalloc, 4e5 and 1.6e6 samples)
+_BYTES_PER_SAMPLE = 32
 
 
 @dataclass(frozen=True)
@@ -152,6 +154,7 @@ def remainder_stats(kind: ErrorTermKind, truncation: int, X: float,
         raise ValueError(f"sample_count must be >= 100, got {sample_count}")
     if truncation > X:
         raise RangeError(f"need truncation N <= X (N={truncation}, X={X})")
+    check_memory(_BYTES_PER_SAMPLE * sample_count, f"{sample_count} remainder samples")
     series = build_series(kind, truncation, table)
     rng = np.random.default_rng(seed)
     xs = rng.uniform(X, 2 * X, size=sample_count)

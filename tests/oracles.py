@@ -282,3 +282,53 @@ def near_integer_count_by_sorting(K: int, alpha: float, beta: float,
     left = int(np.searchsorted(frac, d, side="left"))
     right = len(frac) - int(np.searchsorted(frac, 1 - d, side="right"))
     return left + right
+
+
+def diagonal_series_by_core(cutoffs) -> dict[int, tuple[float | None, float]]:
+    """(cubic, quartic) diagonal series at each cutoff by a loop over the
+    squarefree cores q in ascending order, one np.convolve per core, each
+    core's term added to a running longdouble total.
+
+    d(n) comes from its own strided sieve and squarefreeness from crossing
+    out multiples of p^2.  A core's terms depend on (q, amax) only, so each
+    pair is evaluated once for all cutoffs.  The cubic entry is None below 4.
+    """
+    LD = np.longdouble
+    top = max(cutoffs)
+    d = np.zeros(top + 1, dtype=np.int64)
+    for k in range(1, top + 1):
+        d[k::k] += 1
+    squarefree = np.ones(top // 4 + 1, dtype=bool)
+    for p in range(2, math.isqrt(top // 4) + 1):
+        squarefree[p * p::p * p] = False
+    memo = {}
+
+    def core_terms(q: int, amax: int) -> tuple:
+        if (q, amax) not in memo:
+            a = np.arange(1, amax + 1, dtype=np.int64)
+            w = d[a * a * q].astype(LD) * a.astype(LD) ** LD(-1.5)
+            g = np.convolve(w[:-1], w[:-1])        # g[t] = G(t + 2)
+            cubic = LD(q) ** LD(-2.25) * np.sum(w[1:] * g[:amax - 1])
+            conv = np.convolve(w, w)
+            w2 = w * w
+            tq, uq = np.sum(w2), np.sum(w2 * w2)
+            qf = LD(q) ** LD(-3)
+            memo[q, amax] = (cubic, qf * np.sum(conv * conv), qf * (2 * tq * tq - uq))
+        return memo[q, amax]
+
+    out = {}
+    for cutoff in cutoffs:
+        ns = np.arange(1, cutoff + 1, dtype=LD)
+        d_ld = d[1:cutoff + 1].astype(LD)
+        T = np.sum(d_ld * d_ld * ns ** LD(-1.5))
+        U = np.sum(d_ld ** 4 * ns ** LD(-3))
+        cubic = same_core = overlap = LD(0)
+        for q in range(1, cutoff // 4 + 1):
+            if squarefree[q]:
+                t3, t4, t_overlap = core_terms(q, math.isqrt(cutoff // q))
+                cubic += t3
+                same_core += t4
+                overlap += t_overlap
+        out[cutoff] = (float(cubic) if cutoff >= 4 else None,
+                       float(2 * T * T - U + same_core - overlap))
+    return out

@@ -1,9 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from divisorlab import cli, sieves
+from divisorlab import cli, sieves, voronoi
 from divisorlab.cli import main
 from divisorlab.error_terms import ErrorTermKind, error_term
 from divisorlab.moments import moment
@@ -276,6 +277,21 @@ def test_step_table_over_ceiling_is_compute_error(capsys, monkeypatch):
     # delta-star reads D(4x): 4e5 entries at 10 bytes each
     code, out, err = run(capsys, "moment", "--kind", "delta-star", "--power", "1",
                          "--to", "1e5")
+    assert code == 2
+    assert out == "" and err.startswith("compute error:") and "ceiling" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("moment", "--kind", "delta", "--power", "2", "--to", "100", "--order", "20000"),
+    ("voronoi", "--kind", "delta", "-N", "10", "--scale", "100", "--samples", "1e9"),
+], ids=["order", "samples"])
+def test_oversized_input_is_compute_error_before_allocating(capsys, monkeypatch, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("allocation reached past the memory ceiling")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", unreachable)
+    monkeypatch.setattr(voronoi, "build_series", unreachable)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("compute error:") and "ceiling" in err
 

@@ -11,8 +11,9 @@ from divisorlab.constants import (classical_mean_square_coefficient,
                                   divisor_majorant_constant,
                                   quartic_diagonal_series,
                                   quartic_moment_coefficient)
-from divisorlab.sieves import sieve_divisors, summatory_d
+from divisorlab.sieves import core_families, sieve_divisors, summatory_d
 from divisorlab.spacing import enumerate_exact_quadruples, enumerate_exact_triples
+from oracles import diagonal_series_by_core
 
 
 def test_cubic_hand_values():
@@ -50,6 +51,31 @@ def test_quartic_series_equals_sum_over_enumerated_quadruples():
     scale = (rows[:, 0] * rows[:, 1] * rows[:, 2] * rows[:, 3]).astype(float) ** -0.75
     total = float(np.sum(prod * scale))
     assert quartic_diagonal_series(cutoff).value == pytest.approx(total, rel=1e-12)
+
+
+def test_series_equal_per_core_convolution_loop_bit_for_bit():
+    # every cutoff to 1000 meets each small width and group edge; all cutoffs
+    # to 5000 would cost the library ~30 s, so beyond 1000 every 37th
+    cutoffs = [*range(1, 1001), *range(1001, 5001, 37), 5000, 10**5]
+    expected = diagonal_series_by_core(cutoffs)
+    table = sieve_divisors(10**5)
+    for cutoff in cutoffs:
+        cubic, quartic = expected[cutoff]
+        if cutoff >= 4:
+            assert cubic_diagonal_series(cutoff, table).value == cubic, cutoff
+        assert quartic_diagonal_series(cutoff, table).value == quartic, cutoff
+
+
+def test_core_groups_convolve_bit_for_bit():
+    cores, amaxes = core_families(10**5)
+    d = sieve_divisors(10**5).values
+    widths = 0
+    for group, W, conv in constants._core_groups(d, cores, amaxes):
+        widths += 1
+        assert W.shape == (group.stop - group.start, amaxes[group.start])
+        for w, row in zip(W, conv):
+            assert np.array_equal(row, np.convolve(w, w))
+    assert widths == 71
 
 
 def test_partial_sums_monotone():
@@ -128,9 +154,9 @@ def test_majorant_constant_is_safe():
 
 
 def test_quartic_series_memory_ceiling(monkeypatch):
-    # 82 bytes per unit of cutoff, checked before the table is sieved
+    # 66 bytes per unit of cutoff, checked before the table is sieved
     divisor_majorant_constant()   # its fixed scan table is cached first
-    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 82 * 1000)
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 66 * 1000)
     assert quartic_diagonal_series(1000).cutoff == 1000
 
     def unreachable(*args, **kwargs):

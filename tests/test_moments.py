@@ -7,6 +7,7 @@ from divisorlab.error_terms import ErrorTermKind
 from divisorlab.moments import (CHUNK_SEGMENTS, fit_coefficient, fit_main_term,
                                 main_exponent, moment, moment_profile,
                                 short_interval_ratio, theory_coefficient)
+from divisorlab.numerics import leggauss_01
 from divisorlab.sieves import sieve_divisors
 from oracles import piecewise_segments
 
@@ -196,6 +197,22 @@ def test_thread_count_does_not_change_bits(monkeypatch):
         assert profiles[0] == profiles[1] == profiles[2]
 
 
+@pytest.mark.parametrize("kind", list(ErrorTermKind))
+def test_block_size_does_not_change_bits(kind, monkeypatch):
+    step = moments._StepTable(kind, 16000)
+    nodes, weights = leggauss_01(8)
+    d = step.denom
+    # a chunk of 5000 segments, then a head and a tail piece of segment 999
+    parts = [(10**4, 10**4 + 5000, None), (999, 1000, ((999 + 0.3) / d, 1000 / d)),
+             (999, 1000, (999 / d, (999 + 0.6) / d))]
+    runs = []
+    for rows in (1, 7, 2048, 5000):    # 5000: the whole chunk in one block
+        monkeypatch.setattr(moments, "BLOCK_NODES", rows * len(nodes))
+        runs.append([moments._chunk_partials(step, *part, nodes, weights, powers)
+                     for part in parts for powers in ((3, 4), (4,), PINNED_POWERS)])
+    assert runs[0] == runs[1] == runs[2] == runs[3]
+
+
 def test_short_interval_additivity():
     table = sieve_divisors(2 * 10**6)
     X = 10**6
@@ -262,6 +279,14 @@ def test_segment_budget(monkeypatch):
             moment_profile(kind, (1,), [stop])
     with pytest.raises(errors.CapacityError):
         moment(DELTA, 2, (1, 10**4), table=table)
+
+
+def test_thread_memory_checked_before_threads_start(monkeypatch):
+    # 613 threads would each hold 4 MiB of chunk sums and a block
+    monkeypatch.setattr(moments, "sieve", _unreachable)
+    monkeypatch.setattr(moments, "ThreadPoolExecutor", _unreachable)
+    with pytest.raises(errors.CapacityError, match="613 integration threads"):
+        moment_profile(DELTA, PINNED_POWERS, [4e7], threads=10**6)
 
 
 def test_theory_coefficient_is_computed_once(monkeypatch):
