@@ -133,17 +133,15 @@ def _cmd_eval(args) -> None:
 
 def _cmd_voronoi(args) -> None:
     kind = ErrorTermKind(args.kind)
-    if args.scale is not None:
-        stats = voronoi.remainder_stats(kind, args.truncation, args.scale,
-                                        sample_count=args.samples, seed=args.seed)
-        doc = {"kind": kind.value, "X": stats.X, "N": stats.truncation,
-               "sample_count": stats.sample_count, "seed": stats.seed,
-               "rms": stats.rms, "sup": stats.sup}
-        _report(args, doc, [doc])
-    elif args.x is not None:
+    if args.x is not None:
         _report(args, voronoi.truncated(kind, args.truncation, args.x))
-    else:
-        raise _UsageError("voronoi needs either --x or --scale")
+        return
+    stats = voronoi.remainder_stats(kind, args.truncation, args.scale,
+                                    sample_count=args.samples, seed=args.seed)
+    doc = {"kind": kind.value, "X": stats.X, "N": stats.truncation,
+           "sample_count": stats.sample_count, "seed": stats.seed,
+           "rms": stats.rms, "sup": stats.sup}
+    _report(args, doc, [doc])
 
 
 def _moment_row(kind, power, X, integral, main, residual) -> dict:
@@ -152,15 +150,18 @@ def _moment_row(kind, power, X, integral, main, residual) -> dict:
             "main_term": main, "residual": residual}
 
 
+# moment, fit and short-interval resolve the theory coefficient first, so that
+# a kind, power or cutoff without one is rejected before any table is sieved
 def _cmd_moment(args) -> None:
     kind = ErrorTermKind(args.kind)
+    theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff) \
+        if kind is ErrorTermKind.DELTA and args.power in (2, 3, 4) else None
     table = _table_for(kind, args.to, args)
     res = moments.moment(kind, args.power, (getattr(args, "from"), args.to),
                          order=args.order, threads=args.threads, table=table)
     doc = asdict(res)
     main = residual = None
-    if kind is ErrorTermKind.DELTA and args.power in (2, 3, 4):
-        theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff)
+    if theory is not None:
         main = theory * args.to ** moments.main_exponent(args.power)
         residual = res.integral - main
         doc.update(main_term=main, residual=residual)
@@ -170,9 +171,8 @@ def _cmd_moment(args) -> None:
 
 def _cmd_fit(args) -> None:
     kind = ErrorTermKind(args.kind)
+    theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff)
     table = _table_for(kind, max(args.grid), args)
-    theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff) \
-        if args.power in (2, 3, 4) else None
     report = moments.fit_main_term(kind, args.power, args.grid, order=args.order,
                                    threads=args.threads, table=table,
                                    theory=theory)
@@ -185,10 +185,11 @@ def _cmd_fit(args) -> None:
 
 def _cmd_short_interval(args) -> None:
     kind = ErrorTermKind(args.kind)
+    coefficient = moments.theory_coefficient(kind, args.power)
     table = _table_for(kind, args.x + args.h, args)
     res = moments.short_interval_ratio(kind, args.power, args.x, args.h,
                                        order=args.order, threads=args.threads,
-                                       table=table)
+                                       table=table, coefficient=coefficient)
     _report(args, asdict(res))
 
 
@@ -260,9 +261,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("voronoi", help="truncated series value or remainder stats")
     p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("--truncation", "-N", type=_integer, required=True)
-    p.add_argument("--x", type=_number, default=None)
-    p.add_argument("--scale", type=_number, default=None,
-                   help="sample remainders on [scale, 2*scale]")
+    point = p.add_mutually_exclusive_group(required=True)
+    point.add_argument("--x", type=_number)
+    point.add_argument("--scale", type=_number,
+                       help="sample remainders on [scale, 2*scale]")
     p.add_argument("--samples", type=_integer, default=100)
     p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(func=_cmd_voronoi)
@@ -305,7 +307,7 @@ def build_parser() -> _Parser:
     p.add_argument("--root-k", type=_integer, default=2)
     p.add_argument("--alpha", type=_number, default=None)
     p.add_argument("--beta", type=_number, default=0.0)
-    p.add_argument("--exclude-exact", action="store_true", default=None)
+    p.add_argument("--exclude-exact", action="store_true")
     p.set_defaults(func=_cmd_spacing)
 
     p = sub.add_parser("constants", help="diagonal series / moment coefficients")

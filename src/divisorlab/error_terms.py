@@ -66,22 +66,24 @@ def smooth_main_term(kind: ErrorTermKind, x) -> np.longdouble:
     return xl * (np.log(xl) + (2 * EULER_GAMMA - 1))
 
 
-def error_term(kind: ErrorTermKind, x) -> float:
-    """Evaluate the requested error term at a single point x >= 1.
-
-    The step part is an exact integer (twice the step part for delta-star),
-    converted once to longdouble, which holds it exactly below 2^64.
+def step_part(kind: ErrorTermKind, count, ticks):
+    """The step part on [t/denom, (t+1)/denom) per tick t (an int or an int64
+    array) in longdouble, from count(t), the exact D(t) or R(t).  Delta-star
+    takes -D(x) + 2 D(2x) - D(4x)/2 at t = floor(4x) as an exact integer,
+    twice the step part, which longdouble holds exactly below 2^64.
     """
+    if kind is ErrorTermKind.DELTA_STAR:
+        return np.longdouble(-2 * count(ticks // 4) + 4 * count(ticks // 2)
+                             - count(ticks)) / 2
+    return np.longdouble(count(ticks))
+
+
+def error_term(kind: ErrorTermKind, x) -> float:
+    """Evaluate the requested error term at a single point x >= 1."""
     if x < 1:
         raise RangeError(f"error terms are defined for x >= 1, got {x}")
-    if kind is ErrorTermKind.DELTA:
-        step = np.longdouble(summatory_d(x))
-    elif kind is ErrorTermKind.CIRCLE:
-        step = np.longdouble(summatory_r(x))
-    else:
-        # delta-star: -D(x) + 2 D(2x) - D(4x)/2, with each floor taken exactly
-        doubled = -2 * summatory_d(x) + 4 * summatory_d(2 * x) - summatory_d(4 * x)
-        step = np.longdouble(doubled) / 2
+    count = summatory_r if kind is ErrorTermKind.CIRCLE else summatory_d
+    step = step_part(kind, count, math.floor(jump_denominator(kind) * x))
     return float(step - smooth_main_term(kind, np.longdouble(x)))
 
 

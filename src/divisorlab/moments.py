@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .error_terms import (ErrorTermKind, jump_denominator, smooth_main_term,
-                          step_table_need)
+                          step_part, step_table_need)
 from .errors import DegenerateFitError, RangeError
 from .numerics import KahanAccumulator, leggauss_01, loglog_slope
 # sieve_divisors and sieve_r stay bound: perfbench/tracing.py wraps them here
@@ -97,11 +97,7 @@ class _StepTable:
 
     def constants(self, ticks: np.ndarray) -> np.ndarray:
         """Step constants for segments [t/denom, (t+1)/denom), longdouble."""
-        if self.kind is ErrorTermKind.DELTA_STAR:
-            doubled = -2 * self.prefix[ticks // 4] + 4 * self.prefix[ticks // 2] \
-                - self.prefix[ticks]
-            return doubled.astype(np.longdouble) / 2
-        return self.prefix[ticks].astype(np.longdouble)
+        return step_part(self.kind, self.prefix.__getitem__, ticks)
 
 
 def _chunk_partials(step: _StepTable, m0: int, m1: int, span, nodes, weights,

@@ -63,7 +63,7 @@ class BoxSpec:
     root_k: int = 2            # the fixed root order of the four-root-kth form
     alpha: float | None = None
     beta: float = 0.0
-    exclude_exact: bool | None = None   # None -> form default
+    exclude_exact: bool = False   # four-root-plus always excludes: 0 < |...|
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -94,9 +94,7 @@ class BoxSpec:
             raise ValueError("three-root form requires Mp <= M")
 
     def excludes_exact(self) -> bool:
-        if self.exclude_exact is not None:
-            return self.exclude_exact
-        return self.form is SpacingForm.FOUR_ROOT_PLUS
+        return self.exclude_exact or self.form is SpacingForm.FOUR_ROOT_PLUS
 
 
 @dataclass(frozen=True)
@@ -121,37 +119,31 @@ class GapResult:
 # ---------------------------------------------------------------------------
 # exact square-root identities
 
-@dataclass(frozen=True)
-class ExactTriple:
-    """m = a^2 q, n = b^2 q, k = (a+b)^2 q: sqrt(m) + sqrt(n) = sqrt(k)."""
-    m: int
-    n: int
-    k: int
-    a: int
-    b: int
-    q: int
-
-    def components(self) -> tuple[int, int, int]:
-        return (self.m, self.n, self.k)
+# Peak memory of enumerate_exact_triples per row: the per-core rows, their
+# concatenation, the lexsort order and the sorted copy.  Measured 86-90 bytes
+# (tracemalloc, fresh process, limits 1e4-1e6).
+_TRIPLE_BYTES_PER_ROW = 90
 
 
-def enumerate_exact_triples(limit: int) -> list[ExactTriple]:
-    """All ordered triples with sqrt(m) + sqrt(n) = sqrt(k), components <= limit.
+def enumerate_exact_triples(limit: int) -> np.ndarray:
+    """All ordered triples (m, n, k), components <= limit, with
+    sqrt(m) + sqrt(n) = sqrt(k), as a lexicographically sorted (N, 3)
+    integer array.
 
-    Generated by squarefree core q and the pair (a, b); the third component
-    (a+b)^2 q is the largest, so the constraint is (a+b)^2 q <= limit.
+    Each is (a^2 q, b^2 q, (a+b)^2 q) for a squarefree core q and a, b >= 1
+    with a + b <= amax = isqrt(limit // q): amax(amax-1)/2 rows per core.
     """
-    if limit < 1:
-        return []
-    out: list[ExactTriple] = []
-    for q, smax in zip(*(c.tolist() for c in core_families(limit))):
-        for s in range(2, smax + 1):
-            k = s * s * q
-            for a in range(1, s):
-                b = s - a
-                out.append(ExactTriple(m=a * a * q, n=b * b * q, k=k, a=a, b=b, q=q))
-    out.sort(key=lambda t: t.components())
-    return out
+    cores, amaxes = core_families(limit)
+    check_memory(_TRIPLE_BYTES_PER_ROW * int(np.sum(amaxes * (amaxes - 1) // 2)),
+                 f"triples up to {limit}")
+    rows = [np.empty((0, 3), dtype=np.int64)]
+    for q, amax in zip(cores.tolist(), amaxes.tolist()):
+        a = np.arange(1, amax, dtype=np.int64)
+        i, j = np.nonzero(np.add.outer(a, a) <= amax)
+        rows.append(np.stack([a[i] ** 2 * q, a[j] ** 2 * q, (a[i] + a[j]) ** 2 * q],
+                             axis=1))
+    allrows = np.concatenate(rows, axis=0)
+    return allrows[np.lexsort(allrows.T[::-1])]
 
 
 # Peak memory of enumerate_exact_quadruples per pair (m, n) <= limit: the
@@ -405,23 +397,35 @@ def count_box(spec: BoxSpec) -> SpacingCount:
 # ---------------------------------------------------------------------------
 # minimal scaled gaps
 
-def _gap_candidates(fl: np.ndarray, limit: int) -> list[np.ndarray]:
-    """The only values of the solved variable that can minimise a scaled
-    gap around s^2 with floor(s^2) = fl: 1, fl - 1, fl, fl + 1 and limit,
-    clipped to [1, limit]."""
-    return [np.clip(c, 1, limit) for c in (np.ones_like(fl), fl - 1, fl, fl + 1,
-                                           np.full_like(fl, limit))]
+def _min_gap(step, limit: int):
+    """Smallest scaled gap over o = 1..limit and the solved variable v in
+    [1, limit], with (o, flat index, v) where it falls (zeros if none).
+
+    step(o) gives s^2 for the root sums s (0 where s <= 0), the v at which
+    each combination vanishes exactly (-1 for none) and scaled(v).  In v,
+    |s - sqrt v| * sqrt v rises on [1, s^2/4], falls to s^2 and rises beyond,
+    so only v = 1, floor(s^2) - 1, floor(s^2), floor(s^2) + 1 and limit,
+    clipped to [1, limit], can attain the minimum; the first strict minimum
+    in that order wins.
+    """
+    best, arg = LD(np.inf), (0, 0, 0)
+    for o in range(1, limit + 1):
+        s2, exact, scaled = step(o)
+        fl = np.floor(s2).astype(np.int64)
+        for v in (np.ones_like(fl), fl - 1, fl, fl + 1, np.full_like(fl, limit)):
+            v = np.clip(v, 1, limit)
+            gap = np.where(v != exact, scaled(v), LD(np.inf))
+            i = int(np.argmin(gap))
+            if gap.flat[i] < best:
+                best, arg = gap.flat[i], (o, i, int(v.flat[i]))
+    return best, arg
 
 
 def min_gap_three(limit: int) -> GapResult:
     """Minimum of |sqrt m + sqrt n - sqrt k| * sqrt(mnk) over m, n, k <= limit
     with a nonzero combination; reports a minimizing triple with m <= n.
 
-    For fixed (m, n) the scaled gap, as a function of k, increases on
-    [1, s^2/4], decreases on [s^2/4, s^2], and increases beyond s^2 (where
-    s = sqrt m + sqrt n), so only k in {1, floor(s^2) and neighbours, limit}
-    can attain the minimum; exact hits k = s^2 are excluded by the integer
-    core test.
+    The solved variable is k; an exact hit k = s^2 needs m and n of one core.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -429,33 +433,26 @@ def min_gap_three(limit: int) -> GapResult:
         raise BudgetError(f"pair volume {limit * limit} exceeds budget {WORK_BUDGET}")
     core, root = core_tables(limit)
     sqrt_tab = np.sqrt(np.arange(limit + 1).astype(LD))
-    best = LD(np.inf)
-    best_tuple = (0, 0, 0)
-    for m in range(1, limit + 1):
+
+    def step(m):
         n = np.arange(m, limit + 1, dtype=np.int64)
         s = sqrt_tab[m] + sqrt_tab[n]
-        s2 = s * s
-        fl = np.floor(s2).astype(np.int64)
-        exact_k = np.where(core[m] == core[n],
-                           (root[m] + root[n]) ** 2 * core[m], -1)
-        for k in _gap_candidates(fl, limit):
-            ok = k != exact_k
-            gap = np.abs(s - sqrt_tab[k]) * np.sqrt(
-                (m * n * k).astype(LD))
-            gap = np.where(ok, gap, LD(np.inf))
-            i = int(np.argmin(gap))
-            if gap[i] < best:
-                best = gap[i]
-                best_tuple = (m, int(n[i]), int(k[i]))
-    return GapResult(limit=limit, min_scaled_gap=float(best), argmin=best_tuple)
+        exact = np.where(core[m] == core[n], (root[m] + root[n]) ** 2 * core[m], -1)
+        return s * s, exact, lambda k: np.abs(s - sqrt_tab[k]) * np.sqrt(
+            (m * n * k).astype(LD))
+
+    best, (m, i, k) = _min_gap(step, limit)
+    return GapResult(limit=limit, min_scaled_gap=float(best), argmin=(m, m + i, k))
 
 
 def min_gap_four(limit: int, sign: int = 1) -> GapResult:
     """Minimum of |sqrt m + sqrt n + sign*sqrt k - sqrt l| * k^2 * sqrt(mnl)
     over m, n <= k <= limit, l <= limit, nonzero combinations only.
 
-    Same candidate argument as min_gap_three, now in l around
-    (sqrt m + sqrt n + sign*sqrt k)^2.
+    The solved variable is l.  By independence of square roots over distinct
+    cores each (m, n, k) has at most one exact l: (a_m + a_n + sign*a_k)^2 q
+    when all three share the core q, and for sign -1 also n when m = k and
+    m when n = k.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -465,43 +462,21 @@ def min_gap_four(limit: int, sign: int = 1) -> GapResult:
         raise BudgetError(f"triple volume {limit**3} exceeds budget {WORK_BUDGET}")
     core, root = core_tables(limit)
     sqrt_tab = np.sqrt(np.arange(limit + 1).astype(LD))
-    best = LD(np.inf)
-    best_tuple = (0, 0, 0, 0)
     mn = np.arange(1, limit + 1, dtype=np.int64)
-    for k in range(1, limit + 1):
-        m = mn[:k, None]
-        n = mn[None, :k]
+
+    def step(k):
+        m, n = mn[:k, None], mn[None, :k]
         s = sqrt_tab[1:k + 1][:, None] + sqrt_tab[1:k + 1][None, :] \
             + LD(sign) * sqrt_tab[k]
-        s2 = np.where(s > 0, s * s, LD(0))
-        fl = np.floor(s2).astype(np.int64)
-        for lv in _gap_candidates(fl, limit):
-            gap = np.abs(s - sqrt_tab[lv])
-            scaled = gap * LD(k) ** 2 * np.sqrt((m * n * lv).astype(LD))
-            nz = _nonzero_mask_four(core, root, m, n, k, lv, sign)
-            scaled = np.where(nz, scaled, LD(np.inf))
-            flat = int(np.argmin(scaled))
-            i, j = divmod(flat, scaled.shape[1])
-            if scaled[i, j] < best:
-                best = scaled[i, j]
-                best_tuple = (int(m[i, 0]), int(n[0, j]), k, int(lv[i, j]))
-    return GapResult(limit=limit, min_scaled_gap=float(best), argmin=best_tuple)
+        a = root[m] + root[n] + sign * root[k]
+        exact = np.where((core[m] == core[n]) & (core[m] == core[k]) & (a > 0),
+                         a * a * core[k], -1)
+        if sign < 0:
+            exact = np.where(m == k, n, np.where(n == k, m, exact))
+        k2 = LD(k) ** 2
+        return np.where(s > 0, s * s, LD(0)), exact, \
+            lambda lv: np.abs(s - sqrt_tab[lv]) * k2 * np.sqrt((m * n * lv).astype(LD))
 
-
-def _nonzero_mask_four(core, root, m, n, k, lv, sign) -> np.ndarray:
-    """True where sqrt m + sqrt n + sign*sqrt k - sqrt l != 0, by exact
-    integer core comparisons (vectorized over an (m, n) grid)."""
-    qm, rm = core[m], root[m]
-    qn, rn = core[n], root[n]
-    qk, rk = int(core[k]), int(root[k])
-    ql, rl = core[lv], root[lv]
-    if sign > 0:
-        # sqrt m + sqrt n + sqrt k = sqrt l forces one common core
-        zero = (qm == qn) & (qm == qk) & (qm == ql) & (rm + rn + rk == rl)
-        return ~zero
-    # sqrt m + sqrt n = sqrt k + sqrt l: common core with matching sums,
-    # or the two formal pairs coincide
-    zero_core = (qm == qn) & (qm == qk) & (qm == ql) & (rm + rn == rk + rl)
-    zero_pair = ((qm == qk) & (rm == rk) & (qn == ql) & (rn == rl)) \
-        | ((qm == ql) & (rm == rl) & (qn == qk) & (rn == rk))
-    return ~(zero_core | zero_pair)
+    best, (k, i, lv) = _min_gap(step, limit)
+    return GapResult(limit=limit, min_scaled_gap=float(best),
+                     argmin=(i // k + 1, i % k + 1, k, lv) if k else (0, 0, 0, 0))

@@ -88,30 +88,22 @@ def build_series(kind: ErrorTermKind, truncation: int,
                          amplitude=amplitude, phase=phase, frequency_scale=freq)
 
 
-def phases(series: VoronoiSeries, x, reduce_mod_2pi: bool = True) -> np.ndarray:
-    """f*sqrt(n*x) + phase for n = 1..N, in longdouble, optionally folded.
+def phases(series: VoronoiSeries, x) -> np.ndarray:
+    """f*sqrt(n*x) folded mod 2*pi, plus phase, for n = 1..N, in longdouble.
 
     A column of points (shape (B, 1)) gives one row of phases per point.
-    The unreduced variant exists so tests can confirm the folding step is
-    lossless; both run at the same extended precision.
     """
     ns = np.arange(1, series.truncation + 1, dtype=np.longdouble)
     t = np.longdouble(series.frequency_scale) * np.sqrt(ns * np.longdouble(x))
-    if reduce_mod_2pi:
-        t -= TWO_PI_LD * np.floor(t / TWO_PI_LD)
+    t -= TWO_PI_LD * np.floor(t / TWO_PI_LD)
     t += np.longdouble(series.phase)
     return t
 
 
-def evaluate_series(series: VoronoiSeries, x) -> float:
-    """Evaluate the truncated expansion at one point x >= 1."""
-    return float(evaluate_block(series, [x])[0])
-
-
 def truncated(kind: ErrorTermKind, truncation: int, x,
               table: DivisorTable | None = None) -> float:
-    """One-shot evaluation of the truncated expansion (builds coefficients)."""
-    return evaluate_series(build_series(kind, truncation, table), x)
+    """One-shot evaluation of the truncated expansion at one point x >= 1."""
+    return float(evaluate_block(build_series(kind, truncation, table), [x])[0])
 
 
 def evaluate_block(series: VoronoiSeries, xs) -> np.ndarray:

@@ -251,8 +251,9 @@ def test_a8_bound_shape_regression():
 
 def test_a9_exact_set_equivalence():
     limit = 2000
-    tri = {t.components() for t in spacing.enumerate_exact_triples(limit)}
-    tri_ok = tri == brute_exact_triples(limit)
+    # rows sorted and distinct, and as a set the oracle's
+    tri = list(map(tuple, spacing.enumerate_exact_triples(limit).tolist()))
+    tri_ok = tri == sorted(brute_exact_triples(limit))
     quads = spacing.enumerate_exact_quadruples(limit)
     brute = brute_exact_quadruples(limit)
     quad_ok = quads.shape == brute.shape and bool((quads == brute).all())

@@ -90,6 +90,15 @@ def test_voronoi_value(capsys):
     assert abs(float(out.strip()) - 0.08194208036257869) < 1e-12
 
 
+@pytest.mark.parametrize("flags", [("--x", "100", "--scale", "100"), ()],
+                         ids=["both", "neither"])
+def test_voronoi_needs_exactly_one_of_x_and_scale(capsys, flags):
+    code, out, err = run(capsys, "voronoi", "--kind", "delta", "-N", "10", *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and "--x" in err and "--scale" in err
+    assert "usage: divisorlab" in err
+
+
 def test_voronoi_remainder_csv(capsys):
     code, out, _ = run(capsys, "voronoi", "--kind", "delta", "--truncation",
                        "32", "--scale", "1000", "--seed", "42")
@@ -279,6 +288,32 @@ def test_step_table_over_ceiling_is_compute_error(capsys, monkeypatch):
                          "--to", "1e5")
     assert code == 2
     assert out == "" and err.startswith("compute error:") and "ceiling" in err
+
+
+_NO_THEORY = ("theoretical moment coefficients are tabulated for the divisor "
+              "error term only; supply one explicitly")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("short-interval", "--kind", "delta-star", "--power", "4", "--x", "1e7",
+      "--h", "1e7"), _NO_THEORY),
+    (("fit", "--kind", "circle", "--power", "3", "--grid", "1e5,1e6,1e7,2e7"),
+     _NO_THEORY),
+    (("moment", "--kind", "delta", "--power", "3", "--to", "1e7", "--cutoff", "3"),
+     "cutoff must be >= 4, got 3"),
+], ids=["short-interval-kind", "fit-kind", "moment-cutoff"])
+def test_theory_coefficient_checked_before_sieving(capsys, monkeypatch, tmp_path,
+                                                   argv, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a table was sieved before the coefficient was checked")
+
+    monkeypatch.setattr(cli, "sieve", unreachable)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    code, out, err = run(capsys, "--cache-dir", str(cache), *argv)
+    assert code == 2 and out == ""
+    assert err == f"compute error: {message}\n"
+    assert list(cache.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

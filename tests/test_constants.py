@@ -36,9 +36,8 @@ def test_cubic_series_equals_sum_over_enumerated_triples():
     cutoff = 300
     table = sieve_divisors(cutoff)
     total = 0.0
-    for t in enumerate_exact_triples(cutoff):
-        total += (table.value(t.m) * table.value(t.n) * table.value(t.k)
-                  * (t.m * t.n * t.k) ** -0.75)
+    for m, n, k in enumerate_exact_triples(cutoff).tolist():
+        total += table.value(m) * table.value(n) * table.value(k) * (m * n * k) ** -0.75
     assert cubic_diagonal_series(cutoff).value == pytest.approx(total, rel=1e-12)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -63,23 +64,28 @@ def test_core_families_are_the_squarefree_cores_up_to_a_quarter():
 
 
 def test_exact_triples_small_limits():
-    assert [t.components() for t in enumerate_exact_triples(4)] == [(1, 1, 4)]
-    comps8 = [t.components() for t in enumerate_exact_triples(8)]
-    assert (2, 2, 8) in comps8 and (1, 1, 4) in comps8 and len(comps8) == 2
-    comps9 = {t.components() for t in enumerate_exact_triples(9)}
-    assert (1, 4, 9) in comps9 and (4, 1, 9) in comps9
+    for limit in (-1, 0, 1, 3):
+        rows = enumerate_exact_triples(limit)
+        assert rows.shape == (0, 3) and rows.dtype == np.int64
+    assert enumerate_exact_triples(4).tolist() == [[1, 1, 4]]
+    assert enumerate_exact_triples(8).tolist() == [[1, 1, 4], [2, 2, 8]]
+    rows9 = enumerate_exact_triples(9).tolist()
+    assert [1, 4, 9] in rows9 and [4, 1, 9] in rows9
 
 
 def test_exact_triples_parametrization_is_exact():
-    for t in enumerate_exact_triples(500):
-        assert t.m == t.a * t.a * t.q
-        assert t.n == t.b * t.b * t.q
-        assert t.k == (t.a + t.b) ** 2 * t.q
+    # every row is (a^2 q, b^2 q, (a+b)^2 q): one core, roots a + b = a+b
+    core, root = core_tables(500)
+    m, n, k = enumerate_exact_triples(500).T
+    assert (core[m] == core[k]).all() and (core[n] == core[k]).all()
+    assert (root[m] + root[n] == root[k]).all()
 
 
 def test_exact_triples_vs_brute_force():
-    got = {t.components() for t in enumerate_exact_triples(300)}
-    assert got == brute_exact_triples(300)
+    # rows sorted and distinct, and as a set the oracle's
+    rows = enumerate_exact_triples(300)
+    assert rows.dtype == np.int64
+    assert list(map(tuple, rows.tolist())) == sorted(brute_exact_triples(300))
 
 
 def test_exact_quadruples_examples():
@@ -214,6 +220,10 @@ def test_exclude_exact_counts_near_misses_only():
                                 exclude_exact=True))
     assert with_exact.count >= with_exact.exact_zero_count
     assert without.count == with_exact.count - with_exact.exact_zero_count
+    # four-root-plus excludes whatever the flag says: its inequality is 0 < |...|
+    assert not base.excludes_exact() and without.spec.excludes_exact()
+    assert BoxSpec(form=SpacingForm.FOUR_ROOT_PLUS, M=8, Mp=8, K=8, L=8,
+                   delta=0.1).excludes_exact()
 
 
 def test_three_root_zero_detection():
@@ -342,6 +352,40 @@ def test_min_gap_four_vs_brute_force():
         assert got.min_scaled_gap == pytest.approx(want, rel=1e-10)
 
 
+# float.hex of the minimal scaled gap and its argmin, recorded before the two
+# gap searches shared one candidate search.  Each entry holds from its limit
+# up to the next entry's.
+GAP_RUNS = {
+    "three": {1: ("0x1.0000000000000p+0", (1, 1, 1)),
+              2: ("0x1.a827999fcef32p-1", (1, 1, 2)),
+              3: ("0x1.db3d742c26554p-2", (1, 1, 3)),
+              6: ("0x1.f488462648bc8p-4", (1, 2, 6))},
+    +1: {1: ("0x1.0000000000000p+1", (1, 1, 1, 1)),
+         5: ("0x1.b54cda58fbbefp+0", (1, 1, 1, 5)),
+         6: ("0x1.593547836c717p+0", (1, 1, 1, 6)),
+         7: ("0x1.dfdfbf5e3aaf5p-1", (1, 1, 1, 7)),
+         8: ("0x1.f0ed99bed9b2ep-2", (1, 1, 1, 8)),
+         14: ("0x1.4b43c7ff20eb6p-2", (1, 1, 3, 14))},
+    -1: {1: ("inf", (0, 0, 0, 0)),
+         2: ("0x1.2bec333018867p-1", (1, 1, 1, 2))},
+}
+
+
+def test_min_gaps_pinned_bit_for_bit():
+    def pinned(runs, limit):
+        return runs[max(start for start in runs if start <= limit)]
+
+    for limit in range(1, 81):
+        res = min_gap_three(limit)
+        got = (float.hex(res.min_scaled_gap), res.argmin)
+        assert got == pinned(GAP_RUNS["three"], limit), limit
+    for sign in (1, -1):
+        for limit in range(1, 31):
+            res = min_gap_four(limit, sign)
+            got = (float.hex(res.min_scaled_gap), res.argmin)
+            assert got == pinned(GAP_RUNS[sign], limit), (limit, sign)
+
+
 def test_min_gap_four_dual_precision_stability():
     res = min_gap_four(60, sign=-1)
     m, n, k, l = res.argmin
@@ -417,6 +461,27 @@ def test_box_memory_ceiling(monkeypatch):
             (SpacingForm.FOUR_ROOT_KTH, dict(M=100))]:
         with pytest.raises(errors.CapacityError):
             count_box(BoxSpec(form=form, delta=0.1, **box))
+
+
+def test_triple_memory_ceiling(monkeypatch):
+    # 90 bytes per row, amax(amax-1)/2 rows per core family, checked before
+    # any row is built
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 90 * 3748)
+    assert len(enumerate_exact_triples(2000)) == 3748
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 90 * 3748 - 1)
+    with pytest.raises(errors.CapacityError):
+        enumerate_exact_triples(2000)
+    # 3,770,060 rows up to 1e6 would take 339 MB; only the core families
+    # (about 6 MB) may be allocated
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 2 * 10**7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.CapacityError):
+            enumerate_exact_triples(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**7
 
 
 def test_form_parse():

@@ -6,8 +6,8 @@ import pytest
 from divisorlab import errors, sieves, voronoi
 from divisorlab.error_terms import ErrorTermKind, error_term
 from divisorlab.sieves import sieve_divisors
-from divisorlab.voronoi import (build_series, evaluate_block, evaluate_series,
-                                phases, remainder_stats, truncated)
+from divisorlab.voronoi import (build_series, evaluate_block, phases,
+                                remainder_stats, truncated)
 
 
 def test_two_term_delta_example():
@@ -56,16 +56,19 @@ def test_truncation_additivity():
     tail_only = float(
         np.longdouble(large.amplitude) * np.longdouble(x) ** np.longdouble(0.25)
         * np.sum(large.coefficients[40:] * np.cos(phases(large, x)[40:])))
-    diff = evaluate_series(large, x) - evaluate_series(small, x)
+    diff = evaluate_block(large, [x])[0] - evaluate_block(small, [x])[0]
     assert diff == pytest.approx(tail_only, abs=1e-11)
 
 
 def test_phase_reduction_lossless():
-    # reduced vs unreduced phases agree to 1e-9 even with n*x near 1e12
+    # folded phases and the unfolded f*sqrt(n*x) + phase, both in longdouble,
+    # agree to 1e-9 under the cosine even with n*x near 1e12
     series = build_series(ErrorTermKind.DELTA, 10**4)
     x = 9.7e7  # n*x up to ~1e12
-    reduced = np.cos(phases(series, x, reduce_mod_2pi=True))
-    direct = np.cos(phases(series, x, reduce_mod_2pi=False))
+    ns = np.arange(1, series.truncation + 1, dtype=np.longdouble)
+    reduced = np.cos(phases(series, x))
+    direct = np.cos(np.longdouble(series.frequency_scale) * np.sqrt(ns * np.longdouble(x))
+                    + np.longdouble(series.phase))
     assert float(np.max(np.abs(reduced - direct))) < 1e-9
 
 
@@ -74,7 +77,7 @@ def test_block_evaluation_matches_pointwise(monkeypatch):
     xs = np.linspace(500, 2500, 37)
     monkeypatch.setattr(voronoi, "BLOCK_TERMS", 8 * 300)   # 8 points per block
     blocked = evaluate_block(series, xs)
-    pointwise = np.array([evaluate_series(series, float(x)) for x in xs])
+    pointwise = np.array([evaluate_block(series, [float(x)])[0] for x in xs])
     assert np.array_equal(blocked, pointwise)
 
 
