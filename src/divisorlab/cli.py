@@ -23,7 +23,7 @@ from pathlib import Path
 from . import constants as constants_mod
 from . import moments, spacing, voronoi
 from .error_terms import ErrorTermKind, error_term, step_table_need
-from .errors import DivisorLabError, TableFormatError, TableKindMismatch
+from .errors import DivisorLabError, RangeError, TableFormatError, TableKindMismatch
 from .numerics import render_json
 # sieve_divisors and sieve_r stay bound: perfbench/tracing.py wraps them here
 from .sieves import (TableKind, load_table, save_table, sieve,  # noqa: F401
@@ -150,12 +150,14 @@ def _moment_row(kind, power, X, integral, main, residual) -> dict:
             "main_term": main, "residual": residual}
 
 
-# moment, fit and short-interval resolve the theory coefficient first, so that
-# a kind, power or cutoff without one is rejected before any table is sieved
+# moment, fit and short-interval resolve the theory coefficient and check their
+# other inputs first, so that no input they reject has a table sieved for it
 def _cmd_moment(args) -> None:
     kind = ErrorTermKind(args.kind)
-    theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff) \
-        if kind is ErrorTermKind.DELTA and args.power in (2, 3, 4) else None
+    try:
+        theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff)
+    except RangeError:    # no main term for this kind and power
+        theory = None
     table = _table_for(kind, args.to, args)
     res = moments.moment(kind, args.power, (getattr(args, "from"), args.to),
                          order=args.order, threads=args.threads, table=table)
@@ -172,6 +174,7 @@ def _cmd_moment(args) -> None:
 def _cmd_fit(args) -> None:
     kind = ErrorTermKind(args.kind)
     theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff)
+    moments.check_fit(args.power, args.grid)
     table = _table_for(kind, max(args.grid), args)
     report = moments.fit_main_term(kind, args.power, args.grid, order=args.order,
                                    threads=args.threads, table=table,
@@ -186,6 +189,7 @@ def _cmd_fit(args) -> None:
 def _cmd_short_interval(args) -> None:
     kind = ErrorTermKind(args.kind)
     coefficient = moments.theory_coefficient(kind, args.power)
+    moments.check_short_interval(args.power, args.x, args.h)
     table = _table_for(kind, args.x + args.h, args)
     res = moments.short_interval_ratio(kind, args.power, args.x, args.h,
                                        order=args.order, threads=args.threads,

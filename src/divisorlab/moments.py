@@ -226,6 +226,14 @@ def theory_coefficient(kind: ErrorTermKind, power: int,
     raise RangeError(f"no theoretical main-term coefficient for power {power}")
 
 
+def check_short_interval(power: int, X: float, H: float) -> None:
+    """Reject a short-interval power other than 3 and 4, or H outside [1, X]."""
+    if power not in (3, 4):
+        raise RangeError("short-interval ratios are defined for powers 3 and 4")
+    if not 1 <= H <= X:
+        raise RangeError(f"need 1 <= H <= X, got H={H}, X={X}")
+
+
 def short_interval_ratio(kind: ErrorTermKind, power: int, X: float, H: float,
                          order: int = 8, threads: int = 1,
                          table: DivisorTable | None = None,
@@ -236,10 +244,7 @@ def short_interval_ratio(kind: ErrorTermKind, power: int, X: float, H: float,
     the ratio is expected to approach 1: H in [X^(7/12), X] for the cube and
     [X^(2/3), X] for the fourth power.
     """
-    if power not in (3, 4):
-        raise RangeError("short-interval ratios are defined for powers 3 and 4")
-    if not 1 <= H <= X:
-        raise RangeError(f"need 1 <= H <= X, got H={H}, X={X}")
+    check_short_interval(power, X, H)
     if coefficient is None:
         coefficient = theory_coefficient(kind, power)
     res = moment(kind, power, (X, X + H), order=order, threads=threads, table=table)
@@ -260,6 +265,15 @@ def fit_coefficient(Xs, integrals, exponent: float) -> float:
     return float(np.dot(xs, ys) / np.dot(xs, xs))
 
 
+def check_fit(power: int, Xs: list[float]) -> None:
+    """Reject fewer than 4 or not strictly ascending grid points, or a bad power."""
+    if len(Xs) < 4:
+        raise DegenerateFitError(f"need at least 4 grid points, got {len(Xs)}")
+    if any(b <= a for a, b in zip(Xs, Xs[1:])):
+        raise ValueError("X grid must be strictly ascending")
+    _check_power(power)
+
+
 def fit_main_term(kind: ErrorTermKind, power: int, X_grid, order: int = 8,
                   threads: int = 1, table: DivisorTable | None = None,
                   theory: float | None = None) -> FitReport:
@@ -270,11 +284,7 @@ def fit_main_term(kind: ErrorTermKind, power: int, X_grid, order: int = 8,
     coefficient itself is the single-power least-squares value.
     """
     Xs = [float(x) for x in X_grid]
-    if len(Xs) < 4:
-        raise DegenerateFitError(f"need at least 4 grid points, got {len(Xs)}")
-    if any(b <= a for a, b in zip(Xs, Xs[1:])):
-        raise ValueError("X grid must be strictly ascending")
-    _check_power(power)
+    check_fit(power, Xs)
     if theory is None:
         theory = theory_coefficient(kind, power)
     profile = moment_profile(kind, (power,), Xs, order=order, threads=threads,

@@ -147,9 +147,9 @@ def enumerate_exact_triples(limit: int) -> np.ndarray:
 
 
 # Peak memory of enumerate_exact_quadruples per pair (m, n) <= limit: the
-# pair meshgrid, the trivial-pairing rows, their concatenation and the
-# sorted copy.  Measured 236-240 bytes (fresh process, limits 300-2000).
-_QUADRUPLE_BYTES_PER_PAIR = 240
+# signature keys, their stable order, the join indices and the rows.
+# Measured 138-139 bytes (tracemalloc, fresh process, limits 300-2000).
+_QUADRUPLE_BYTES_PER_PAIR = 140
 
 
 def enumerate_exact_quadruples(limit: int) -> np.ndarray:
@@ -157,50 +157,37 @@ def enumerate_exact_quadruples(limit: int) -> np.ndarray:
     sqrt(m) + sqrt(n) = sqrt(k) + sqrt(l), as a lexicographically sorted
     (N, 4) integer array.
 
-    By independence of square roots of distinct squarefree numbers the
-    solution set is the union of three disjoint families: common-core
-    tuples (a^2 q, b^2 q, c^2 q, d^2 q) with a+b = c+d and q <= limit//4
-    (this includes their trivial pairings), the singletons (q, q, q, q)
-    for squarefree q > limit//4, and the trivial pairings {k, l} = {m, n}
-    over pairs with distinct cores.
+    By independence of square roots of distinct squarefree numbers,
+    sqrt(m) + sqrt(n) is fixed by a signature: (q, a + b) when m = a^2 q and
+    n = b^2 q share the core q, and the set {m, n} otherwise.  The rows are
+    the self-join of all pairs on that signature: each pair, in lexicographic
+    order, joined with every pair of its signature, also in that order, so
+    they come out sorted.
     """
-    if limit < 1:
-        return np.empty((0, 4), dtype=np.int64)
-    check_memory(_QUADRUPLE_BYTES_PER_PAIR * limit * limit, f"quadruples up to {limit}")
-    rows: list[np.ndarray] = []
-    for q, amax in zip(*(c.tolist() for c in core_families(limit))):
-        comp = np.arange(1, amax + 1, dtype=np.int64) ** 2 * q
-        for s in range(2, 2 * amax + 1):
-            a = np.arange(max(1, s - amax), min(amax, s - 1) + 1, dtype=np.int64)
-            pairs_m = comp[a - 1]
-            pairs_n = comp[s - a - 1]
-            na = len(a)
-            mm = np.repeat(pairs_m, na)
-            nn = np.repeat(pairs_n, na)
-            kk = np.tile(pairs_m, na)
-            ll = np.tile(pairs_n, na)
-            rows.append(np.stack([mm, nn, kk, ll], axis=1))
-
-    core, root = core_tables(limit)
-    singles = np.flatnonzero(root[limit // 4 + 1:] == 1) + limit // 4 + 1
-    rows.append(np.stack([singles] * 4, axis=1))
-
-    m = np.arange(1, limit + 1, dtype=np.int64)
-    mg, ng = np.meshgrid(m, m, indexing="ij")
-    diff = core[mg] != core[ng]
-    mg, ng = mg[diff], ng[diff]
-    rows.append(np.stack([mg, ng, mg, ng], axis=1))
-    rows.append(np.stack([mg, ng, ng, mg], axis=1))
-
-    allrows = np.concatenate(rows, axis=0)
-    return allrows[np.lexsort(allrows.T[::-1])]
-
-
-def _same_core_pairs(c1: np.ndarray, c2: np.ndarray) -> int:
-    """Number of pairs (i, j) with c1[i] == c2[j]."""
-    b1 = np.bincount(c1)
-    b2 = np.bincount(c2, minlength=len(b1))[:len(b1)]
-    return int(np.dot(b1, b2))
+    side = max(limit, 0)
+    check_memory(_QUADRUPLE_BYTES_PER_PAIR * side * side, f"quadruples up to {limit}")
+    core, root = core_tables(side)
+    # pair p is (m, n) = (p // side + 1, p % side + 1)
+    m, n = (np.indices((side, side), dtype=np.int64) + 1).reshape(2, -1)
+    q = core[m]
+    # common-core signatures are positive, {m, n} ones negative
+    key = np.where(q == core[n], q * (2 * math.isqrt(side) + 1) + root[m] + root[n],
+                   -(np.minimum(m, n) * (side + 1) + np.maximum(m, n)))
+    order = np.argsort(key, kind="stable")
+    start, size = np.unique(key[order], return_index=True, return_counts=True)[1:]
+    del m, n, q, key
+    # each pair's group, by its first position in ``order`` and its size
+    first, count = np.empty_like(order), np.empty_like(order)
+    first[order], count[order] = np.repeat(start, size), np.repeat(size, size)
+    # pair p has count[p] rows, and its j-th row joins order[first[p] + j]
+    pair = np.repeat(np.arange(order.size), count)
+    joined = order[np.repeat(first - np.cumsum(count) + count, count) + np.arange(pair.size)]
+    del first, count, order
+    rows = np.empty((pair.size, 4), dtype=np.int64)
+    rows[:, 0], rows[:, 1] = np.divmod(pair, side)
+    rows[:, 2], rows[:, 3] = np.divmod(joined, side)
+    rows += 1
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +238,6 @@ def _sqrt_box(R: int) -> np.ndarray:
     return np.sqrt(np.arange(R + 1, 2 * R + 1, dtype=np.int64).astype(LD))
 
 
-def _interval_overlap(r1: int, r2: int) -> int:
-    """|(r1, 2r1] intersect (r2, 2r2]| for dyadic integer boxes."""
-    lo = max(r1, r2)
-    hi = min(2 * r1, 2 * r2)
-    return max(0, hi - lo)
-
-
 def _count_near_integer(spec: BoxSpec) -> int:
     k = np.arange(spec.K + 1, 2 * spec.K + 1, dtype=np.int64)
     t = LD(spec.beta) + LD(spec.alpha) * np.sqrt(k.astype(LD))
@@ -279,9 +259,10 @@ def _equal_sums(left: list[np.ndarray], right: list[np.ndarray]) -> int:
 
 
 def _zero_count_four(boxes: tuple[int, int, int, int], n_left: int,
-                     r: int = 2) -> int:
+                     r: int = 2) -> tuple[int, int]:
     """Number of tuples in the dyadic boxes whose first n_left r-th roots
-    sum exactly to the sum of the others.
+    sum exactly to the sum of the others, and (two roots a side) the number
+    of trivial pairings among them.
 
     Write each n = a^r q with q r-power-free.  Roots over distinct kernels
     are linearly independent, so either all four kernels coincide and the
@@ -298,19 +279,18 @@ def _zero_count_four(boxes: tuple[int, int, int, int], n_left: int,
                             [p[q] for p in by_core[n_left:]])
                 for q in set.intersection(*map(set, by_core)))
     if n_left != 2:
-        return total
+        return total, 0
+    # the trivial pairings (k, l) = (m, n) and (k, l) = (n, m): m and n range
+    # over two box intersections, and on distinct cores they are all the zeros
     R1, R2, R3, R4 = boxes
-
-    def distinct_core_pairs(r_m: int, r_n: int) -> int:
-        lo1, hi1 = max(R1, r_m), min(2 * R1, 2 * r_m)
-        lo2, hi2 = max(R2, r_n), min(2 * R2, 2 * r_n)
-        if hi1 <= lo1 or hi2 <= lo2:
-            return 0
-        c1 = core[lo1 + 1:hi1 + 1]
-        c2 = core[lo2 + 1:hi2 + 1]
-        return len(c1) * len(c2) - _same_core_pairs(c1, c2)
-
-    return total + distinct_core_pairs(R3, R4) + distinct_core_pairs(R4, R3)
+    pairings = 0
+    for r_k, r_l in ((R3, R4), (R4, R3)):
+        c1 = core[max(R1, r_k) + 1:min(2 * R1, 2 * r_k) + 1]
+        c2 = core[max(R2, r_l) + 1:min(2 * R2, 2 * r_l) + 1]
+        pairings += len(c1) * len(c2)
+        total += len(c1) * len(c2) - _equal_sums([c1], [c2])
+    # m = n = k = l is both pairings
+    return total, pairings - max(0, min(2 * R for R in boxes) - max(boxes))
 
 
 # ---------------------------------------------------------------------------
@@ -361,27 +341,23 @@ def count_box(spec: BoxSpec) -> SpacingCount:
         b = np.arange(M + 1, 2 * M + 1, dtype=np.int64).astype(LD) ** inv
         count = _count_solved((b, b[:, None], -b[None, :]), delta * LD(M) ** inv,
                               M + 1, 2 * M, spec.root_k, strict=True)
-        zeros = _zero_count_four((M, M, M, M), 2, spec.root_k)
+        zeros, _ = _zero_count_four((M, M, M, M), 2, spec.root_k)
     elif form is SpacingForm.THREE_ROOT:
         count = _count_solved((_sqrt_box(M), _sqrt_box(Mp)), delta * np.sqrt(LD(M)),
                               1, np.inf, 2, strict=False)
         # k is unconstrained and exact hits always satisfy the inequality, so
         # the zero count is the number of same-core pairs (m, n)
         core, _ = core_tables(2 * max(M, Mp))
-        zeros = _same_core_pairs(core[M + 1:2 * M + 1], core[Mp + 1:2 * Mp + 1])
+        zeros = _equal_sums([core[M + 1:2 * M + 1]], [core[Mp + 1:2 * Mp + 1]])
     else:
         if form is SpacingForm.FOUR_ROOT_MINUS:
             last, inner, n_left = -_sqrt_box(L), K, 2
-            # trivial pairings (k,l) = (m,n) or (n,m); both demand box membership
-            trivial = (_interval_overlap(M, K) * _interval_overlap(Mp, L)
-                       + _interval_overlap(M, L) * _interval_overlap(Mp, K)
-                       - max(0, min(2 * M, 2 * Mp, 2 * K, 2 * L) - max(M, Mp, K, L)))
         else:
             last, inner, n_left = _sqrt_box(K), L, 3
         count = _count_solved((_sqrt_box(M), _sqrt_box(Mp)[:, None], last[None, :]),
                               delta * np.sqrt(LD(K)), inner + 1, 2 * inner, 2,
                               strict=False)
-        zeros = _zero_count_four((M, Mp, K, L), n_left)
+        zeros, trivial = _zero_count_four((M, Mp, K, L), n_left)
     if spec.excludes_exact():
         if zeros is None:
             raise ValueError(f"exact-zero exclusion unsupported for {form.value}")

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .error_terms import ErrorTermKind, error_term
-from .errors import RangeError
+from .error_terms import ErrorTermKind, error_term, jump_denominator
+from .errors import BudgetError, RangeError
 from .numerics import PI_LD, TWO_PI_LD
 # sieve_divisors and sieve_r stay bound: perfbench/tracing.py wraps them here
 from .sieves import (DivisorTable, TableKind, check_memory, sieve,  # noqa: F401
@@ -37,6 +37,11 @@ BLOCK_TERMS = 1 << 16
 _SERIES_BYTES_PER_TERM = 80
 # peak bytes per sample of remainder_stats (tracemalloc, 4e5 and 1.6e6 samples)
 _BYTES_PER_SAMPLE = 32
+# the most summatory steps remainder_stats may take, about a minute: a sample
+# is one error_term call, sqrt(jump denominator * 2X) steps of 9-18 ns plus
+# 18-45 us, about _SAMPLE_STEPS steps (2 vCPU, each kind, X from 2 to 1e12)
+WORK_BUDGET = 4 * 10**9
+_SAMPLE_STEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -147,6 +152,9 @@ def remainder_stats(kind: ErrorTermKind, truncation: int, X: float,
     if truncation > X:
         raise RangeError(f"need truncation N <= X (N={truncation}, X={X})")
     check_memory(_BYTES_PER_SAMPLE * sample_count, f"{sample_count} remainder samples")
+    work = sample_count * ((jump_denominator(kind) * 2 * X) ** 0.5 + _SAMPLE_STEPS)
+    if work > WORK_BUDGET:
+        raise BudgetError(f"remainder work {work:.3g} exceeds budget {WORK_BUDGET}")
     series = build_series(kind, truncation, table)
     rng = np.random.default_rng(seed)
     xs = rng.uniform(X, 2 * X, size=sample_count)

@@ -301,11 +301,18 @@ _NO_THEORY = ("theoretical moment coefficients are tabulated for the divisor "
      _NO_THEORY),
     (("moment", "--kind", "delta", "--power", "3", "--to", "1e7", "--cutoff", "3"),
      "cutoff must be >= 4, got 3"),
-], ids=["short-interval-kind", "fit-kind", "moment-cutoff"])
-def test_theory_coefficient_checked_before_sieving(capsys, monkeypatch, tmp_path,
-                                                   argv, message):
+    (("short-interval", "--kind", "delta", "--power", "2", "--x", "100", "--h", "50"),
+     "short-interval ratios are defined for powers 3 and 4"),
+    (("short-interval", "--kind", "delta", "--power", "4", "--x", "100", "--h", "500"),
+     "need 1 <= H <= X, got H=500.0, X=100.0"),
+    (("fit", "--kind", "delta", "--power", "4", "--grid", "1e4,1e3,1e5,2e4"),
+     "X grid must be strictly ascending"),
+], ids=["short-interval-kind", "fit-kind", "moment-cutoff", "short-interval-power",
+        "short-interval-h", "fit-grid"])
+def test_rejected_before_any_table_is_sieved(capsys, monkeypatch, tmp_path, argv,
+                                             message):
     def unreachable(*args, **kwargs):
-        raise AssertionError("a table was sieved before the coefficient was checked")
+        raise AssertionError("a table was sieved for an input that is rejected")
 
     monkeypatch.setattr(cli, "sieve", unreachable)
     cache = tmp_path / "cache"

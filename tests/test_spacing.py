@@ -96,10 +96,12 @@ def test_exact_quadruples_examples():
 
 
 def test_exact_quadruples_vs_brute_force():
-    got = enumerate_exact_quadruples(60)
-    want = brute_exact_quadruples(60)
-    assert got.shape == want.shape
-    assert (got == want).all()
+    # the empty case, singles only up to 3, the first common-core family at 4
+    for limit in [*range(9), 60]:
+        got = enumerate_exact_quadruples(limit)
+        want = brute_exact_quadruples(limit)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert (got == want).all()
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +440,7 @@ def test_budget_errors(monkeypatch):
         min_gap_three(10**6)
     with pytest.raises(errors.BudgetError):
         min_gap_four(10**5)
-    # a memory ceiling, not a work budget: 240 bytes per pair
+    # a memory ceiling, not a work budget: 140 bytes per pair
     with pytest.raises(errors.CapacityError):
         enumerate_exact_quadruples(10**5)
 
@@ -482,6 +484,25 @@ def test_triple_memory_ceiling(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 10**7
+
+
+def test_quadruple_memory_ceiling(monkeypatch):
+    # 140 bytes per pair (m, n) <= limit, checked before any pair is listed
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 140 * 60 * 60)
+    assert len(enumerate_exact_quadruples(60)) == 7344
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 140 * 60 * 60 - 1)
+    with pytest.raises(errors.CapacityError):
+        enumerate_exact_quadruples(60)
+    # 1e8 pairs up to 1e4 would take 14 GB; only the core table may be built
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.CapacityError):
+            enumerate_exact_quadruples(10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_form_parse():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from divisorlab import errors, sieves, voronoi
+from divisorlab import cli, errors, sieves, voronoi
 from divisorlab.error_terms import ErrorTermKind, error_term
 from divisorlab.sieves import sieve_divisors
 from divisorlab.voronoi import (build_series, evaluate_block, phases,
@@ -145,3 +145,26 @@ def test_validation_errors():
         remainder_stats(ErrorTermKind.DELTA, 16, 1000.0, sample_count=50)
     with pytest.raises(errors.RangeError):
         remainder_stats(ErrorTermKind.DELTA, 2000, 1000.0, 100)
+
+
+def test_remainder_work_budget(monkeypatch, capsys):
+    # each sample costs about sqrt(denom * 2X) + 2000 summatory steps, and the
+    # budget is checked before the series is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("series built past the work budget")
+
+    monkeypatch.setattr(voronoi, "build_series", unreachable)
+    for kind, X, samples in [(ErrorTermKind.DELTA, 50.0, 5 * 10**7),
+                             (ErrorTermKind.DELTA, 1e12, 10**5),
+                             (ErrorTermKind.DELTA_STAR, 1e12, 2000),
+                             (ErrorTermKind.CIRCLE, 1e17, 100)]:
+        with pytest.raises(errors.BudgetError):
+            remainder_stats(kind, 10, X, samples)
+    # work equal to the budget passes the check
+    monkeypatch.setattr(voronoi, "WORK_BUDGET", 100 * (math.sqrt(2e12) + 2000))
+    with pytest.raises(AssertionError):
+        remainder_stats(ErrorTermKind.DELTA, 10, 1e12, 100)
+    assert cli.main(["voronoi", "--kind", "delta", "-N", "10", "--scale", "1e12",
+                     "--samples", "1e5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("compute error:") and "budget" in err
