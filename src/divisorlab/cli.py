@@ -158,6 +158,7 @@ def _cmd_moment(args) -> None:
         theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff)
     except RangeError:    # no main term for this kind and power
         theory = None
+    moments.check_interval(getattr(args, "from"), args.to)
     table = _table_for(kind, args.to, args)
     res = moments.moment(kind, args.power, (getattr(args, "from"), args.to),
                          order=args.order, threads=args.threads, table=table)

@@ -186,12 +186,17 @@ def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
     return results
 
 
+def check_interval(a: float, b: float) -> None:
+    """Reject a moment interval [a, b] unless 1 <= a < b."""
+    if not 1 <= a < b:
+        raise RangeError(f"need 1 <= a < b, got [{a}, {b}]")
+
+
 def moment(kind: ErrorTermKind, power: int, interval, order: int = 8,
            threads: int = 1, table: DivisorTable | None = None) -> MomentResult:
     """Integral of error^power over [a, b]."""
     a, b = float(interval[0]), float(interval[1])
-    if not 1 <= a < b:
-        raise RangeError(f"need 1 <= a < b, got [{a}, {b}]")
+    check_interval(a, b)
     profile = moment_profile(kind, (power,), [b], start=a, order=order,
                              threads=threads, table=table)
     denom = jump_denominator(kind)

@@ -2,8 +2,11 @@
 summatory functions, alternating divisor sums, and a binary table cache.
 
 Everything in this module is exact integer arithmetic.  Summatory values are
-returned as Python ints; sieved tables hold unsigned 16-bit counts, which is
-safe up to a table limit of 1e12 (max d(n) there is 6720).
+returned as Python ints.  Both tables come from one divisor-sum sieve of a
+character, sum_{d | n} chi(d), run in an int16 work array that becomes the
+uint16 table in place: every partial sum is bounded by d(n) < 6720 up to a
+table limit of 1e12, and the one range check is |sum| < 2^13, so r(n) =
+4 * sum still fits.
 """
 
 from __future__ import annotations
@@ -81,57 +84,42 @@ def _check_capacity(limit: int) -> None:
     check_memory(_TABLE_BYTES_PER_ENTRY * (limit + 1), f"table of limit {limit}")
 
 
-def sieve_divisors(limit: int) -> DivisorTable:
-    """Sieve d(n) for n <= limit by counting divisor pairs below sqrt(n).
+def _divisor_sum(limit: int, chi: tuple[int, ...]) -> np.ndarray:
+    """sum_{d | n} chi(d) for 0 <= n <= limit as int16, chi(d) = chi[d % p]
+    with p = len(chi).
 
-    For every k <= sqrt(limit): n = k^2 gets one divisor (k itself), and
-    every n = k*m with m > k gets two (k and n/k).  This touches
-    sum_{k<=sqrt(L)} L/k ~ L*log(sqrt(L)) array cells, all via strided
-    numpy adds, so it is fast and allocation-light.
+    Pair the divisors (k, m) of n = k*m with k <= sqrt(limit): k^2 gets
+    chi(k), and each pair m > k gets chi(k) + chi(m).  chi(m) is periodic in
+    m, so the pairs with m = m0 (mod p), m0 = k+1..k+p, are one strided add
+    from k*m0 with step p*k, skipped when the sum is 0; one that starts past
+    the limit is an empty slice.  The adds touch about sum_{k<=sqrt(L)} L/k
+    ~ L*log(sqrt(L)) cells in all.
     """
     _check_capacity(limit)
-    values = np.zeros(limit + 1, dtype=np.uint16)
-    root = math.isqrt(limit)
-    for k in range(1, root + 1):
-        values[k * k] += 1
-        start = k * (k + 1)
-        if start <= limit:
-            values[start::k] += 2
-    if int(values.max()) >= 65535:
-        raise CapacityError(f"divisor count overflowed 16 bits at limit {limit}")
-    return DivisorTable(limit=limit, kind=TableKind.DIVISOR, values=values)
+    p = len(chi)
+    work = np.zeros(limit + 1, dtype=np.int16)
+    for k in range(1, math.isqrt(limit) + 1):
+        ck = chi[k % p]
+        work[k * k] += ck
+        for m0 in range(k + 1, k + p + 1):
+            add = ck + chi[m0 % p]
+            if add:
+                work[k * m0::p * k] += add
+    if int(work.min()) <= -(1 << 13) or int(work.max()) >= 1 << 13:
+        raise CapacityError(f"divisor sum left the 16-bit range at limit {limit}")
+    return work
+
+
+def sieve_divisors(limit: int) -> DivisorTable:
+    """d(n) = sum_{d | n} 1 for n <= limit."""
+    return DivisorTable(limit=limit, kind=TableKind.DIVISOR,
+                        values=_divisor_sum(limit, (1,)).view(np.uint16))
 
 
 def sieve_r(limit: int) -> DivisorTable:
-    """Sieve r(n), the number of (a, b) in Z^2 with a^2 + b^2 = n.
-
-    Uses r(n) = 4 * sum_{d | n} chi(d) with chi the non-principal character
-    mod 4.  Pair divisors (k, m), k <= m, and add chi(k) + chi(m) per pair;
-    chi(m) along the slice n = k*m is periodic in m with period 4, so each
-    k costs a handful of strided adds.  Every partial sum is bounded by
-    d(n) < 6720, so the work fits int16 and becomes the table in place.
-    """
-    _check_capacity(limit)
-    work = np.zeros(limit + 1, dtype=np.int16)
-    root = math.isqrt(limit)
-    chi = (0, 1, 0, -1)  # chi(d) for d mod 4
-    for k in range(1, root + 1):
-        ck = chi[k % 4]
-        if ck:
-            work[k * k] += ck
-        # pairs (k, m) with m > k: add chi(k) over the whole slice ...
-        start = k * (k + 1)
-        if start > limit:
-            continue
-        if ck:
-            work[start::k] += ck
-        # ... and chi(m) split by m mod 4 (step 4k in n)
-        for m0 in (k + 1, k + 2, k + 3, k + 4):
-            cm = chi[m0 % 4]
-            if cm and k * m0 <= limit:
-                work[k * m0::4 * k] += cm
-    if int(work.min()) < 0 or int(work.max()) >= 1 << 13:
-        raise CapacityError(f"r(n) left the 16-bit range at limit {limit}")
+    """r(n), the number of (a, b) in Z^2 with a^2 + b^2 = n, for n <= limit:
+    4 * sum_{d | n} chi(d) with chi the non-principal character mod 4."""
+    work = _divisor_sum(limit, (0, 1, 0, -1))
     work *= 4
     return DivisorTable(limit=limit, kind=TableKind.SUM_OF_TWO_SQUARES,
                         values=work.view(np.uint16))

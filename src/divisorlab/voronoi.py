@@ -105,10 +105,9 @@ def phases(series: VoronoiSeries, x) -> np.ndarray:
     return t
 
 
-def truncated(kind: ErrorTermKind, truncation: int, x,
-              table: DivisorTable | None = None) -> float:
+def truncated(kind: ErrorTermKind, truncation: int, x) -> float:
     """One-shot evaluation of the truncated expansion at one point x >= 1."""
-    return float(evaluate_block(build_series(kind, truncation, table), [x])[0])
+    return float(evaluate_block(build_series(kind, truncation), [x])[0])
 
 
 def evaluate_block(series: VoronoiSeries, xs) -> np.ndarray:
@@ -138,8 +137,7 @@ def evaluate_block(series: VoronoiSeries, xs) -> np.ndarray:
 
 
 def remainder_stats(kind: ErrorTermKind, truncation: int, X: float,
-                    sample_count: int = 100, seed: int = 0,
-                    table: DivisorTable | None = None) -> RemainderStats:
+                    sample_count: int = 100, seed: int = 0) -> RemainderStats:
     """rms and sup of (exact error term - truncated series) on [X, 2X].
 
     Sample points are uniform in [X, 2X] from a seeded generator, so a rerun
@@ -155,7 +153,7 @@ def remainder_stats(kind: ErrorTermKind, truncation: int, X: float,
     work = sample_count * ((jump_denominator(kind) * 2 * X) ** 0.5 + _SAMPLE_STEPS)
     if work > WORK_BUDGET:
         raise BudgetError(f"remainder work {work:.3g} exceeds budget {WORK_BUDGET}")
-    series = build_series(kind, truncation, table)
+    series = build_series(kind, truncation)
     rng = np.random.default_rng(seed)
     xs = rng.uniform(X, 2 * X, size=sample_count)
     approx = evaluate_block(series, xs)

@@ -307,8 +307,10 @@ _NO_THEORY = ("theoretical moment coefficients are tabulated for the divisor "
      "need 1 <= H <= X, got H=500.0, X=100.0"),
     (("fit", "--kind", "delta", "--power", "4", "--grid", "1e4,1e3,1e5,2e4"),
      "X grid must be strictly ascending"),
+    (("moment", "--kind", "delta", "--power", "2", "--from", "5e6", "--to", "1e6"),
+     "need 1 <= a < b, got [5000000.0, 1000000.0]"),
 ], ids=["short-interval-kind", "fit-kind", "moment-cutoff", "short-interval-power",
-        "short-interval-h", "fit-grid"])
+        "short-interval-h", "fit-grid", "moment-interval"])
 def test_rejected_before_any_table_is_sieved(capsys, monkeypatch, tmp_path, argv,
                                              message):
     def unreachable(*args, **kwargs):
@@ -373,12 +375,14 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
 def test_module_entry_point():
     import subprocess
     import sys
+    # run from the directory holding the package under test, installed or not
+    where = Path(cli.__file__).parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "divisorlab.cli", "eval", "--kind", "delta",
-         "--x", "10"], capture_output=True, text=True)
+         "--x", "10"], capture_output=True, text=True, cwd=where)
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("2.4298")
     bad = subprocess.run(
         [sys.executable, "-m", "divisorlab.cli", "moment", "--kind", "delta",
-         "--power", "12", "--to", "10"], capture_output=True, text=True)
+         "--power", "12", "--to", "10"], capture_output=True, text=True, cwd=where)
     assert bad.returncode == 1

@@ -51,6 +51,14 @@ def test_r_sieve_vs_lattice_enumeration():
         assert table.value(n) == two_squares_count(n)
 
 
+def test_both_sieves_vs_oracles_at_every_small_limit():
+    # limits 1..64 reach every residue class mod 4 and slices that start past the limit
+    for limit in range(1, 65):
+        ns = range(1, limit + 1)
+        assert list(sieve_divisors(limit).values[1:]) == [divisor_count(n) for n in ns]
+        assert list(sieve_r(limit).values[1:]) == [two_squares_count(n) for n in ns]
+
+
 def test_summatory_d_examples():
     assert summatory_d(10) == 27
     assert summatory_d(0.5) == 0
@@ -80,6 +88,13 @@ def test_summatory_r_examples():
     assert summatory_r(5) == 20
     assert summatory_r(0.9) == 0
     assert summatory_r(25) == 80
+
+
+def test_summatory_r_real_arguments():
+    prefix = np.cumsum(sieve_r(10**6).values.astype(np.int64))
+    rng = np.random.default_rng(13)
+    for x in [*rng.uniform(1, 10**6, 200), 10**6]:
+        assert summatory_r(float(x)) == int(prefix[int(x)])
 
 
 def test_summatory_r_vs_lattice_counting():
