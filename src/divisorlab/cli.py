@@ -159,6 +159,8 @@ def _cmd_moment(args) -> None:
     except RangeError:    # no main term for this kind and power
         theory = None
     moments.check_interval(getattr(args, "from"), args.to)
+    moments.check_profile(kind, (args.power,), [args.to], getattr(args, "from"),
+                          args.order, args.threads)
     table = _table_for(kind, args.to, args)
     res = moments.moment(kind, args.power, (getattr(args, "from"), args.to),
                          order=args.order, threads=args.threads, table=table)
@@ -176,6 +178,8 @@ def _cmd_fit(args) -> None:
     kind = ErrorTermKind(args.kind)
     theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff)
     moments.check_fit(args.power, args.grid)
+    moments.check_profile(kind, (args.power,), args.grid, order=args.order,
+                          threads=args.threads)
     table = _table_for(kind, max(args.grid), args)
     report = moments.fit_main_term(kind, args.power, args.grid, order=args.order,
                                    threads=args.threads, table=table,
@@ -191,6 +195,8 @@ def _cmd_short_interval(args) -> None:
     kind = ErrorTermKind(args.kind)
     coefficient = moments.theory_coefficient(kind, args.power)
     moments.check_short_interval(args.power, args.x, args.h)
+    moments.check_profile(kind, (args.power,), [args.x + args.h], args.x,
+                          args.order, args.threads)
     table = _table_for(kind, args.x + args.h, args)
     res = moments.short_interval_ratio(kind, args.power, args.x, args.h,
                                        order=args.order, threads=args.threads,

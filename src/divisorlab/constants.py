@@ -20,9 +20,10 @@ for bit; doubling the cutoff stays cheap enough to verify convergence directly.
 Tail brackets rest on two elementary facts, both exercised by the tests:
 D(x) <= x(log x + 1) for every x >= 1, and d(n) <= C*n^(1/4) with C taken
 as 1.5 times the scanned maximum of d(n)n^(-1/4) for n <= 2e6 (the scan max
-is ~8.31; the global maximum of the ratio, reached near 2.2e7, is ~8.46, so
-the 1.5x headroom keeps the majorant above it everywhere).  These are
-honest floating-point brackets, not certified interval enclosures.
+is ~8.31; the global maximum of the ratio is 8.44696..., attained at
+n = 21,621,600, so the 1.5x headroom keeps the majorant above it
+everywhere).  These are honest floating-point brackets, not certified
+interval enclosures.
 """
 
 from __future__ import annotations
@@ -35,13 +36,16 @@ import numpy as np
 
 from .numerics import PI_LD
 from .sieves import (DivisorTable, TableKind, check_memory, core_families, sieve,
-                     sieve_divisors)
+                     sieve_divisors, width_runs)
 
 _MAJORANT_SCAN_LIMIT = 2 * 10**6
 _MAJORANT_HEADROOM = 1.5
 # peak bytes per unit of cutoff of quartic_diagonal_series, the table and the
 # T/U term arrays (tracemalloc, fresh process, cutoffs 1e6, 4e6 and 1e7)
 _QUARTIC_BYTES_PER_CUTOFF = 66
+# and of cubic_diagonal_series, the table, the core table and the core terms
+# (tracemalloc, fresh process, cutoffs 1e6 and 4e6: 20.4 and 20.2)
+_CUBIC_BYTES_PER_CUTOFF = 21
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,7 @@ def _core_groups(d: np.ndarray, cores: np.ndarray, amaxes: np.ndarray):
     """Per run of equal amax: (cores slice, W, conv), W[i, a-1] = d(a^2 q_i)
     a^(-3/2) in longdouble and conv[i] = np.convolve(W[i], W[i]) bit for bit
     (each column summed in ascending order from zero, as its dot does)."""
-    bounds = np.flatnonzero(np.diff(amaxes, prepend=-1, append=-1)).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        amax = int(amaxes[lo])
+    for lo, hi, amax in width_runs(amaxes):
         a = np.arange(1, amax + 1, dtype=np.int64)
         W = d[cores[lo:hi, None] * (a * a)].astype(np.longdouble) \
             * a.astype(np.longdouble) ** np.longdouble(-1.5)
@@ -127,6 +129,7 @@ def cubic_diagonal_series(cutoff: int = 10**5,
     """
     if cutoff < 4:
         raise ValueError(f"cutoff must be >= 4, got {cutoff}")
+    check_memory(_CUBIC_BYTES_PER_CUTOFF * cutoff, f"cubic series to {cutoff}")
     table = sieve(TableKind.DIVISOR, cutoff, table)
     cores, amaxes = core_families(cutoff)
     terms = np.empty(len(cores), dtype=np.longdouble)
@@ -136,10 +139,7 @@ def cubic_diagonal_series(cutoff: int = 10**5,
     total = np.cumsum(np.append(0, terms))[-1]   # 0 + t_0 + t_1 + ... in core order
 
     c4 = divisor_majorant_constant()
-    qs = cores.astype(float)
-    S = np.floor(np.sqrt(cutoff / qs))
-    S = np.maximum(S, 2.0)
-    tail = float(np.sum(qs**-1.5 * _tail_inner_cubic(S)))
+    tail = float(np.sum(cores**-1.5 * _tail_inner_cubic(amaxes)))
     tail += 2.0 / math.sqrt(cutoff // 4) * _full_inner("cubic")
     tail *= c4**3
     return SeriesValue(name="cubic_diagonal", value=float(total),
@@ -188,9 +188,8 @@ def quartic_diagonal_series(cutoff: int = 10**5,
     t_tail = c4 * _tail_weighted_divisor_sum(cutoff, 1.25)
     u_tail = c4**3 * _tail_weighted_divisor_sum(cutoff, 2.25)
     tail = 2.0 * t_tail * (2.0 * float(T) + t_tail) + u_tail
-    # below cutoff 4 the whole q = 1 family lies in the tail
-    qs = cores.astype(float) if len(cores) else np.ones(1)
-    B = np.maximum(np.floor(np.sqrt(cutoff / qs)), 2.0)
+    # below cutoff 4 there are no cores: the whole q = 1 family lies in the tail
+    qs, B = (cores, amaxes) if len(cores) else (np.ones(1), np.full(1, 2))
     core_tail = float(np.sum(qs**-2.0 * _tail_inner_quartic(B)))
     core_tail += (1.0 / max(qmax, 1)) * _full_inner("quartic")
     # counted twice: once for the family itself, once to cover the

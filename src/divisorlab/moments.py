@@ -126,15 +126,11 @@ def _chunk_partials(step: _StepTable, m0: int, m1: int, span, nodes, weights,
     return {k: np.sum(sums[k]) * width for k in powers}
 
 
-def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
-                   order: int = 8, threads: int = 1,
-                   table: DivisorTable | None = None) -> dict[int, list[float]]:
-    """Cumulative integrals of error^k from ``start`` to each stop, per power.
-
-    One sweep serves every requested power: the error values at the
-    quadrature nodes are shared and only the power accumulation differs.
-    Results are recorded at each stop in ascending order.
-    """
+def check_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
+                  order: int = 8, threads: int = 1):
+    """Reject what moment_profile would reject before its table is built:
+    powers, stops, start, quadrature order and thread memory.  Returns the
+    sorted distinct powers and the stops as floats."""
     powers = tuple(sorted(set(int(p) for p in powers)))
     for p in powers:
         _check_power(p)
@@ -145,9 +141,8 @@ def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
         raise RangeError(f"integration starts at x >= 1, got {start}")
     if stops[0] < start:
         raise ValueError("first stop lies before the interval start")
-
     check_memory(_LEGGAUSS_BYTES_PER_ORDER2 * order * order, f"quadrature of order {order}")
-    nodes, weights = leggauss_01(order)
+    leggauss_01(order)    # rejects order < 1; cached for moment_profile
     denom = jump_denominator(kind)
     segments = math.ceil(stops[-1] * denom) - math.floor(start * denom)
     workers = min(threads, segments // CHUNK_SEGMENTS + 3)
@@ -155,6 +150,21 @@ def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
                             + _BLOCK_BYTES_PER_NODE * order
                             * min(segments, max(1, BLOCK_NODES // order))),
                  f"{workers} integration threads")
+    return powers, stops
+
+
+def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
+                   order: int = 8, threads: int = 1,
+                   table: DivisorTable | None = None) -> dict[int, list[float]]:
+    """Cumulative integrals of error^k from ``start`` to each stop, per power.
+
+    One sweep serves every requested power: the error values at the
+    quadrature nodes are shared and only the power accumulation differs.
+    Results are recorded at each stop in ascending order.
+    """
+    powers, stops = check_profile(kind, powers, stops, start, order, threads)
+    nodes, weights = leggauss_01(order)
+    denom = jump_denominator(kind)
     step = _StepTable(kind, stops[-1], table)
 
     acc = {p: KahanAccumulator() for p in powers}

@@ -153,18 +153,32 @@ def core_tables(limit: int, r: int = 2) -> tuple[np.ndarray, np.ndarray]:
     return core, root
 
 
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """floor(sqrt(v)) of an int64 array v >= 0: the float sqrt moved by at
+    most one by exact integer checks."""
+    b = np.sqrt(v).astype(np.int64)
+    b -= (b * b > v)
+    b += ((b + 1) * (b + 1) <= v)
+    return b
+
+
 def core_families(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """The squarefree q <= limit // 4 and amax = isqrt(limit // q) >= 2.
 
     These index the square-root identities with entries <= limit: each
     family is {a^2 q : 1 <= a <= amax}, and sqrt(a^2 q) + sqrt(b^2 q) =
     sqrt(s^2 q) needs s >= 2.  Squarefree q > limit // 4 carry only the
-    single entry q.
+    single entry q.  The core table is dropped before the roots are taken.
     """
-    _, root = core_tables(limit // 4)
-    q = np.flatnonzero(root[1:] == 1) + 1
-    amax = np.array([math.isqrt(limit // int(v)) for v in q], dtype=np.int64)
-    return q, amax
+    q = np.flatnonzero(core_tables(limit // 4)[1][1:] == 1) + 1
+    return q, _isqrt(limit // q)
+
+
+def width_runs(amaxes: np.ndarray):
+    """(lo, hi, amax) for each run amaxes[lo:hi] of one width amax."""
+    bounds = np.flatnonzero(np.diff(amaxes, prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield lo, hi, int(amaxes[lo])
 
 
 def _floor_arg(x) -> int:
@@ -181,13 +195,12 @@ def _floor_arg(x) -> int:
 _CHUNK = 1 << 22
 
 
-def _sum_floor_quotients(n: int, start: int, stop: int, step: int) -> int:
-    """sum over k in range(start, stop, step) of floor(n/k), chunked."""
+def _chunked_sum(term, stop: int, step: int = 1) -> int:
+    """sum of term(ks) over the int64 ks = range(1, stop, step), chunked."""
     total = 0
-    for lo in range(start, stop, step * _CHUNK):
-        hi = min(stop, lo + step * _CHUNK)
-        ks = np.arange(lo, hi, step, dtype=np.int64)
-        total += int(np.sum(n // ks, dtype=np.int64))
+    for lo in range(1, stop, step * _CHUNK):
+        ks = np.arange(lo, min(stop, lo + step * _CHUNK), step, dtype=np.int64)
+        total += int(np.sum(term(ks), dtype=np.int64))
     return total
 
 
@@ -198,36 +211,23 @@ def summatory_d(x) -> int:
     O(sqrt(x)) integer operations.
     """
     n = _floor_arg(x)
-    if n == 0:
-        return 0
     root = math.isqrt(n)
-    return 2 * _sum_floor_quotients(n, 1, root + 1, 1) - root * root
+    return 2 * _chunked_sum(lambda k: n // k, root + 1) - root * root
 
 
 def summatory_r(x) -> int:
     """R(x) = sum_{n <= x} r(n) = 4*isqrt(x) + 4*sum_{1 <= a <= sqrt(x)}
-    isqrt(x - a^2), the lattice points off the origin: axes, then quadrants.
-    Each isqrt is a float sqrt moved by at most one by exact integer checks."""
+    isqrt(x - a^2), the lattice points off the origin: axes, then quadrants."""
     n = _floor_arg(x)
     root = math.isqrt(n)
-    total = root
-    for lo in range(1, root + 1, _CHUNK):
-        v = n - np.arange(lo, min(root + 1, lo + _CHUNK), dtype=np.int64) ** 2
-        b = np.sqrt(v.astype(float)).astype(np.int64)
-        b -= (b * b > v)
-        b += ((b + 1) * (b + 1) <= v)
-        total += int(np.sum(b, dtype=np.int64))
-    return 4 * total
+    return 4 * (root + _chunked_sum(lambda a: _isqrt(n - a * a), root + 1))
 
 
 def _count_odd_pairs(y: int) -> int:
     """#{(a, b) : a, b odd, ab <= y}, by the hyperbola method."""
-    if y <= 0:
-        return 0
     root = math.isqrt(y)
     # number of odd b <= y/a is (floor(y/a) + 1) // 2 = y//a - (y//2)//a
-    inner = _sum_floor_quotients(y, 1, root + 1, 2) \
-        - _sum_floor_quotients(y // 2, 1, root + 1, 2)
+    inner = _chunked_sum(lambda a: y // a - (y // 2) // a, root + 1, 2)
     odd_to_root = (root + 1) // 2
     return 2 * inner - odd_to_root * odd_to_root
 
@@ -243,8 +243,6 @@ def alternating_summatory_d(x) -> int:
     if x < 0:
         raise ValueError(f"argument must be >= 0, got {x}")
     y = _floor_arg(4 * x)
-    if y == 0:
-        return 0
     return summatory_d(y) - 2 * _count_odd_pairs(y)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .numerics import NamedEnum
-from .sieves import check_memory, core_families, core_tables
+from .sieves import check_memory, core_families, core_tables, width_runs
 
 LD = np.longdouble
 
@@ -90,8 +90,16 @@ class BoxSpec:
             if np.spacing(top) > self.delta * 2.0 ** -20:
                 raise ValueError(f"|beta| + |alpha|*sqrt(2K) = {float(top):.3g} leaves "
                                  f"too few fractional bits for delta {self.delta}")
-        if self.form is SpacingForm.THREE_ROOT and self.Mp > self.M:
-            raise ValueError("three-root form requires Mp <= M")
+        if self.form is SpacingForm.THREE_ROOT:
+            if self.Mp > self.M:
+                raise ValueError("three-root form requires Mp <= M")
+            # k runs up to top^2, and a row of Mp interval lengths is summed
+            top = math.sqrt(2 * self.M) + math.sqrt(2 * self.Mp) \
+                + self.delta * math.sqrt(self.M)
+            if self.Mp * top * top >= 2.0 ** 44:
+                raise ValueError(f"Mp*(sqrt(2M) + sqrt(2Mp) + delta*sqrt(M))^2 = "
+                                 f"{self.Mp * top * top:.3g} leaves too few fractional "
+                                 f"bits for an exact count")
 
     def excludes_exact(self) -> bool:
         return self.exclude_exact or self.form is SpacingForm.FOUR_ROOT_PLUS
@@ -119,9 +127,9 @@ class GapResult:
 # ---------------------------------------------------------------------------
 # exact square-root identities
 
-# Peak memory of enumerate_exact_triples per row: the per-core rows, their
-# concatenation, the lexsort order and the sorted copy.  Measured 86-90 bytes
-# (tracemalloc, fresh process, limits 1e4-1e6).
+# Peak memory of enumerate_exact_triples per row: the per-width rows, their
+# concatenation, the lexsort order and the sorted copy.  Measured 56.7-57.3
+# bytes (tracemalloc, fresh process, limits 1e4-1e6), under this bound.
 _TRIPLE_BYTES_PER_ROW = 90
 
 
@@ -137,13 +145,14 @@ def enumerate_exact_triples(limit: int) -> np.ndarray:
     check_memory(_TRIPLE_BYTES_PER_ROW * int(np.sum(amaxes * (amaxes - 1) // 2)),
                  f"triples up to {limit}")
     rows = [np.empty((0, 3), dtype=np.int64)]
-    for q, amax in zip(cores.tolist(), amaxes.tolist()):
+    for lo, hi, amax in width_runs(amaxes):
+        # one (a, b) mask per width, broadcast against the run's cores
         a = np.arange(1, amax, dtype=np.int64)
         i, j = np.nonzero(np.add.outer(a, a) <= amax)
-        rows.append(np.stack([a[i] ** 2 * q, a[j] ** 2 * q, (a[i] + a[j]) ** 2 * q],
-                             axis=1))
-    allrows = np.concatenate(rows, axis=0)
-    return allrows[np.lexsort(allrows.T[::-1])]
+        roots = np.stack([a[i], a[j], a[i] + a[j]], axis=1)
+        rows.append((roots * roots * cores[lo:hi, None, None]).reshape(-1, 3))
+    rows = np.concatenate(rows)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 # Peak memory of enumerate_exact_quadruples per pair (m, n) <= limit: the

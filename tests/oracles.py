@@ -1,9 +1,9 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
 Everything here is deliberately naive: trial division, direct lattice
-enumeration, four-deep loops.  These are the reference implementations the
-fast code is measured against, so they must not share code paths with it:
-nothing here imports divisorlab.
+enumeration, float scans confirmed by exact core arithmetic.  These are the
+reference implementations the fast code is measured against, so they must
+not share code paths with it: nothing here imports divisorlab.
 """
 
 from __future__ import annotations
@@ -165,50 +165,50 @@ def brute_exact_quadruples(limit: int) -> np.ndarray:
     """All ordered (m, n, k, l), components <= limit, with
     sqrt m + sqrt n = sqrt k + sqrt l, as a lexicographically sorted array.
 
-    Scans (m, n, k) with the fourth component determined as
-    (sqrt m + sqrt n - sqrt k)^2; float candidates within 1e-6 of an
-    integer are verified by exact core arithmetic (float error on the
-    candidate is ~1e-11, so no true solution is missed and no false one
-    survives).
+    Sorts the float sums sqrt m + sqrt n of all pairs once; a run is a
+    maximal stretch of sorted sums each within 1e-9 of the one before.
+    Equal sums differ by ~1e-14 in floating point, so every solution joins
+    two pairs of one run, and each join of a run is kept only when exact
+    core arithmetic confirms it.  Rows are sorted as base-(limit+1) keys.
     """
+    if limit < 1:
+        return np.empty((0, 4), dtype=np.int64)
     splits = [(0, 1)] + [squarefree_core(v) for v in range(1, limit + 1)]
     core, root = (np.array(col, dtype=np.int64) for col in zip(*splits))
-    sq = np.sqrt(np.arange(limit + 1, dtype=np.float64))
-    k_idx = np.arange(1, limit + 1)
-    sqk = sq[1:limit + 1]
-    rows = []
-    for m in range(1, limit + 1):
-        n_range = np.arange(m, limit + 1)
-        s = (sq[m] + sq[n_range])[:, None] - sqk[None, :]
-        lstar = np.where(s > 0, s * s, -1.0)
-        lround = np.rint(lstar)
-        cand = (lstar > 0) & (np.abs(lstar - lround) < 1e-6) \
-            & (lround >= 1) & (lround <= limit)
-        if not cand.any():
-            continue
-        ni, ki = np.nonzero(cand)
-        nn = n_range[ni]
-        kk = k_idx[ki]
-        ll = lround[ni, ki].astype(np.int64)
-        qm, rm = core[m], root[m]
-        qn, rn = core[nn], root[nn]
-        qk, rk = core[kk], root[kk]
-        ql, rl = core[ll], root[ll]
-        zero_core = (qm == qn) & (qn == qk) & (qk == ql) & (rm + rn == rk + rl)
-        zero_pair = ((qm == qk) & (rm == rk) & (qn == ql) & (rn == rl)) \
-            | ((qm == ql) & (rm == rl) & (qn == qk) & (rn == rk))
-        ok = zero_core | zero_pair
-        if not ok.any():
-            continue
-        nn, kk, ll = nn[ok], kk[ok], ll[ok]
-        mm = np.full(len(nn), m, dtype=np.int64)
-        rows.append(np.stack([mm, nn, kk, ll], axis=1))
-        swap = nn != m
-        if swap.any():
-            rows.append(np.stack([nn[swap], mm[swap], kk[swap], ll[swap]], axis=1))
-    if not rows:
-        return np.empty((0, 4), dtype=np.int64)
-    return np.unique(np.concatenate(rows, axis=0), axis=0)
+    sq = np.sqrt(np.arange(1, limit + 1, dtype=np.float64))
+    sums = (sq[:, None] + sq[None, :]).ravel()    # pair p is (p // limit + 1, p % limit + 1)
+    order = np.argsort(sums, kind="stable").astype(np.int32)
+    sums = sums[order]
+    first = np.flatnonzero(np.r_[True, np.diff(sums) > 1e-9])
+    size = np.diff(np.r_[first, sums.size])
+    del sums
+    base = limit + 1
+    keys = []
+    for c in np.unique(size).tolist():
+        runs = first[size == c]
+        step = max(1, (1 << 20) // (c * c))
+        for lo in range(0, runs.size, step):
+            # these runs of c pairs as rows of a matrix, each joined c x c
+            members = order[runs[lo:lo + step, None] + np.arange(c)].astype(np.int64)
+            left = np.repeat(members, c, axis=1).ravel()
+            right = np.tile(members, c).ravel()
+            m, n = left // limit + 1, left % limit + 1
+            k, l = right // limit + 1, right % limit + 1
+            qm, rm = core[m], root[m]
+            qn, rn = core[n], root[n]
+            qk, rk = core[k], root[k]
+            ql, rl = core[l], root[l]
+            zero_core = (qm == qn) & (qn == qk) & (qk == ql) & (rm + rn == rk + rl)
+            zero_pair = ((qm == qk) & (rm == rk) & (qn == ql) & (rn == rl)) \
+                | ((qm == ql) & (rm == rl) & (qn == qk) & (rn == rk))
+            ok = zero_core | zero_pair
+            keys.append(((m[ok] * base + n[ok]) * base + k[ok]) * base + l[ok])
+    del order, first, size
+    keys = np.sort(np.concatenate(keys))
+    rows = np.empty((keys.size, 4), dtype=np.int64)
+    for col in (3, 2, 1, 0):
+        keys, rows[:, col] = np.divmod(keys, base)
+    return rows
 
 
 def brute_count_three_root(M: int, Mp: int, delta: float) -> int:

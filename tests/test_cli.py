@@ -256,7 +256,10 @@ def test_compute_error_exit_code(capsys):
     ("voronoi", "--kind", "delta", "--truncation", "10", "--x", "1e300"),
     ("spacing", "--form", "near-integer", "--K", "10", "--delta", "0.1",
      "--alpha", "1e300"),
-], ids=["voronoi-phase", "near-integer-fraction"])
+    # k^2 past 2^44: 1e9 used to miscount by 3, 1e300 to overflow
+    ("spacing", "--form", "three-root", "--M", "5", "--Mp", "3", "--delta", "1e9"),
+    ("spacing", "--form", "three-root", "--M", "5", "--Mp", "3", "--delta", "1e300"),
+], ids=["voronoi-phase", "near-integer-fraction", "three-root-1e9", "three-root-1e300"])
 def test_beyond_extended_precision_is_compute_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -292,6 +295,7 @@ def test_step_table_over_ceiling_is_compute_error(capsys, monkeypatch):
 
 _NO_THEORY = ("theoretical moment coefficients are tabulated for the divisor "
               "error term only; supply one explicitly")
+_NO_ORDER = "quadrature order must be >= 1, got 0"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -309,8 +313,20 @@ _NO_THEORY = ("theoretical moment coefficients are tabulated for the divisor "
      "X grid must be strictly ascending"),
     (("moment", "--kind", "delta", "--power", "2", "--from", "5e6", "--to", "1e6"),
      "need 1 <= a < b, got [5000000.0, 1000000.0]"),
+    (("fit", "--kind", "delta", "--power", "2", "--grid", "0.5,2,3,4"),
+     "first stop lies before the interval start"),
+    (("moment", "--kind", "delta", "--power", "2", "--to", "1e5", "--order", "0"),
+     _NO_ORDER),
+    (("moment", "--kind", "delta", "--power", "2", "--to", "1e5", "--order", "20000"),
+     "quadrature of order 20000 needs about 6400000000 bytes, over the "
+     "2147483648-byte memory ceiling"),
+    (("short-interval", "--kind", "delta", "--power", "4", "--x", "1e5", "--h", "1e5",
+      "--order", "0"), _NO_ORDER),
+    (("fit", "--kind", "delta", "--power", "2", "--grid", "1e4,2e4,3e4,4e4",
+      "--order", "0"), _NO_ORDER),
 ], ids=["short-interval-kind", "fit-kind", "moment-cutoff", "short-interval-power",
-        "short-interval-h", "fit-grid", "moment-interval"])
+        "short-interval-h", "fit-grid", "moment-interval", "fit-start", "moment-order",
+        "moment-order-memory", "short-interval-order", "fit-order"])
 def test_rejected_before_any_table_is_sieved(capsys, monkeypatch, tmp_path, argv,
                                              message):
     def unreachable(*args, **kwargs):

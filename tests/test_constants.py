@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -63,6 +65,22 @@ def test_series_equal_per_core_convolution_loop_bit_for_bit():
         if cutoff >= 4:
             assert cubic_diagonal_series(cutoff, table).value == cubic, cutoff
         assert quartic_diagonal_series(cutoff, table).value == quartic, cutoff
+
+
+def test_series_values_and_tail_bounds_are_pinned():
+    # float.hex of value and tail_bound, as given by the tail widths
+    # floor(sqrt(cutoff / q)) in floating point; the integer family widths
+    # must reproduce them bit for bit
+    pinned = json.loads((Path(__file__).parent / "golden" / "series-hex.json")
+                        .read_text(encoding="utf-8"))
+    table = sieve_divisors(10**5)
+    for cutoff, want in pinned.items():
+        cutoff = int(cutoff)
+        if cutoff >= 4:
+            got = cubic_diagonal_series(cutoff, table)
+            assert [got.value.hex(), got.tail_bound.hex()] == want["cubic"], cutoff
+        got = quartic_diagonal_series(cutoff, table)
+        assert [got.value.hex(), got.tail_bound.hex()] == want["quartic"], cutoff
 
 
 def test_core_groups_convolve_bit_for_bit():
@@ -166,6 +184,22 @@ def test_quartic_series_memory_ceiling(monkeypatch):
         quartic_diagonal_series(1001)
     with pytest.raises(errors.CapacityError):
         quartic_moment_coefficient(10**4)
+
+
+def test_cubic_series_memory_ceiling(monkeypatch):
+    # 21 bytes per unit of cutoff, checked before the table is sieved
+    divisor_majorant_constant()   # its fixed scan table is cached first
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 21 * 1000)
+    assert cubic_diagonal_series(1000).cutoff == 1000
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("allocation reached past the memory ceiling")
+
+    monkeypatch.setattr(constants, "sieve", unreachable)
+    with pytest.raises(errors.CapacityError):
+        cubic_diagonal_series(1001)
+    with pytest.raises(errors.CapacityError):
+        cubic_moment_coefficient(10**4)
 
 
 def test_divisor_summatory_log_bound():

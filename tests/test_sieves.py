@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,25 @@ def test_summatory_d_monotone_and_floors():
     values = [summatory_d(x) for x in range(1, 300)]
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert summatory_d(17.9) == summatory_d(17)
+
+
+def test_isqrt_at_squares_and_their_neighbours():
+    rng = np.random.default_rng(17)
+    root = 316227766    # isqrt(1e17)
+    k = np.concatenate([np.arange(1, 5000), rng.integers(1, 2**31, 5000),
+                        np.arange(root - 2000, root + 2000), [2**31]]).astype(np.int64)
+    v = np.concatenate([k * k - 1, k * k, k * k + 1, [0]])
+    assert sieves._isqrt(v).tolist() == [math.isqrt(int(x)) for x in v]
+
+
+@pytest.mark.parametrize("amaxes,runs", [
+    ([], []),
+    ([7], [(0, 1, 7)]),
+    ([3, 3, 3], [(0, 3, 3)]),
+    ([9, 5, 5, 4, 2, 2, 2], [(0, 1, 9), (1, 3, 5), (3, 4, 4), (4, 7, 2)]),
+], ids=["empty", "one-core", "one-run", "four-runs"])
+def test_width_runs(amaxes, runs):
+    assert list(sieves.width_runs(np.array(amaxes, dtype=np.int64))) == runs
 
 
 def test_summatory_r_examples():

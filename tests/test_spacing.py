@@ -118,6 +118,23 @@ def test_three_root_matches_brute_force(M, Mp, delta):
     assert count_box(spec).count == brute_count_three_root(M, Mp, delta)
 
 
+def test_three_root_wide_threshold_matches_mpmath():
+    # Mp*(sqrt(2M) + sqrt(2Mp) + delta*sqrt(M))^2 ~ 1.5e13, just under 2^44
+    M, Mp, delta = 5, 3, 1e6
+    with mpmath.workdps(60):
+        t = mpmath.mpf(delta) * mpmath.sqrt(M)
+        want = 0
+        for m in range(M + 1, 2 * M + 1):
+            for n in range(Mp + 1, 2 * Mp + 1):
+                s = mpmath.sqrt(m) + mpmath.sqrt(n)
+                lo = 1 if s <= t else int(mpmath.ceil((s - t) ** 2))
+                want += int(mpmath.floor((s + t) ** 2)) - lo + 1
+    spec = BoxSpec(form=SpacingForm.THREE_ROOT, M=M, Mp=Mp, delta=delta)
+    assert count_box(spec).count == want == 75000338476786
+    with pytest.raises(ValueError, match="fractional bits"):
+        BoxSpec(form=SpacingForm.THREE_ROOT, M=M, Mp=Mp, delta=1e7)
+
+
 @pytest.mark.parametrize("M,Mp,K,L,delta", [
     (4, 4, 4, 4, 1e-6),
     (4, 4, 4, 4, 0.05),
