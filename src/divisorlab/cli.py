@@ -70,13 +70,15 @@ def _grid(text: str) -> list[float]:
 _CACHE_PATTERN = re.compile(r"^(divisor|two-squares)-(\d+)\.dvt$")
 
 
-def _table_for(kind: ErrorTermKind, upto: float, args):
-    """The step table of ``kind`` up to ``upto``: the smallest adequate table
-    in the cache directory, else a new sieve (cached when there is one).  A
-    damaged cache file is reported on stderr and sieved again."""
+def _table_for(args, kind: ErrorTermKind, stops, start: float = 1.0):
+    """The step table of ``kind`` up to ``stops[-1]``, once moments.check_profile
+    has passed the moment inputs: the smallest adequate table in the cache
+    directory, else a new sieve (cached when there is one).  A damaged cache
+    file is reported on stderr and sieved again."""
+    moments.check_profile(kind, (args.power,), stops, start, args.order, args.threads)
     raw = args.cache_dir or os.environ.get(CACHE_ENV)
     cache = Path(raw) if raw else None
-    table_kind, limit = step_table_need(kind, int(upto) + 1)
+    table_kind, limit = step_table_need(kind, int(stops[-1]) + 1)
     tag = "divisor" if table_kind is TableKind.DIVISOR else "two-squares"
     if cache is not None and cache.is_dir():
         found = sorted((int(m.group(2)), entry) for entry in cache.iterdir()
@@ -150,8 +152,8 @@ def _moment_row(kind, power, X, integral, main, residual) -> dict:
             "main_term": main, "residual": residual}
 
 
-# moment, fit and short-interval resolve the theory coefficient and check their
-# other inputs first, so that no input they reject has a table sieved for it
+# moment, fit and short-interval resolve the theory coefficient and run their
+# own check before _table_for, which runs check_profile before it sieves
 def _cmd_moment(args) -> None:
     kind = ErrorTermKind(args.kind)
     try:
@@ -159,9 +161,7 @@ def _cmd_moment(args) -> None:
     except RangeError:    # no main term for this kind and power
         theory = None
     moments.check_interval(getattr(args, "from"), args.to)
-    moments.check_profile(kind, (args.power,), [args.to], getattr(args, "from"),
-                          args.order, args.threads)
-    table = _table_for(kind, args.to, args)
+    table = _table_for(args, kind, [args.to], getattr(args, "from"))
     res = moments.moment(kind, args.power, (getattr(args, "from"), args.to),
                          order=args.order, threads=args.threads, table=table)
     doc = asdict(res)
@@ -178,9 +178,7 @@ def _cmd_fit(args) -> None:
     kind = ErrorTermKind(args.kind)
     theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff)
     moments.check_fit(args.power, args.grid)
-    moments.check_profile(kind, (args.power,), args.grid, order=args.order,
-                          threads=args.threads)
-    table = _table_for(kind, max(args.grid), args)
+    table = _table_for(args, kind, args.grid)
     report = moments.fit_main_term(kind, args.power, args.grid, order=args.order,
                                    threads=args.threads, table=table,
                                    theory=theory)
@@ -195,9 +193,7 @@ def _cmd_short_interval(args) -> None:
     kind = ErrorTermKind(args.kind)
     coefficient = moments.theory_coefficient(kind, args.power)
     moments.check_short_interval(args.power, args.x, args.h)
-    moments.check_profile(kind, (args.power,), [args.x + args.h], args.x,
-                          args.order, args.threads)
-    table = _table_for(kind, args.x + args.h, args)
+    table = _table_for(args, kind, [args.x + args.h], args.x)
     res = moments.short_interval_ratio(kind, args.power, args.x, args.h,
                                        order=args.order, threads=args.threads,
                                        table=table, coefficient=coefficient)

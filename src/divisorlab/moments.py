@@ -7,7 +7,7 @@ segment integrates it to ~1e-13 relative.  Segments are processed in
 chunks of CHUNK_SEGMENTS; each chunk reduces internally with numpy's
 deterministic pairwise sum and the chunks combine in ascending order through
 a Kahan accumulator; inside a chunk each segment's node sum is formed on its
-own, in cache-sized blocks.  Neither thread count nor block size changes a bit.
+own, in numerics.BLOCK-node blocks.  Thread count and block size change no bit.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .error_terms import (ErrorTermKind, jump_denominator, smooth_main_term,
                           step_part, step_table_need)
 from .errors import DegenerateFitError, RangeError
@@ -28,8 +29,6 @@ from .sieves import DivisorTable, check_memory, sieve, sieve_divisors, sieve_r  
 
 # segments per chunk: the unit of pairwise reduction and of thread work
 CHUNK_SEGMENTS = 1 << 16
-# nodes per _chunk_partials block: few GIL hand-offs, temporaries fit in L2
-BLOCK_NODES = 1 << 15
 # peak bytes per block node of _chunk_partials (tracemalloc, each kind, orders
 # 3 to 5000) and per order^2 of leggauss (ru_maxrss, orders 1000 to 3000)
 _BLOCK_BYTES_PER_NODE = 112
@@ -105,13 +104,13 @@ def _chunk_partials(step: _StepTable, m0: int, m1: int, span, nodes, weights,
     """Integrals of error^k over the segments m0..m1-1 in one pairwise pass,
     or, when ``span`` = (x0, x1) is given, over that part of segment m0.
 
-    Node sums are formed BLOCK_NODES // order segments at a time.  A head or
+    Node sums are formed numerics.BLOCK // order segments at a time.  A head or
     tail piece is a one-element pass: np.sum of one element is exact.
     """
     width = np.longdouble(1) / step.denom if span is None \
         else np.longdouble(span[1]) - np.longdouble(span[0])
     sums = {k: np.empty(m1 - m0, dtype=np.longdouble) for k in powers}
-    rows = max(1, BLOCK_NODES // len(nodes))
+    rows = max(1, numerics.BLOCK // len(nodes))
     for i in range(0, m1 - m0, rows):
         ticks = np.arange(m0 + i, min(m0 + i + rows, m1), dtype=np.int64)
         left = ticks.astype(np.longdouble) / step.denom if span is None \
@@ -148,7 +147,7 @@ def check_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
     workers = min(threads, segments // CHUNK_SEGMENTS + 3)
     check_memory(workers * (16 * len(powers) * min(segments, CHUNK_SEGMENTS)  # chunk sums
                             + _BLOCK_BYTES_PER_NODE * order
-                            * min(segments, max(1, BLOCK_NODES // order))),
+                            * min(segments, max(1, numerics.BLOCK // order))),
                  f"{workers} integration threads")
     return powers, stops
 

@@ -20,6 +20,10 @@ EULER_GAMMA = np.longdouble("0.577215664901532860606512090082402431")
 PI_LD = np.longdouble("3.14159265358979323846264338327950288")
 TWO_PI_LD = np.longdouble("6.28318530717958647692528676655900577")
 
+# elements in each transient array of a blocked numpy loop (summatory chunks,
+# moment node blocks, Voronoi point blocks); no result depends on it
+BLOCK = 1 << 15
+
 
 @functools.cache
 def leggauss_01(order: int) -> tuple[np.ndarray, np.ndarray]:

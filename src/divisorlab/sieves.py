@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import numerics
 from .errors import CapacityError, RangeError, TableFormatError, TableKindMismatch
 
 # The one memory ceiling, checked before every allocation sized by a
@@ -190,16 +191,12 @@ def _floor_arg(x) -> int:
     return n
 
 
-# cap on transient array size in the summatory loops; keeps peak memory flat
-# even at the top of the supported range
-_CHUNK = 1 << 22
-
-
 def _chunked_sum(term, stop: int, step: int = 1) -> int:
-    """sum of term(ks) over the int64 ks = range(1, stop, step), chunked."""
+    """sum of term(ks) over the int64 ks = range(1, stop, step), in chunks of
+    numerics.BLOCK, so peak memory stays at a few blocks for any stop."""
     total = 0
-    for lo in range(1, stop, step * _CHUNK):
-        ks = np.arange(lo, min(stop, lo + step * _CHUNK), step, dtype=np.int64)
+    for lo in range(1, stop, step * numerics.BLOCK):
+        ks = np.arange(lo, min(stop, lo + step * numerics.BLOCK), step, dtype=np.int64)
         total += int(np.sum(term(ks), dtype=np.int64))
     return total
 

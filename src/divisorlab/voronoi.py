@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .error_terms import ErrorTermKind, error_term, jump_denominator
 from .errors import BudgetError, RangeError
 from .numerics import PI_LD, TWO_PI_LD
@@ -30,8 +31,6 @@ from .sieves import (DivisorTable, TableKind, check_memory, sieve,  # noqa: F401
                      sieve_divisors, sieve_r)
 
 _SQRT2_LD = np.sqrt(np.longdouble(2))
-# evaluate_block works on max(1, BLOCK_TERMS // N) points at a time
-BLOCK_TERMS = 1 << 16
 # peak bytes per term: coefficients 16 plus one evaluate_block row 64
 # (tracemalloc, fresh process, N = 1e5 and 1e6, each kind)
 _SERIES_BYTES_PER_TERM = 80
@@ -111,7 +110,7 @@ def truncated(kind: ErrorTermKind, truncation: int, x) -> float:
 
 
 def evaluate_block(series: VoronoiSeries, xs) -> np.ndarray:
-    """Evaluate the series on an x-grid, blocked so the n-loop stays in numpy.
+    """Evaluate the series on an x-grid in blocks of numerics.BLOCK terms.
 
     Results are bit-identical to per-point evaluation for any block size
     (the per-x reduction over n is a fixed-shape pairwise sum).  Points whose
@@ -126,7 +125,7 @@ def evaluate_block(series: VoronoiSeries, xs) -> np.ndarray:
                          f"< 2^32, got x in [{flat.min()}, {flat.max()}]")
     amp = np.longdouble(series.amplitude)
     out = np.empty(flat.shape, dtype=float)
-    rows = max(1, BLOCK_TERMS // series.truncation)
+    rows = max(1, numerics.BLOCK // series.truncation)
     for start in range(0, flat.size, rows):
         xb = flat[start:start + rows].astype(np.longdouble)[:, None]
         t = phases(series, xb)

@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from divisorlab import constants, errors, moments, sieves
+from divisorlab import constants, errors, moments, numerics, sieves
 from divisorlab.error_terms import ErrorTermKind
 from divisorlab.moments import (CHUNK_SEGMENTS, fit_coefficient, fit_main_term,
                                 main_exponent, moment, moment_profile,
@@ -207,7 +207,7 @@ def test_block_size_does_not_change_bits(kind, monkeypatch):
              (999, 1000, (999 / d, (999 + 0.6) / d))]
     runs = []
     for rows in (1, 7, 2048, 5000):    # 5000: the whole chunk in one block
-        monkeypatch.setattr(moments, "BLOCK_NODES", rows * len(nodes))
+        monkeypatch.setattr(numerics, "BLOCK", rows * len(nodes))
         runs.append([moments._chunk_partials(step, *part, nodes, weights, powers)
                      for part in parts for powers in ((3, 4), (4,), PINNED_POWERS)])
     assert runs[0] == runs[1] == runs[2] == runs[3]

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from divisorlab import errors, sieves
+from divisorlab import errors, numerics, sieves
 from divisorlab.sieves import (TableKind, alternating_summatory_d,
                                load_table, save_table, sieve, sieve_divisors,
                                sieve_r, summatory_d, summatory_r)
@@ -128,6 +129,31 @@ def test_summatory_r_vs_lattice_counting():
                                10**8, 2.75, 10**4 + 0.5])
 def test_summatory_r_vs_character_identity(x):
     assert summatory_r(x) == summatory_r_by_characters(x)
+
+
+def test_summatory_block_size_does_not_change_values(monkeypatch):
+    rng = np.random.default_rng(29)
+    xs = sorted({*range(120), *(10**e for e in range(1, 9)),
+                 *(k * k + e for k in (99, 9999) for e in (-1, 0, 1)),
+                 *np.exp(rng.uniform(0, math.log(1e8), 40)).astype(np.int64).tolist()})
+    kernels = (summatory_d, summatory_r, sieves._count_odd_pairs)
+    default = [[f(x) for x in xs] for f in kernels]
+    monkeypatch.setattr(numerics, "BLOCK", 7)
+    assert [[f(x) for x in xs] for f in kernels] == default
+
+
+@pytest.mark.parametrize("kernel, ceiling", [(summatory_d, 2 << 20),
+                                             (summatory_r, 4 << 20)],
+                         ids=["summatory_d", "summatory_r"])
+def test_summatory_memory_is_flat(kernel, ceiling):
+    # at 1e16 the kernels sum 1e8 terms, in transient arrays a few blocks long
+    tracemalloc.start()
+    try:
+        kernel(10**16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ceiling
 
 
 def test_alternating_sum_examples():

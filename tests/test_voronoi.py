@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from divisorlab import cli, errors, sieves, voronoi
+from divisorlab import cli, errors, numerics, sieves, voronoi
 from divisorlab.error_terms import ErrorTermKind, error_term
 from divisorlab.sieves import sieve_divisors
 from divisorlab.voronoi import (build_series, evaluate_block, phases,
@@ -75,7 +75,7 @@ def test_phase_reduction_lossless():
 def test_block_evaluation_matches_pointwise(monkeypatch):
     series = build_series(ErrorTermKind.CIRCLE, 300)
     xs = np.linspace(500, 2500, 37)
-    monkeypatch.setattr(voronoi, "BLOCK_TERMS", 8 * 300)   # 8 points per block
+    monkeypatch.setattr(numerics, "BLOCK", 8 * 300)   # 8 points per block
     blocked = evaluate_block(series, xs)
     pointwise = np.array([evaluate_block(series, [float(x)])[0] for x in xs])
     assert np.array_equal(blocked, pointwise)
