@@ -16,7 +16,11 @@ Conventions used throughout:
     values are a contiguous integer interval obtained by inverting the
     monotone root.  The partial sum is always formed in the same order, so
     exact ties |combination| = delta * scale are decided by the longdouble
-    rounding of that fixed evaluation order.
+    rounding of that fixed evaluation order.  The interval's ends are
+    rounded to integers exactly, through int64 (numerics.floor_int), so the
+    longdouble values still decide every tie.  When the first two summed
+    sides are one box, each unordered pair of them is evaluated once: x + a
+    and a + x are the same bits.
   * Bound values evaluate the reference bound shapes with the epsilon term
     dropped and the implied constant set to 1, so measured ratios carry all
     the constant information.
@@ -31,16 +35,17 @@ from functools import reduce
 import numpy as np
 
 from .errors import BudgetError
-from .numerics import NamedEnum
+from .numerics import NamedEnum, floor_int
 from .sieves import check_memory, core_families, core_tables, width_runs
 
 LD = np.longdouble
 
 # the most tuples a count or gap search may enumerate
 WORK_BUDGET = 10**10
-# Peak bytes of count_box (tracemalloc, each form, sides to 1e6, blocks to
-# 4e6): 64-280 per unit of the sides summed, 129 per broadcast block element.
-_BOX_BYTES_PER_SIDE = 280
+# Peak bytes of count_box (tracemalloc, each form): 64-286 per unit of the
+# sides summed (sides to 1e6), 121-129 per broadcast block element (blocks
+# to 4.9e5).
+_BOX_BYTES_PER_SIDE = 290
 _BOX_BYTES_PER_BLOCK = 130
 
 
@@ -66,8 +71,10 @@ class BoxSpec:
     exclude_exact: bool = False   # four-root-plus always excludes: 0 < |...|
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not self.delta > 0:
+            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not all(math.isfinite(v) for v in (self.alpha, self.beta) if v is not None):
+            raise ValueError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
         need = {
             SpacingForm.FOUR_ROOT_KTH: ("M",),
             SpacingForm.NEAR_INTEGER: ("K",),
@@ -202,25 +209,28 @@ def enumerate_exact_quadruples(limit: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # counting with a solved inner variable
 
-def _count_in_interval(lo, hi, floor_lo, cap_hi, strict: bool):
+def _count_in_interval(lo, hi, floor_lo, cap_hi, strict: bool) -> np.ndarray:
     """Vectorized count of integers v with floor_lo <= v <= cap_hi and
-    lo (<|<=) v (<|<=) hi, where lo/hi are longdouble arrays."""
+    lo (<|<=) v (<|<=) hi, as int64, where lo/hi are longdouble arrays and
+    0 <= lo < 2^63.
+
+    hi is clipped in place at cap_hi (cap_hi + 1 when strict): that clamps
+    the largest v before rounding, so hi fits in int64 for any delta, inf
+    included, and an infinite cap_hi needs no integer clamp."""
+    np.minimum(hi, cap_hi + strict, out=hi)
     if strict:
-        vmin = np.floor(lo) + 1
-        vmax = np.ceil(hi) - 1
+        vmin = floor_int(lo) + 1
+        vmax = -floor_int(-hi) - 1
     else:
-        vmin = np.ceil(lo)
-        vmax = np.floor(hi)
-    # masked assignment clamps about twice as fast as np.maximum on
-    # longdouble arrays
-    vmin[vmin < floor_lo] = floor_lo
-    vmax[vmax > cap_hi] = cap_hi
+        vmin = -floor_int(-lo)
+        vmax = floor_int(hi)
+    np.maximum(vmin, floor_lo, out=vmin)
     cnt = vmax - vmin + 1
-    cnt[cnt < 0] = 0
-    return cnt
+    return np.maximum(cnt, 0, out=cnt)
 
 
-def _count_solved(axes, t, inner_lo, inner_hi, r: int, strict: bool) -> int:
+def _count_solved(axes, t, inner_lo, inner_hi, r: int, strict: bool,
+                  paired: bool) -> int:
     """Number of tuples (x, a_1, ..., v) with |x + a_1 + ... - v^(1/r)|
     (<|<=) t and inner_lo <= v <= inner_hi, where x runs over axes[0] and
     the later axes broadcast against each other.
@@ -229,17 +239,23 @@ def _count_solved(axes, t, inner_lo, inner_hi, r: int, strict: bool) -> int:
     max(s - t, 0)^r and max(s + t, 0)^r.  Clamping hi leaves an empty
     interval where s + t <= 0, since inner_lo >= 1.  The sum s is always
     added left to right, so threshold ties are decided the same way on
-    every call."""
+    every call.
+
+    paired says axes[1] holds the values of axes[0] (along its first
+    dimension).  IEEE addition is commutative, so the tuples with x and a_1
+    swapped have the same s to the bit and the same count: row i runs a_1
+    over axes[1][i:] only and counts those twice, less the a_1 = x row."""
     total = 0
-    for x in axes[0]:
-        s = x
-        for a in axes[1:]:
+    for i, x in enumerate(axes[0]):
+        s = x + (axes[1][i:] if paired else axes[1])
+        for a in axes[2:]:
             s = s + a
         lo, hi = s - t, s + t
         lo[lo < 0] = 0
         hi[hi < 0] = 0
-        total += int(np.sum(_count_in_interval(lo ** r, hi ** r, inner_lo,
-                                               inner_hi, strict)))
+        cnt = _count_in_interval(lo ** r, hi ** r, inner_lo, inner_hi, strict)
+        row = int(np.sum(cnt))
+        total += 2 * row - int(np.sum(cnt[0])) if paired else row
     return total
 
 
@@ -250,7 +266,7 @@ def _sqrt_box(R: int) -> np.ndarray:
 def _count_near_integer(spec: BoxSpec) -> int:
     k = np.arange(spec.K + 1, 2 * spec.K + 1, dtype=np.int64)
     t = LD(spec.beta) + LD(spec.alpha) * np.sqrt(k.astype(LD))
-    frac = t - np.floor(t)
+    frac = t - floor_int(t)
     dist = np.minimum(frac, 1 - frac)
     return int(np.count_nonzero(dist < LD(spec.delta)))
 
@@ -349,11 +365,11 @@ def count_box(spec: BoxSpec) -> SpacingCount:
         inv = LD(1) / LD(spec.root_k)
         b = np.arange(M + 1, 2 * M + 1, dtype=np.int64).astype(LD) ** inv
         count = _count_solved((b, b[:, None], -b[None, :]), delta * LD(M) ** inv,
-                              M + 1, 2 * M, spec.root_k, strict=True)
+                              M + 1, 2 * M, spec.root_k, strict=True, paired=True)
         zeros, _ = _zero_count_four((M, M, M, M), 2, spec.root_k)
     elif form is SpacingForm.THREE_ROOT:
         count = _count_solved((_sqrt_box(M), _sqrt_box(Mp)), delta * np.sqrt(LD(M)),
-                              1, np.inf, 2, strict=False)
+                              1, np.inf, 2, strict=False, paired=M == Mp)
         # k is unconstrained and exact hits always satisfy the inequality, so
         # the zero count is the number of same-core pairs (m, n)
         core, _ = core_tables(2 * max(M, Mp))
@@ -365,7 +381,7 @@ def count_box(spec: BoxSpec) -> SpacingCount:
             last, inner, n_left = _sqrt_box(K), L, 3
         count = _count_solved((_sqrt_box(M), _sqrt_box(Mp)[:, None], last[None, :]),
                               delta * np.sqrt(LD(K)), inner + 1, 2 * inner, 2,
-                              strict=False)
+                              strict=False, paired=M == Mp)
         zeros, trivial = _zero_count_four((M, Mp, K, L), n_left)
     if spec.excludes_exact():
         if zeros is None:
@@ -396,7 +412,7 @@ def _min_gap(step, limit: int):
     best, arg = LD(np.inf), (0, 0, 0)
     for o in range(1, limit + 1):
         s2, exact, scaled = step(o)
-        fl = np.floor(s2).astype(np.int64)
+        fl = floor_int(s2)
         for v in (np.ones_like(fl), fl - 1, fl, fl + 1, np.full_like(fl, limit)):
             v = np.clip(v, 1, limit)
             gap = np.where(v != exact, scaled(v), LD(np.inf))

@@ -25,7 +25,7 @@ import numpy as np
 from . import numerics
 from .error_terms import ErrorTermKind, error_term, jump_denominator
 from .errors import BudgetError, RangeError
-from .numerics import PI_LD, TWO_PI_LD
+from .numerics import PI_LD, TWO_PI_LD, floor_int
 # sieve_divisors and sieve_r stay bound: perfbench/tracing.py wraps them here
 from .sieves import (DivisorTable, TableKind, check_memory, sieve,  # noqa: F401
                      sieve_divisors, sieve_r)
@@ -96,10 +96,12 @@ def phases(series: VoronoiSeries, x) -> np.ndarray:
     """f*sqrt(n*x) folded mod 2*pi, plus phase, for n = 1..N, in longdouble.
 
     A column of points (shape (B, 1)) gives one row of phases per point.
+    The number of turns is rounded in int64, so f*sqrt(N*x) must stay below
+    2^63; evaluate_block keeps it below 2^32.
     """
     ns = np.arange(1, series.truncation + 1, dtype=np.longdouble)
     t = np.longdouble(series.frequency_scale) * np.sqrt(ns * np.longdouble(x))
-    t -= TWO_PI_LD * np.floor(t / TWO_PI_LD)
+    t -= TWO_PI_LD * floor_int(t / TWO_PI_LD)
     t += np.longdouble(series.phase)
     return t
 

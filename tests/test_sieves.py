@@ -1,4 +1,5 @@
 import math
+import resource
 import tracemalloc
 
 import numpy as np
@@ -154,6 +155,15 @@ def test_summatory_memory_is_flat(kernel, ceiling):
     finally:
         tracemalloc.stop()
     assert peak < ceiling
+
+
+def test_summatory_r_faults_in_no_pages_per_block():
+    # fresh temporaries in every block made the allocator return the heap top
+    # and fault it in again: 586,000 minor faults at 1e16
+    summatory_r(10**6)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert summatory_r(10**16) == 31415926535867960
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50_000
 
 
 def test_alternating_sum_examples():

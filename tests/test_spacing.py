@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from divisorlab import errors, sieves, spacing
+from divisorlab import errors, numerics, sieves, spacing
 from divisorlab.sieves import core_families, core_tables
 from divisorlab.spacing import (BoxSpec, SpacingForm, count_box,
                                 enumerate_exact_quadruples,
@@ -221,6 +221,36 @@ def test_threshold_tie_counts_pinned(form, box, j, count, trivial, zeros):
     assert (res.count, res.trivial_count, res.exact_zero_count) == (count, trivial, zeros)
 
 
+def test_floor_int_is_exact():
+    k = np.array([0, 1, 2, 3, 7, 1000, 2**31, 2**40 + 1, 2**53 + 1, 2**62 - 1])
+    ints = np.concatenate([k, -k]).astype(np.longdouble)
+    big = np.longdouble(2) ** 62 + np.arange(-3, 4).astype(np.longdouble)
+    x = np.concatenate([ints, np.nextafter(ints, np.longdouble(np.inf)),
+                        np.nextafter(ints, np.longdouble(-np.inf)),
+                        np.array([0.5, -0.5, 1.5, -1.5, -0.0], dtype=np.longdouble),
+                        big, -big])
+    floor = numerics.floor_int(x)
+    assert floor.dtype == np.int64
+    assert floor.tolist() == [int(v) for v in np.floor(x)]
+    assert (-numerics.floor_int(-x)).tolist() == [int(v) for v in np.ceil(x)]
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_paired_rows_count_every_row(j):
+    # the tie boxes above: a swapped pair of equal axes gives the same sum
+    LD = np.longdouble
+    delta = LD(2.0 ** -j)
+    kth = np.arange(17, 33).astype(LD) ** (LD(1) / 3)
+    box16, box64 = spacing._sqrt_box(16), spacing._sqrt_box(64)
+    for axes, t, lo, hi, r, strict in [
+            ((kth, kth[:, None], -kth[None, :]), delta * LD(16) ** (LD(1) / 3),
+             17, 32, 3, True),
+            ((box16, box16[:, None], -box16[None, :]), delta * LD(4), 17, 32, 2, False),
+            ((box64, box64), delta * LD(8), 1, np.inf, 2, False)]:
+        assert spacing._count_solved(axes, t, lo, hi, r, strict, paired=True) \
+            == spacing._count_solved(axes, t, lo, hi, r, strict, paired=False)
+
+
 def test_trivial_pairings_reported_separately():
     spec = BoxSpec(form=SpacingForm.FOUR_ROOT_MINUS, M=4, Mp=4, K=4, L=4,
                    delta=1e-6)
@@ -432,6 +462,18 @@ def test_boxspec_validation():
         BoxSpec(form=SpacingForm.FOUR_ROOT_KTH, M=4, delta=0.1, root_k=1)
     with pytest.raises(ValueError):
         BoxSpec(form=SpacingForm.THREE_ROOT, M=4, Mp=4, delta=-1.0)
+    # non-finite parameters would round to nonsense in int64
+    with pytest.raises(ValueError, match="delta"):
+        BoxSpec(form=SpacingForm.FOUR_ROOT_MINUS, M=4, Mp=4, K=4, L=4, delta=math.nan)
+    for alpha, beta in [(math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0),
+                        (2.0, math.inf), (2.0, math.nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            BoxSpec(form=SpacingForm.NEAR_INTEGER, K=8, delta=0.1, alpha=alpha, beta=beta)
+    # an infinite delta counts the whole box
+    assert count_box(BoxSpec(form=SpacingForm.FOUR_ROOT_MINUS, M=4, Mp=4, K=4, L=4,
+                             delta=math.inf)).count == 4**4
+    assert count_box(BoxSpec(form=SpacingForm.FOUR_ROOT_KTH, M=5, root_k=3,
+                             delta=math.inf)).count == 5**4
 
 
 def test_budget_errors(monkeypatch):
@@ -463,7 +505,7 @@ def test_budget_errors(monkeypatch):
 
 
 def test_box_memory_ceiling(monkeypatch):
-    # 280 bytes per unit of the sides summed, the solved inner side included,
+    # 290 bytes per unit of the sides summed, the solved inner side included,
     # plus 130 per element of the broadcast block, checked before any table
     def unreachable(*args, **kwargs):
         raise AssertionError("allocation reached past the memory ceiling")
