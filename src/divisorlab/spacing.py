@@ -9,18 +9,16 @@ Conventions used throughout:
     of sqrt over distinct squarefree cores are linearly independent, so a
     combination vanishes iff the per-core coefficient sums do.  No floating
     tolerance ever classifies a tuple as exactly zero.
-  * Threshold comparisons (|combination| vs delta * scale) are evaluated in
+  * Threshold comparisons (|combination| vs delta * scale) are decided in
     80-bit extended precision by one solved-variable counter for all four
-    root forms: it enumerates the outer variables (a loop over the first,
-    broadcasts over the rest) and never the innermost one, whose admissible
-    values are a contiguous integer interval obtained by inverting the
-    monotone root.  The partial sum is always formed in the same order, so
-    exact ties |combination| = delta * scale are decided by the longdouble
-    rounding of that fixed evaluation order.  The interval's ends are
-    rounded to integers exactly, through int64 (numerics.floor_int), so the
-    longdouble values still decide every tie.  When the first two summed
-    sides are one box, each unordered pair of them is evaluated once: x + a
-    and a + x are the same bits.
+    root forms: it enumerates the outer variables, never the innermost one,
+    whose admissible values are an integer interval found by inverting the
+    monotone root.  The sum is formed in one fixed order and the interval's
+    ends are rounded exactly (numerics.floor_int), so that order's
+    longdouble rounding decides exact ties; x + a and a + x are the same
+    bits, so equal first boxes are evaluated once per unordered pair.
+    Minimal gaps are decided in longdouble too, after a float64 screen with
+    a proven error bound, and the first minimum in one fixed order wins.
   * Bound values evaluate the reference bound shapes with the epsilon term
     dropped and the implied constant set to 1, so measured ratios carry all
     the constant information.
@@ -34,6 +32,7 @@ from functools import reduce
 
 import numpy as np
 
+from . import numerics
 from .errors import BudgetError
 from .numerics import NamedEnum, floor_int
 from .sieves import check_memory, core_families, core_tables, width_runs
@@ -398,86 +397,116 @@ def count_box(spec: BoxSpec) -> SpacingCount:
 # ---------------------------------------------------------------------------
 # minimal scaled gaps
 
-def _min_gap(step, limit: int):
-    """Smallest scaled gap over o = 1..limit and the solved variable v in
-    [1, limit], with (o, flat index, v) where it falls (zeros if none).
+# Peak bytes of a gap search (tracemalloc): 266-282 per pair of its largest block, 48 per limit
+_GAP_BYTES_PER_PAIR = 300
+_GAP_BYTES_PER_LIMIT = 50
 
-    step(o) gives s^2 for the root sums s (0 where s <= 0), the v at which
-    each combination vanishes exactly (-1 for none) and scaled(v).  In v,
+
+def _pairs(side: int):
+    """Pairs (m, n), 1 <= m <= n <= side, n-major, in numerics.BLOCK blocks."""
+    tri = np.cumsum(np.arange(side + 1))    # pairs with n < j: tri[j - 1]
+    for lo in range(0, int(tri[side]), numerics.BLOCK):
+        pos = np.arange(lo, min(lo + numerics.BLOCK, tri[side]))
+        n = np.searchsorted(tri, pos, side="right")
+        yield pos - tri[n - 1] + 1, n
+
+
+def _screen_bound(roots: float, weight: float) -> float:
+    """Bound on |float64 gap - longdouble gap| where the |roots|, sqrt v
+    included, sum to at most A = roots and the weight to at most W.  With
+    u = 2^-53 the gap is |d| W, d = s - sqrt v, |d| <= A; longdouble is within
+    9 2^-64 A W of it.  float64 rounds s, sqrt v and d (|d_F - d| <= 2u A),
+    then sqrt(m n), scale, sqrt v and two products: 7u A W; twice that
+    covers rounding A, W and the cuts."""
+    return 16 * 2.0 ** -53 * roots * weight
+
+
+def _screen(m, n, s, scale: int, exact, sqrt64: np.ndarray):
+    """A block's candidates v (5 x pairs), float64 gaps (inf at exact zeros), bound."""
+    # the slots 1, floor(s^2) - 1, floor(s^2), floor(s^2) + 1 and limit (the
+    # -+2^62 offsets clip to 1 and limit); a float64 floor could cross an
+    # integer just where minima lie
+    v = floor_int(np.where(s > 0, s * s, LD(0))) + [[-1 << 62], [-1], [0], [1], [1 << 62]]
+    np.clip(v, 1, len(sqrt64) - 1, out=v)
+    weight = np.sqrt((m * n).astype(np.float64)) * scale
+    root_v = sqrt64[v]
+    gap = s.astype(np.float64) - root_v
+    np.abs(gap, out=gap)
+    gap *= weight
+    gap *= root_v
+    gap[v == exact] = np.inf
+    return v, gap, _screen_bound(4 * sqrt64[-1], weight.max() * sqrt64[-1])
+
+
+def _min_gap(blocks, limit: int, volume: int):
+    """(gap, o, slot, m, n, v) of the least |s - sqrt v| * scale * sqrt(m n v)
+    over v in [1, limit] and the pairs of blocks(sqrt_tab), which yields o, m,
+    n, the sums s, the scale and the v where each sum vanishes (-1: none); inf
+    and zeros if all vanish.  volume counts the tuples (o, m, n).  In v,
     |s - sqrt v| * sqrt v rises on [1, s^2/4], falls to s^2 and rises beyond,
-    so only v = 1, floor(s^2) - 1, floor(s^2), floor(s^2) + 1 and limit,
-    clipped to [1, limit], can attain the minimum; the first strict minimum
-    in that order wins.
-    """
-    best, arg = LD(np.inf), (0, 0, 0)
-    for o in range(1, limit + 1):
-        s2, exact, scaled = step(o)
-        fl = floor_int(s2)
-        for v in (np.ones_like(fl), fl - 1, fl, fl + 1, np.full_like(fl, limit)):
-            v = np.clip(v, 1, limit)
-            gap = np.where(v != exact, scaled(v), LD(np.inf))
-            i = int(np.argmin(gap))
-            if gap.flat[i] < best:
-                best, arg = gap.flat[i], (o, i, int(v.flat[i]))
-    return best, arg
+    so only 5 slots (_screen) can attain the minimum.  Those within two screen
+    bounds of the block's least float64 gap and one of the best so far are
+    evaluated in longdouble; the first minimum in (o, slot, m, n) order wins."""
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    if volume > WORK_BUDGET:
+        raise BudgetError(f"search volume {volume} exceeds budget {WORK_BUDGET}")
+    check_memory(_GAP_BYTES_PER_PAIR * min(numerics.BLOCK, limit * (limit + 1) // 2)
+                 + _GAP_BYTES_PER_LIMIT * limit, f"gap search up to {limit}")
+    sqrt_tab = np.sqrt(np.arange(limit + 1).astype(LD))
+    sqrt64 = np.sqrt(np.arange(limit + 1, dtype=np.float64))
+    best = (LD(np.inf), 0, 0, 0, 0, 0)
+    for o, m, n, s, scale, exact in blocks(sqrt_tab):
+        v, gap, bound = _screen(m, n, s, scale, exact, sqrt64)
+        low, cut = gap.min(), float(best[0]) + bound
+        if low == np.inf or low > cut:
+            continue
+        slot, i = np.nonzero(gap <= min(low + 2 * bound, cut))
+        v, m, n = v[slot, i], m[i], n[i]
+        exact_gap = np.abs(s[i] - sqrt_tab[v]) * LD(scale) * np.sqrt((m * n * v).astype(LD))
+        best = min(best, *zip(exact_gap, np.broadcast_to(o, s.shape)[i].tolist(),
+                              slot.tolist(), m.tolist(), n.tolist(), v.tolist()))
+    return best
 
 
 def min_gap_three(limit: int) -> GapResult:
     """Minimum of |sqrt m + sqrt n - sqrt k| * sqrt(mnk) over m, n, k <= limit
-    with a nonzero combination; reports a minimizing triple with m <= n.
+    with a nonzero combination; reports a minimizing triple with m <= n.  The
+    solved variable is k; an exact hit k = s^2 needs m and n of one core."""
+    def blocks(sqrt_tab):
+        core, root = core_tables(limit)
+        for m, n in _pairs(limit):
+            yield m, m, n, sqrt_tab[m] + sqrt_tab[n], 1, \
+                np.where(core[m] == core[n], (root[m] + root[n]) ** 2 * core[m], -1)
 
-    The solved variable is k; an exact hit k = s^2 needs m and n of one core.
-    """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    if limit * limit > WORK_BUDGET:
-        raise BudgetError(f"pair volume {limit * limit} exceeds budget {WORK_BUDGET}")
-    core, root = core_tables(limit)
-    sqrt_tab = np.sqrt(np.arange(limit + 1).astype(LD))
-
-    def step(m):
-        n = np.arange(m, limit + 1, dtype=np.int64)
-        s = sqrt_tab[m] + sqrt_tab[n]
-        exact = np.where(core[m] == core[n], (root[m] + root[n]) ** 2 * core[m], -1)
-        return s * s, exact, lambda k: np.abs(s - sqrt_tab[k]) * np.sqrt(
-            (m * n * k).astype(LD))
-
-    best, (m, i, k) = _min_gap(step, limit)
-    return GapResult(limit=limit, min_scaled_gap=float(best), argmin=(m, m + i, k))
+    best, _, _, m, n, k = _min_gap(blocks, limit, limit * limit)
+    return GapResult(limit=limit, min_scaled_gap=float(best), argmin=(m, n, k))
 
 
 def min_gap_four(limit: int, sign: int = 1) -> GapResult:
     """Minimum of |sqrt m + sqrt n + sign*sqrt k - sqrt l| * k^2 * sqrt(mnl)
-    over m, n <= k <= limit, l <= limit, nonzero combinations only.
+    over m, n <= k <= limit, l <= limit, nonzero combinations only; reports
+    a minimizing quadruple with m <= n.
 
     The solved variable is l.  By independence of square roots over distinct
     cores each (m, n, k) has at most one exact l: (a_m + a_n + sign*a_k)^2 q
     when all three share the core q, and for sign -1 also n when m = k and
-    m when n = k.
-    """
+    m when n = k.  The sum, that l and m n l are symmetric in m and n to the
+    bit, and a mirror pair comes later, so only m <= n is searched."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    if limit**3 > WORK_BUDGET:
-        raise BudgetError(f"triple volume {limit**3} exceeds budget {WORK_BUDGET}")
-    core, root = core_tables(limit)
-    sqrt_tab = np.sqrt(np.arange(limit + 1).astype(LD))
-    mn = np.arange(1, limit + 1, dtype=np.int64)
 
-    def step(k):
-        m, n = mn[:k, None], mn[None, :k]
-        s = sqrt_tab[1:k + 1][:, None] + sqrt_tab[1:k + 1][None, :] \
-            + LD(sign) * sqrt_tab[k]
-        a = root[m] + root[n] + sign * root[k]
-        exact = np.where((core[m] == core[n]) & (core[m] == core[k]) & (a > 0),
-                         a * a * core[k], -1)
-        if sign < 0:
-            exact = np.where(m == k, n, np.where(n == k, m, exact))
-        k2 = LD(k) ** 2
-        return np.where(s > 0, s * s, LD(0)), exact, \
-            lambda lv: np.abs(s - sqrt_tab[lv]) * k2 * np.sqrt((m * n * lv).astype(LD))
+    def blocks(sqrt_tab):
+        core, root = core_tables(limit)
+        for k in range(1, limit + 1):
+            for m, n in _pairs(k):
+                a = root[m] + root[n] + sign * root[k]
+                exact = np.where((core[m] == core[n]) & (core[m] == core[k]) & (a > 0),
+                                 a * a * core[k], -1)
+                if sign < 0:
+                    exact = np.where(m == k, n, np.where(n == k, m, exact))
+                yield k, m, n, sqrt_tab[m] + sqrt_tab[n] + LD(sign) * sqrt_tab[k], \
+                    k * k, exact
 
-    best, (k, i, lv) = _min_gap(step, limit)
-    return GapResult(limit=limit, min_scaled_gap=float(best),
-                     argmin=(i // k + 1, i % k + 1, k, lv) if k else (0, 0, 0, 0))
+    best, k, _, m, n, lv = _min_gap(blocks, limit, limit**3)
+    return GapResult(limit=limit, min_scaled_gap=float(best), argmin=(m, n, k, lv))

@@ -399,6 +399,13 @@ def test_min_gap_four_vs_brute_force():
         want = brute(limit, sign)
         got = min_gap_four(limit, sign)
         assert got.min_scaled_gap == pytest.approx(want, rel=1e-10)
+        # the reported argmin has m <= n and attains the reported gap
+        m, n, k, l = got.argmin
+        assert m <= n <= k
+        with mpmath.workdps(50):
+            ref = abs(mpmath.sqrt(m) + mpmath.sqrt(n) + sign * mpmath.sqrt(k)
+                      - mpmath.sqrt(l)) * k * k * mpmath.sqrt(m * n * l)
+        assert got.min_scaled_gap == pytest.approx(float(ref), rel=1e-9)
 
 
 # float.hex of the minimal scaled gap and its argmin, recorded before the two
@@ -433,6 +440,44 @@ def test_min_gaps_pinned_bit_for_bit():
             res = min_gap_four(limit, sign)
             got = (float.hex(res.min_scaled_gap), res.argmin)
             assert got == pinned(GAP_RUNS[sign], limit), (limit, sign)
+
+
+def test_min_gaps_pinned_in_blocks_of_seven(monkeypatch):
+    # blocks of 7 pairs split the columns of pairs m <= n between blocks,
+    # and the first minimum must still win across them
+    monkeypatch.setattr(numerics, "BLOCK", 7)
+    test_min_gaps_pinned_bit_for_bit()
+
+
+def test_screen_bound_covers_every_candidate(monkeypatch):
+    # every screened candidate's float64 gap lies within the screen's bound
+    # of its longdouble gap, so no candidate that can attain the longdouble
+    # minimum is cut
+    screened = []
+
+    def recording(*args):
+        out = screen(*args)
+        screened.append((*args, *out))
+        return out
+
+    screen = spacing._screen
+    monkeypatch.setattr(spacing, "_screen", recording)
+    min_gap_three(300)
+    min_gap_four(60, 1)
+    min_gap_four(60, -1)
+    worst = 0.0
+    for m, n, s, scale, exact, sqrt64, v, gap, bound in screened:
+        sqrt_ld = np.sqrt(np.arange(len(sqrt64)).astype(np.longdouble))
+        exact_gap = np.abs(s - sqrt_ld[v]) * np.longdouble(scale) \
+            * np.sqrt((m * n * v).astype(np.longdouble))
+        nonzero = v != exact
+        assert np.array_equal(np.isinf(gap), ~nonzero)
+        diff = np.abs(gap[nonzero] - exact_gap[nonzero])
+        assert np.all(diff <= bound)
+        worst = max(worst, float(diff.max(initial=0)) / bound)
+    # 45,150 pairs up to 300 in blocks of numerics.BLOCK, one block per k <= 60
+    assert len(screened) == math.ceil(300 * 301 / 2 / numerics.BLOCK) + 2 * 60
+    assert 0 < worst <= 1
 
 
 def test_min_gap_four_dual_precision_stability():
@@ -562,6 +607,25 @@ def test_quadruple_memory_ceiling(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+
+
+def test_gap_memory_ceiling(monkeypatch):
+    # 300 bytes per pair m <= n of the largest block, at most numerics.BLOCK
+    # of them, and 50 per unit of the limit, checked before any table
+    def unreachable(*args, **kwargs):
+        raise AssertionError("allocation reached past the memory ceiling")
+
+    for search, limit, pairs in [(lambda: min_gap_three(1000), 1000, numerics.BLOCK),
+                                 (lambda: min_gap_four(40, -1), 40, 40 * 41 // 2),
+                                 (lambda: min_gap_four(40, 1), 40, 40 * 41 // 2)]:
+        need = 300 * pairs + 50 * limit
+        monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", need)
+        search()
+        monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", need - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(spacing, "core_tables", unreachable)
+            with pytest.raises(errors.CapacityError):
+                search()
 
 
 def test_form_parse():
