@@ -75,7 +75,7 @@ def _table_for(args, kind: ErrorTermKind, stops, start: float = 1.0):
     has passed the moment inputs: the smallest adequate table in the cache
     directory, else a new sieve (cached when there is one).  A damaged cache
     file is reported on stderr and sieved again."""
-    moments.check_profile(kind, (args.power,), stops, start, args.order, args.threads)
+    moments.check_profile(kind, (args.power,), stops, start, args.threads)
     raw = args.cache_dir or os.environ.get(CACHE_ENV)
     cache = Path(raw) if raw else None
     table_kind, limit = step_table_need(kind, int(stops[-1]) + 1)
@@ -163,7 +163,7 @@ def _cmd_moment(args) -> None:
     moments.check_interval(getattr(args, "from"), args.to)
     table = _table_for(args, kind, [args.to], getattr(args, "from"))
     res = moments.moment(kind, args.power, (getattr(args, "from"), args.to),
-                         order=args.order, threads=args.threads, table=table)
+                         threads=args.threads, table=table)
     doc = asdict(res)
     main = residual = None
     if theory is not None:
@@ -179,9 +179,8 @@ def _cmd_fit(args) -> None:
     theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff)
     moments.check_fit(args.power, args.grid)
     table = _table_for(args, kind, args.grid)
-    report = moments.fit_main_term(kind, args.power, args.grid, order=args.order,
-                                   threads=args.threads, table=table,
-                                   theory=theory)
+    report = moments.fit_main_term(kind, args.power, args.grid,
+                                   threads=args.threads, table=table, theory=theory)
     rows = []
     for x, resid in report.residual_series:
         main = report.theory_coefficient * x ** report.main_exponent
@@ -195,8 +194,8 @@ def _cmd_short_interval(args) -> None:
     moments.check_short_interval(args.power, args.x, args.h)
     table = _table_for(args, kind, [args.x + args.h], args.x)
     res = moments.short_interval_ratio(kind, args.power, args.x, args.h,
-                                       order=args.order, threads=args.threads,
-                                       table=table, coefficient=coefficient)
+                                       threads=args.threads, table=table,
+                                       coefficient=coefficient)
     _report(args, asdict(res))
 
 
@@ -281,7 +280,6 @@ def build_parser() -> _Parser:
     p.add_argument("--power", type=_integer, required=True)
     p.add_argument("--from", type=_number, default=1.0)
     p.add_argument("--to", type=_number, required=True)
-    p.add_argument("--order", type=_integer, default=8)
     p.add_argument("--cutoff", type=_integer, default=10**5,
                    help="series cutoff for the theory coefficient")
     p.set_defaults(func=_cmd_moment)
@@ -291,7 +289,6 @@ def build_parser() -> _Parser:
     p.add_argument("--power", type=_integer, required=True)
     p.add_argument("--grid", type=_grid, required=True,
                    help="comma-separated ascending X values (>= 4)")
-    p.add_argument("--order", type=_integer, default=8)
     p.add_argument("--cutoff", type=_integer, default=10**5)
     p.set_defaults(func=_cmd_fit)
 
@@ -300,7 +297,6 @@ def build_parser() -> _Parser:
     p.add_argument("--power", type=_integer, required=True)
     p.add_argument("--x", type=_number, required=True)
     p.add_argument("--h", type=_number, required=True)
-    p.add_argument("--order", type=_integer, default=8)
     p.set_defaults(func=_cmd_short_interval)
 
     p = sub.add_parser("spacing", help="exact count for one spacing box")

@@ -2,7 +2,7 @@
 main-term fits built on those integrals.
 
 On each interval between consecutive jumps of the step sum the integrand
-(error term)^k is analytic and mild, so fixed-order Gauss-Legendre per
+(error term)^k is analytic and mild, so Gauss-Legendre of order 8 per
 segment integrates it to ~1e-13 relative.  Segments are processed in
 chunks of CHUNK_SEGMENTS; each chunk reduces internally with numpy's
 deterministic pairwise sum and the chunks combine in ascending order through
@@ -23,16 +23,17 @@ from . import numerics
 from .error_terms import (ErrorTermKind, jump_denominator, smooth_main_term,
                           step_part, step_table_need)
 from .errors import DegenerateFitError, RangeError
-from .numerics import KahanAccumulator, leggauss_01, loglog_slope
+from .numerics import KahanAccumulator, loglog_slope
 # sieve_divisors and sieve_r stay bound: perfbench/tracing.py wraps them here
 from .sieves import DivisorTable, check_memory, sieve, sieve_divisors, sieve_r  # noqa: F401
 
 # segments per chunk: the unit of pairwise reduction and of thread work
 CHUNK_SEGMENTS = 1 << 16
-# peak bytes per block node of _chunk_partials (tracemalloc, each kind, orders
-# 3 to 5000) and per order^2 of leggauss (ru_maxrss, orders 1000 to 3000)
+# peak bytes per block node of _chunk_partials (tracemalloc, each kind, 3 to 5000 nodes)
 _BLOCK_BYTES_PER_NODE = 112
-_LEGGAUSS_BYTES_PER_ORDER2 = 16
+# the one quadrature rule: Gauss-Legendre of order 8 on [0, 1], longdouble
+NODES, WEIGHTS = np.polynomial.legendre.leggauss(8)
+NODES, WEIGHTS = (NODES.astype(np.longdouble) + 1) / 2, WEIGHTS.astype(np.longdouble) / 2
 
 MIN_POWER = 1
 MAX_POWER = 9
@@ -99,37 +100,37 @@ class _StepTable:
         return step_part(self.kind, self.prefix.__getitem__, ticks)
 
 
-def _chunk_partials(step: _StepTable, m0: int, m1: int, span, nodes, weights,
+def _chunk_partials(step: _StepTable, m0: int, m1: int, span,
                     powers: tuple[int, ...]) -> dict[int, np.longdouble]:
     """Integrals of error^k over the segments m0..m1-1 in one pairwise pass,
     or, when ``span`` = (x0, x1) is given, over that part of segment m0.
 
-    Node sums are formed numerics.BLOCK // order segments at a time.  A head or
-    tail piece is a one-element pass: np.sum of one element is exact.
+    Node sums are formed numerics.BLOCK // len(NODES) segments at a time.  A
+    head or tail piece is a one-element pass: np.sum of one element is exact.
     """
     width = np.longdouble(1) / step.denom if span is None \
         else np.longdouble(span[1]) - np.longdouble(span[0])
     sums = {k: np.empty(m1 - m0, dtype=np.longdouble) for k in powers}
-    rows = max(1, numerics.BLOCK // len(nodes))
+    rows = max(1, numerics.BLOCK // len(NODES))
     for i in range(0, m1 - m0, rows):
         ticks = np.arange(m0 + i, min(m0 + i + rows, m1), dtype=np.int64)
         left = ticks.astype(np.longdouble) / step.denom if span is None \
             else np.array([span[0]], dtype=np.longdouble)
-        xs = left[:, None] + width * nodes[None, :]
+        xs = left[:, None] + width * NODES[None, :]
         err = step.constants(ticks)[:, None] - smooth_main_term(step.kind, xs)
         prod = None
         for k in range(1, max(powers) + 1):
             prod = err if prod is None else prod * err
             if k in powers:
-                sums[k][i:i + rows] = np.sum(prod * weights[None, :], axis=1)
+                sums[k][i:i + rows] = np.sum(prod * WEIGHTS[None, :], axis=1)
     return {k: np.sum(sums[k]) * width for k in powers}
 
 
 def check_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
-                  order: int = 8, threads: int = 1):
+                  threads: int = 1):
     """Reject what moment_profile would reject before its table is built:
-    powers, stops, start, quadrature order and thread memory.  Returns the
-    sorted distinct powers and the stops as floats."""
+    powers, stops, start and thread memory.  Returns the sorted distinct
+    powers and the stops as floats."""
     powers = tuple(sorted(set(int(p) for p in powers)))
     for p in powers:
         _check_power(p)
@@ -140,20 +141,18 @@ def check_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
         raise RangeError(f"integration starts at x >= 1, got {start}")
     if stops[0] < start:
         raise ValueError("first stop lies before the interval start")
-    check_memory(_LEGGAUSS_BYTES_PER_ORDER2 * order * order, f"quadrature of order {order}")
-    leggauss_01(order)    # rejects order < 1; cached for moment_profile
     denom = jump_denominator(kind)
     segments = math.ceil(stops[-1] * denom) - math.floor(start * denom)
     workers = min(threads, segments // CHUNK_SEGMENTS + 3)
     check_memory(workers * (16 * len(powers) * min(segments, CHUNK_SEGMENTS)  # chunk sums
-                            + _BLOCK_BYTES_PER_NODE * order
-                            * min(segments, max(1, numerics.BLOCK // order))),
+                            + _BLOCK_BYTES_PER_NODE * len(NODES)
+                            * min(segments, max(1, numerics.BLOCK // len(NODES)))),
                  f"{workers} integration threads")
     return powers, stops
 
 
 def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
-                   order: int = 8, threads: int = 1,
+                   threads: int = 1,
                    table: DivisorTable | None = None) -> dict[int, list[float]]:
     """Cumulative integrals of error^k from ``start`` to each stop, per power.
 
@@ -161,8 +160,7 @@ def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
     quadrature nodes are shared and only the power accumulation differs.
     Results are recorded at each stop in ascending order.
     """
-    powers, stops = check_profile(kind, powers, stops, start, order, threads)
-    nodes, weights = leggauss_01(order)
+    powers, stops = check_profile(kind, powers, stops, start, threads)
     denom = jump_denominator(kind)
     step = _StepTable(kind, stops[-1], table)
 
@@ -170,7 +168,7 @@ def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
     results: dict[int, list[float]] = {p: [] for p in powers}
 
     def run(part):
-        return _chunk_partials(step, *part, nodes, weights, powers)
+        return _chunk_partials(step, *part, powers)
 
     prev = start
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -201,17 +199,17 @@ def check_interval(a: float, b: float) -> None:
         raise RangeError(f"need 1 <= a < b, got [{a}, {b}]")
 
 
-def moment(kind: ErrorTermKind, power: int, interval, order: int = 8,
-           threads: int = 1, table: DivisorTable | None = None) -> MomentResult:
+def moment(kind: ErrorTermKind, power: int, interval, threads: int = 1,
+           table: DivisorTable | None = None) -> MomentResult:
     """Integral of error^power over [a, b]."""
     a, b = float(interval[0]), float(interval[1])
     check_interval(a, b)
-    profile = moment_profile(kind, (power,), [b], start=a, order=order,
-                             threads=threads, table=table)
+    profile = moment_profile(kind, (power,), [b], start=a, threads=threads,
+                             table=table)
     denom = jump_denominator(kind)
     count = int(math.ceil(b * denom) - math.floor(a * denom))
     return MomentResult(kind=kind, power=power, interval=(a, b),
-                        integral=profile[power][0], quadrature_order=order,
+                        integral=profile[power][0], quadrature_order=len(NODES),
                         partition_count=count)
 
 
@@ -249,8 +247,7 @@ def check_short_interval(power: int, X: float, H: float) -> None:
 
 
 def short_interval_ratio(kind: ErrorTermKind, power: int, X: float, H: float,
-                         order: int = 8, threads: int = 1,
-                         table: DivisorTable | None = None,
+                         threads: int = 1, table: DivisorTable | None = None,
                          coefficient: float | None = None) -> ShortIntervalResult:
     """Moment over [X, X+H] divided by the predicted main-term increment.
 
@@ -261,7 +258,7 @@ def short_interval_ratio(kind: ErrorTermKind, power: int, X: float, H: float,
     check_short_interval(power, X, H)
     if coefficient is None:
         coefficient = theory_coefficient(kind, power)
-    res = moment(kind, power, (X, X + H), order=order, threads=threads, table=table)
+    res = moment(kind, power, (X, X + H), threads=threads, table=table)
     e = np.longdouble(main_exponent(power))
     main = float(coefficient * ((np.longdouble(X) + np.longdouble(H)) ** e
                                 - np.longdouble(X) ** e))
@@ -288,8 +285,8 @@ def check_fit(power: int, Xs: list[float]) -> None:
     _check_power(power)
 
 
-def fit_main_term(kind: ErrorTermKind, power: int, X_grid, order: int = 8,
-                  threads: int = 1, table: DivisorTable | None = None,
+def fit_main_term(kind: ErrorTermKind, power: int, X_grid, threads: int = 1,
+                  table: DivisorTable | None = None,
                   theory: float | None = None) -> FitReport:
     """Fit the leading power's coefficient over an ascending X grid.
 
@@ -301,8 +298,7 @@ def fit_main_term(kind: ErrorTermKind, power: int, X_grid, order: int = 8,
     check_fit(power, Xs)
     if theory is None:
         theory = theory_coefficient(kind, power)
-    profile = moment_profile(kind, (power,), Xs, order=order, threads=threads,
-                             table=table)
+    profile = moment_profile(kind, (power,), Xs, threads=threads, table=table)
     integrals = profile[power]
     e = main_exponent(power)
     fitted = fit_coefficient(Xs, integrals, e)

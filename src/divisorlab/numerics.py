@@ -1,6 +1,5 @@
 """Shared machinery: extended-precision constants, an exact longdouble floor,
-Gauss-Legendre nodes, compensated accumulation, named-choice enums,
-17-significant-digit rendering.
+compensated accumulation, named-choice enums, 17-significant-digit rendering.
 
 All phase/smooth-part arithmetic in this package runs in numpy longdouble
 (80-bit extended on x86-64, 64-bit mantissa).  That keeps the cancellation
@@ -10,7 +9,6 @@ double precision alone cannot guarantee at the top of the supported range.
 
 from __future__ import annotations
 
-import functools
 from enum import Enum
 
 import numpy as np
@@ -33,15 +31,6 @@ def floor_int(x: np.ndarray) -> np.ndarray:
     25 times faster than np.floor, which takes 200 ns a longdouble."""
     f = x.astype(np.int64)
     return f - (f > x)
-
-
-@functools.cache
-def leggauss_01(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], as longdouble arrays."""
-    if order < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {order}")
-    x, w = np.polynomial.legendre.leggauss(order)
-    return (x.astype(np.longdouble) + 1) / 2, w.astype(np.longdouble) / 2
 
 
 class KahanAccumulator:

@@ -106,6 +106,10 @@ class BoxSpec:
                 raise ValueError(f"Mp*(sqrt(2M) + sqrt(2Mp) + delta*sqrt(M))^2 = "
                                  f"{self.Mp * top * top:.3g} leaves too few fractional "
                                  f"bits for an exact count")
+        if math.isfinite(self.delta) and not all(
+                math.isfinite(b) for b in _bounds(self) if b is not None):
+            raise ValueError(f"the bounds of this box at delta {self.delta} "
+                             f"exceed double range")
 
     def excludes_exact(self) -> bool:
         return self.exclude_exact or self.form is SpacingForm.FOUR_ROOT_PLUS
@@ -252,7 +256,9 @@ def _count_solved(axes, t, inner_lo, inner_hi, r: int, strict: bool,
         lo, hi = s - t, s + t
         lo[lo < 0] = 0
         hi[hi < 0] = 0
-        cnt = _count_in_interval(lo ** r, hi ** r, inner_lo, inner_hi, strict)
+        with np.errstate(over="ignore"):    # an infinite hi**r is clipped
+            hi **= r
+        cnt = _count_in_interval(lo ** r, hi, inner_lo, inner_hi, strict)
         row = int(np.sum(cnt))
         total += 2 * row - int(np.sum(cnt[0])) if paired else row
     return total
@@ -324,7 +330,7 @@ def _bounds(spec: BoxSpec) -> tuple[float, float | None]:
     d = float(spec.delta)
     if spec.form is SpacingForm.FOUR_ROOT_KTH:
         N = float(spec.M)
-        return N**4 * d + N**2, None
+        return N * N * N * N * d + N * N, None    # float ** would raise, * gives inf
     if spec.form is SpacingForm.NEAR_INTEGER:
         K = float(spec.K)
         return K * d + abs(spec.alpha) ** 0.5 * K**0.25 + K**0.5, None

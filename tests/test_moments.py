@@ -7,7 +7,6 @@ from divisorlab.error_terms import ErrorTermKind
 from divisorlab.moments import (CHUNK_SEGMENTS, fit_coefficient, fit_main_term,
                                 main_exponent, moment, moment_profile,
                                 short_interval_ratio, theory_coefficient)
-from divisorlab.numerics import leggauss_01
 from divisorlab.sieves import sieve_divisors
 from oracles import piecewise_segments
 
@@ -27,12 +26,17 @@ def test_even_power_nonnegative():
     assert moment(ErrorTermKind.CIRCLE, 4, (1, 123.5)).integral >= 0
 
 
-def test_order_stability():
+def test_order_stability(monkeypatch):
     table = sieve_divisors(10**5)
-    for power in (1, 2, 3, 4):
-        a = moment(DELTA, power, (1, 10**5), order=8, table=table).integral
-        b = moment(DELTA, power, (1, 10**5), order=16, table=table).integral
-        assert abs(a - b) <= 1e-7 * (1 + abs(a))
+    eight = [moment(DELTA, power, (1, 10**5), table=table).integral
+             for power in (1, 2, 3, 4)]
+    x, w = np.polynomial.legendre.leggauss(16)
+    monkeypatch.setattr(moments, "NODES", (x.astype(np.longdouble) + 1) / 2)
+    monkeypatch.setattr(moments, "WEIGHTS", w.astype(np.longdouble) / 2)
+    for power, a in zip((1, 2, 3, 4), eight):
+        res = moment(DELTA, power, (1, 10**5), table=table)
+        assert res.quadrature_order == 16
+        assert abs(a - res.integral) <= 1e-7 * (1 + abs(a))
 
 
 def test_additivity():
@@ -200,15 +204,14 @@ def test_thread_count_does_not_change_bits(monkeypatch):
 @pytest.mark.parametrize("kind", list(ErrorTermKind))
 def test_block_size_does_not_change_bits(kind, monkeypatch):
     step = moments._StepTable(kind, 16000)
-    nodes, weights = leggauss_01(8)
     d = step.denom
     # a chunk of 5000 segments, then a head and a tail piece of segment 999
     parts = [(10**4, 10**4 + 5000, None), (999, 1000, ((999 + 0.3) / d, 1000 / d)),
              (999, 1000, (999 / d, (999 + 0.6) / d))]
     runs = []
     for rows in (1, 7, 2048, 5000):    # 5000: the whole chunk in one block
-        monkeypatch.setattr(numerics, "BLOCK", rows * len(nodes))
-        runs.append([moments._chunk_partials(step, *part, nodes, weights, powers)
+        monkeypatch.setattr(numerics, "BLOCK", rows * len(moments.NODES))
+        runs.append([moments._chunk_partials(step, *part, powers)
                      for part in parts for powers in ((3, 4), (4,), PINNED_POWERS)])
     assert runs[0] == runs[1] == runs[2] == runs[3]
 
