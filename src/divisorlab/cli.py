@@ -160,17 +160,20 @@ def _cmd_moment(args) -> None:
         theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff)
     except RangeError:    # no main term for this kind and power
         theory = None
-    moments.check_interval(getattr(args, "from"), args.to)
-    table = _table_for(args, kind, [args.to], getattr(args, "from"))
-    res = moments.moment(kind, args.power, (getattr(args, "from"), args.to),
-                         threads=args.threads, table=table)
+    a, b = getattr(args, "from"), args.to
+    moments.check_interval(a, b)
+    table = _table_for(args, kind, [b], a)
+    res = moments.moment(kind, args.power, (a, b), threads=args.threads, table=table)
     doc = asdict(res)
     main = residual = None
     if theory is not None:
-        main = theory * args.to ** moments.main_exponent(args.power)
+        # the main term's increment over [a, b]; from a = 1 it stays c*b^e,
+        # the form the fit's residuals use
+        e = moments.main_exponent(args.power)
+        main = theory * (b ** e - (a ** e if a > 1 else 0))
         residual = res.integral - main
         doc.update(main_term=main, residual=residual)
-    _report(args, doc, [_moment_row(kind, args.power, args.to, res.integral,
+    _report(args, doc, [_moment_row(kind, args.power, b, res.integral,
                                     main, residual)])
 
 

@@ -3,11 +3,12 @@ main-term fits built on those integrals.
 
 On each interval between consecutive jumps of the step sum the integrand
 (error term)^k is analytic and mild, so Gauss-Legendre of order 8 per
-segment integrates it to ~1e-13 relative.  Segments are processed in
-chunks of CHUNK_SEGMENTS; each chunk reduces internally with numpy's
-deterministic pairwise sum and the chunks combine in ascending order through
-a Kahan accumulator; inside a chunk each segment's node sum is formed on its
-own, in numerics.BLOCK-node blocks.  Thread count and block size change no bit.
+segment integrates it to ~1e-13 relative.  The one piece type is an x-range:
+a run of up to CHUNK_SEGMENTS whole segments, or part of one segment at an
+off-grid end.  Each piece reduces with numpy's deterministic pairwise sum,
+the pieces combine in ascending order through a Kahan accumulator, and each
+segment's node sum is formed on its own, in numerics.BLOCK-node blocks.
+Thread count and block size change no bit.
 """
 
 from __future__ import annotations
@@ -82,42 +83,35 @@ def _check_power(power: int) -> None:
         raise RangeError(f"power must be in [{MIN_POWER}, {MAX_POWER}], got {power}")
 
 
-class _StepTable:
-    """Cumulative step sums backing constant-part lookups for one kind."""
-
-    def __init__(self, kind: ErrorTermKind, upto: float,
-                 table: DivisorTable | None = None):
-        self.kind = kind
-        self.denom = jump_denominator(kind)
-        table_kind, limit = step_table_need(kind, upto)
-        table = sieve(table_kind, limit, table)
-        # exact int64 prefix sums (values[0] = 0), summed in place
-        self.prefix = table.values[:limit + 1].astype(np.int64)
-        np.cumsum(self.prefix, out=self.prefix)
-
-    def constants(self, ticks: np.ndarray) -> np.ndarray:
-        """Step constants for segments [t/denom, (t+1)/denom), longdouble."""
-        return step_part(self.kind, self.prefix.__getitem__, ticks)
+def _step_prefix(kind: ErrorTermKind, upto: float,
+                 table: DivisorTable | None = None) -> np.ndarray:
+    """Exact int64 prefix sums (prefix[0] = 0) of the step table of ``kind`` on [1, upto]."""
+    table_kind, limit = step_table_need(kind, upto)
+    prefix = sieve(table_kind, limit, table).values[:limit + 1].astype(np.int64)
+    return np.cumsum(prefix, out=prefix)
 
 
-def _chunk_partials(step: _StepTable, m0: int, m1: int, span,
+def _chunk_partials(kind: ErrorTermKind, prefix: np.ndarray, x0: float, x1: float,
                     powers: tuple[int, ...]) -> dict[int, np.longdouble]:
-    """Integrals of error^k over the segments m0..m1-1 in one pairwise pass,
-    or, when ``span`` = (x0, x1) is given, over that part of segment m0.
+    """Integrals of error^k over the x-range [x0, x1) in one pairwise pass.
 
-    Node sums are formed numerics.BLOCK // len(NODES) segments at a time.  A
-    head or tail piece is a one-element pass: np.sum of one element is exact.
+    Precondition: the range is a run of whole segments or part of one
+    segment, so all its segments share one width and only the first can
+    start off its tick.  Node sums are formed numerics.BLOCK // len(NODES)
+    segments at a time; np.sum of a one-segment piece is exact.
     """
-    width = np.longdouble(1) / step.denom if span is None \
-        else np.longdouble(span[1]) - np.longdouble(span[0])
+    denom = jump_denominator(kind)
+    m0, m1 = math.floor(x0 * denom), math.ceil(x1 * denom)
+    lo, hi = np.longdouble(m0) / denom, np.longdouble(m0 + 1) / denom
+    width = min(hi, np.longdouble(x1)) - max(lo, np.longdouble(x0))
     sums = {k: np.empty(m1 - m0, dtype=np.longdouble) for k in powers}
     rows = max(1, numerics.BLOCK // len(NODES))
     for i in range(0, m1 - m0, rows):
         ticks = np.arange(m0 + i, min(m0 + i + rows, m1), dtype=np.int64)
-        left = ticks.astype(np.longdouble) / step.denom if span is None \
-            else np.array([span[0]], dtype=np.longdouble)
+        left = ticks.astype(np.longdouble) / denom
+        left[0] = max(left[0], np.longdouble(x0))
         xs = left[:, None] + width * NODES[None, :]
-        err = step.constants(ticks)[:, None] - smooth_main_term(step.kind, xs)
+        err = step_part(kind, prefix.__getitem__, ticks)[:, None] - smooth_main_term(kind, xs)
         prod = None
         for k in range(1, max(powers) + 1):
             prod = err if prod is None else prod * err
@@ -132,6 +126,8 @@ def check_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
     powers, stops, start and thread memory.  Returns the sorted distinct
     powers and the stops as floats."""
     powers = tuple(sorted(set(int(p) for p in powers)))
+    if not powers:
+        raise ValueError("powers must be a non-empty set")
     for p in powers:
         _check_power(p)
     stops = [float(s) for s in stops]
@@ -162,29 +158,23 @@ def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
     """
     powers, stops = check_profile(kind, powers, stops, start, threads)
     denom = jump_denominator(kind)
-    step = _StepTable(kind, stops[-1], table)
+    prefix = _step_prefix(kind, stops[-1], table)
 
     acc = {p: KahanAccumulator() for p in powers}
     results: dict[int, list[float]] = {p: [] for p in powers}
 
-    def run(part):
-        return _chunk_partials(step, *part, powers)
-
+    run = functools.partial(_chunk_partials, kind, prefix, powers=powers)
     prev = start
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for stop in stops:
-            a_tick, b_tick = prev * denom, stop * denom
-            m_lo, m_hi = math.floor(a_tick), math.floor(b_tick)
-            first = math.ceil(a_tick)
-            # (m0, m1, span) in Kahan add order: head piece, chunks, tail piece
-            parts = []
-            if first > a_tick:
-                parts.append((m_lo, m_lo + 1, (prev, min(stop, first / denom))))
-            parts += [(lo, min(lo + CHUNK_SEGMENTS, m_hi), None)
-                      for lo in range(first, m_hi, CHUNK_SEGMENTS)]
-            if first <= m_hi < b_tick:
-                parts.append((m_hi, m_hi + 1, (m_hi / denom, stop)))
-            for part in (map if threads == 1 else pool.map)(run, parts):
+            first, last = math.ceil(prev * denom), math.floor(stop * denom)
+            # x-ranges between consecutive cuts, in Kahan add order: head
+            # piece, chunks of whole segments, tail piece; last / denom lies
+            # before prev when both ends fall inside one segment
+            cuts = {prev, stop, last / denom}
+            cuts.update(t / denom for t in range(first, last, CHUNK_SEGMENTS))
+            cuts = sorted(c for c in cuts if c >= prev)
+            for part in (map if threads == 1 else pool.map)(run, cuts[:-1], cuts[1:]):
                 for p in powers:
                     acc[p].add(part[p])
             for p in powers:

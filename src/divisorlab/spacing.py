@@ -92,6 +92,8 @@ class BoxSpec:
                 raise ValueError("near-integer form needs |alpha| >= 1")
             if not 0 < self.delta < 0.5:
                 raise ValueError("near-integer form needs 0 < delta < 1/2")
+            if self.exclude_exact:   # it has no exact-zero count
+                raise ValueError(f"exact-zero exclusion unsupported for {self.form.value}")
             top = LD(abs(self.beta)) + LD(abs(self.alpha)) * np.sqrt(LD(2 * self.K))
             if np.spacing(top) > self.delta * 2.0 ** -20:
                 raise ValueError(f"|beta| + |alpha|*sqrt(2K) = {float(top):.3g} leaves "
@@ -389,8 +391,6 @@ def count_box(spec: BoxSpec) -> SpacingCount:
                               strict=False, paired=M == Mp)
         zeros, trivial = _zero_count_four((M, Mp, K, L), n_left)
     if spec.excludes_exact():
-        if zeros is None:
-            raise ValueError(f"exact-zero exclusion unsupported for {form.value}")
         count -= zeros
     primary, secondary = _bounds(spec)
     bound_value = primary if secondary is None else min(primary, secondary)

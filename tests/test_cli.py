@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from divisorlab import cli, sieves, voronoi
+from divisorlab import cli, moments, sieves, spacing, voronoi
 from divisorlab.cli import main
 from divisorlab.error_terms import ErrorTermKind, error_term
 from divisorlab.moments import moment
@@ -70,6 +70,19 @@ def test_moment_json(capsys):
     assert doc["integral"] == moment(ErrorTermKind.DELTA, 1, (1, 100)).integral
     assert doc["partition_count"] == 99
     assert "main_term" not in doc
+
+
+def test_moment_main_term_from_above_one(capsys):
+    # over [a, b] with a > 1 the main term is the increment c*(b^e - a^e)
+    code, out, _ = run(capsys, "--format", "json", "moment", "--kind", "delta",
+                       "--power", "3", "--from", "1e5", "--to", "2e5",
+                       "--cutoff", "1000")
+    assert code == 0
+    doc = json.loads(out)
+    c = moments.theory_coefficient(ErrorTermKind.DELTA, 3, cutoff=1000)
+    e = moments.main_exponent(3)
+    assert doc["main_term"] == pytest.approx(c * (2e5 ** e - 1e5 ** e), rel=1e-12)
+    assert doc["residual"] == doc["integral"] - doc["main_term"]
 
 
 def test_spacing_json_carries_full_spec(capsys):
@@ -284,6 +297,17 @@ def test_beyond_extended_precision_is_compute_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "compute error" in err
+
+
+def test_near_integer_exclude_exact_rejected_before_counting(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("counted a box whose exclusion is unsupported")
+
+    monkeypatch.setattr(spacing, "_count_near_integer", unreachable)
+    code, out, err = run(capsys, "spacing", "--form", "near-integer", "--K", "5e6",
+                         "--alpha", "2", "--delta", "0.01", "--exclude-exact")
+    assert code == 2 and out == ""
+    assert err == "compute error: exact-zero exclusion unsupported for near-integer\n"
 
 
 def test_spacing_root_power_overflow_is_silent(capsys):

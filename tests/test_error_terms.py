@@ -7,8 +7,8 @@ import pytest
 from divisorlab import errors
 from divisorlab.error_terms import (ErrorTermKind, delta_star_identity_residual,
                                     error_term, jump_denominator, smooth_main_term,
-                                    step_table_need)
-from divisorlab.moments import _StepTable, moment_profile
+                                    step_part, step_table_need)
+from divisorlab.moments import _step_prefix, moment_profile
 from divisorlab.sieves import TableKind, sieve_divisors, summatory_d
 from oracles import piecewise_segments
 
@@ -54,7 +54,7 @@ def _step_pieces(kind, a, b):
     """(left, right, constant) of the step table's segments covering [a, b]."""
     denom = jump_denominator(kind)
     ticks = np.arange(math.floor(a * denom), math.ceil(b * denom))
-    consts = _StepTable(kind, b).constants(ticks)
+    consts = step_part(kind, _step_prefix(kind, b).__getitem__, ticks)
     return [(t / denom, (t + 1) / denom, c) for t, c in zip(ticks, consts)]
 
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from divisorlab import constants, errors, moments, numerics, sieves
-from divisorlab.error_terms import ErrorTermKind
+from divisorlab.error_terms import ErrorTermKind, jump_denominator
 from divisorlab.moments import (CHUNK_SEGMENTS, fit_coefficient, fit_main_term,
                                 main_exponent, moment, moment_profile,
                                 short_interval_ratio, theory_coefficient)
@@ -96,9 +96,10 @@ def test_circle_moment_vs_adaptive_quadrature():
 
 
 # float.hex of moment_profile, recorded when head and tail pieces still had
-# their own kernel: (kind, start, CHUNK_SEGMENTS) -> per power, the
-# cumulative integral at each stop.  Starts and stops off the jump grid
-# exercise head pieces, tail pieces and spans inside a single segment.
+# their own kernel and kept since the kernel integrates clipped x-ranges:
+# (kind, start, CHUNK_SEGMENTS) -> per power, the cumulative integral at each
+# stop.  Starts and stops off the jump grid exercise head pieces, tail pieces
+# and x-ranges inside a single segment.
 PINNED_POWERS = (1, 3, 4, 9)
 PINNED_STOPS = {1.25: [1.3, 1.45, 7.75], 2.5: [3.1, 40000.6]}
 PINNED_PROFILE_HEX = {
@@ -192,7 +193,7 @@ def test_thread_count_does_not_change_bits(monkeypatch):
     vals = [moment(DELTA, 3, (1, 10**5), threads=t, table=table).integral
             for t in (1, 2, 5)]
     assert vals[0] == vals[1] == vals[2]
-    # fractional ends put head and tail pieces around many small chunks
+    # fractional ends put head and tail x-ranges around many small chunks
     monkeypatch.setattr(moments, "CHUNK_SEGMENTS", 7)
     for kind in (ErrorTermKind.DELTA_STAR, ErrorTermKind.CIRCLE):
         profiles = [moment_profile(kind, PINNED_POWERS, [3.1, 40000.6], start=2.5,
@@ -201,17 +202,38 @@ def test_thread_count_does_not_change_bits(monkeypatch):
         assert profiles[0] == profiles[1] == profiles[2]
 
 
+# float.hex of the delta profile from 2.5 with CHUNK_SEGMENTS = 7, recorded
+# with the head/tail kernel: the stops 10.0 and 17.0 fall exactly on chunk
+# starts (3 + 7j), which no PINNED_PROFILE_HEX case does
+ON_CHUNK_START_STOPS = [10.0, 17.0, 17.5]
+ON_CHUNK_START_HEX = (
+    ('0x1.6ec476c95aa82p+0', '0x1.e8d01ca322318p+1', '0x1.f64c28965a06cp+1'),
+    ('0x1.09f852466da38p+2', '0x1.16ff90de06531p+4', '0x1.18c1b78f72b48p+4'),
+    ('0x1.c0962ead52f8fp+3', '0x1.268c7576eeb2cp+6', '0x1.27216558c2e19p+6'),
+    ('0x1.b6da9ab1a8649p+7', '0x1.b8ca2f0387f7ep+12', '0x1.b8ccd834e527fp+12'),
+)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_stop_on_chunk_start_bits_pinned(threads, monkeypatch):
+    monkeypatch.setattr(moments, "CHUNK_SEGMENTS", 7)
+    prof = moment_profile(DELTA, PINNED_POWERS, ON_CHUNK_START_STOPS, start=2.5,
+                          threads=threads)
+    got = tuple(tuple(v.hex() for v in prof[p]) for p in PINNED_POWERS)
+    assert got == ON_CHUNK_START_HEX
+
+
 @pytest.mark.parametrize("kind", list(ErrorTermKind))
 def test_block_size_does_not_change_bits(kind, monkeypatch):
-    step = moments._StepTable(kind, 16000)
-    d = step.denom
-    # a chunk of 5000 segments, then a head and a tail piece of segment 999
-    parts = [(10**4, 10**4 + 5000, None), (999, 1000, ((999 + 0.3) / d, 1000 / d)),
-             (999, 1000, (999 / d, (999 + 0.6) / d))]
+    prefix = moments._step_prefix(kind, 16000)
+    d = jump_denominator(kind)
+    # a run of 5000 whole segments, then a head and a tail piece of segment 999
+    parts = [(10**4 / d, (10**4 + 5000) / d), ((999 + 0.3) / d, 1000 / d),
+             (999 / d, (999 + 0.6) / d)]
     runs = []
-    for rows in (1, 7, 2048, 5000):    # 5000: the whole chunk in one block
+    for rows in (1, 7, 2048, 5000):    # 5000: the whole run in one block
         monkeypatch.setattr(numerics, "BLOCK", rows * len(moments.NODES))
-        runs.append([moments._chunk_partials(step, *part, powers)
+        runs.append([moments._chunk_partials(kind, prefix, *part, powers)
                      for part in parts for powers in ((3, 4), (4,), PINNED_POWERS)])
     assert runs[0] == runs[1] == runs[2] == runs[3]
 
@@ -231,6 +253,15 @@ def test_short_interval_range_flag():
     assert res.in_asymptotic_range
     narrow = short_interval_ratio(DELTA, 4, 10**4, 50, table=table, coefficient=1.5)
     assert not narrow.in_asymptotic_range  # H below X^(2/3)
+
+
+def test_empty_power_set_rejected_before_table(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a table was sieved for an empty power set")
+
+    monkeypatch.setattr(moments, "sieve", unreachable)
+    with pytest.raises(ValueError, match="powers must be a non-empty set"):
+        moment_profile(DELTA, [], [10.5])
 
 
 def test_fit_requires_four_points():

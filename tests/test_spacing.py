@@ -505,6 +505,9 @@ def test_boxspec_validation():
         BoxSpec(form=SpacingForm.NEAR_INTEGER, K=10, delta=0.1, alpha=1e300)
     with pytest.raises(ValueError):
         BoxSpec(form=SpacingForm.FOUR_ROOT_KTH, M=4, delta=0.1, root_k=1)
+    with pytest.raises(ValueError, match="exact-zero exclusion unsupported"):
+        BoxSpec(form=SpacingForm.NEAR_INTEGER, K=10, delta=0.1, alpha=2.0,
+                exclude_exact=True)
     with pytest.raises(ValueError):
         BoxSpec(form=SpacingForm.THREE_ROOT, M=4, Mp=4, delta=-1.0)
     # non-finite parameters would round to nonsense in int64
