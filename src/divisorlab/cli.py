@@ -70,15 +70,19 @@ def _grid(text: str) -> list[float]:
 _CACHE_PATTERN = re.compile(r"^(divisor|two-squares)-(\d+)\.dvt$")
 
 
-def _table_for(args, kind: ErrorTermKind, stops, start: float = 1.0):
-    """The step table of ``kind`` up to ``stops[-1]``, once moments.check_profile
-    has passed the moment inputs: the smallest adequate table in the cache
+def _step_need(args, kind: ErrorTermKind, stops, start: float = 1.0):
+    """moments.check_profile, then step_table_need up to ``stops[-1]``."""
+    moments.check_profile(kind, (args.power,), stops, start, args.threads)
+    return step_table_need(kind, int(stops[-1]) + 1)
+
+
+def _table_for(args, need):
+    """The step table ``need`` names: the smallest adequate table in the cache
     directory, else a new sieve (cached when there is one).  A damaged cache
     file is reported on stderr and sieved again."""
-    moments.check_profile(kind, (args.power,), stops, start, args.threads)
     raw = args.cache_dir or os.environ.get(CACHE_ENV)
     cache = Path(raw) if raw else None
-    table_kind, limit = step_table_need(kind, int(stops[-1]) + 1)
+    table_kind, limit = need
     tag = "divisor" if table_kind is TableKind.DIVISOR else "two-squares"
     if cache is not None and cache.is_dir():
         found = sorted((int(m.group(2)), entry) for entry in cache.iterdir()
@@ -152,17 +156,18 @@ def _moment_row(kind, power, X, integral, main, residual) -> dict:
             "main_term": main, "residual": residual}
 
 
-# moment, fit and short-interval resolve the theory coefficient and run their
-# own check before _table_for, which runs check_profile before it sieves
+# moment, fit and short-interval run their own check, then _step_need, before
+# they resolve the theory coefficient, and sieve or load the table last
 def _cmd_moment(args) -> None:
     kind = ErrorTermKind(args.kind)
+    a, b = getattr(args, "from"), args.to
+    moments.check_interval(a, b)
+    need = _step_need(args, kind, [b], a)
     try:
         theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff)
     except RangeError:    # no main term for this kind and power
         theory = None
-    a, b = getattr(args, "from"), args.to
-    moments.check_interval(a, b)
-    table = _table_for(args, kind, [b], a)
+    table = _table_for(args, need)
     res = moments.moment(kind, args.power, (a, b), threads=args.threads, table=table)
     doc = asdict(res)
     main = residual = None
@@ -179,9 +184,10 @@ def _cmd_moment(args) -> None:
 
 def _cmd_fit(args) -> None:
     kind = ErrorTermKind(args.kind)
-    theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff)
     moments.check_fit(args.power, args.grid)
-    table = _table_for(args, kind, args.grid)
+    need = _step_need(args, kind, args.grid)
+    theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff)
+    table = _table_for(args, need)
     report = moments.fit_main_term(kind, args.power, args.grid,
                                    threads=args.threads, table=table, theory=theory)
     rows = []
@@ -193,9 +199,10 @@ def _cmd_fit(args) -> None:
 
 def _cmd_short_interval(args) -> None:
     kind = ErrorTermKind(args.kind)
-    coefficient = moments.theory_coefficient(kind, args.power)
     moments.check_short_interval(args.power, args.x, args.h)
-    table = _table_for(args, kind, [args.x + args.h], args.x)
+    need = _step_need(args, kind, [args.x + args.h], args.x)
+    coefficient = moments.theory_coefficient(kind, args.power)
+    table = _table_for(args, need)
     res = moments.short_interval_ratio(kind, args.power, args.x, args.h,
                                        threads=args.threads, table=table,
                                        coefficient=coefficient)

@@ -18,12 +18,11 @@ convolution work, batched over the cores of each width (71 at cutoff 1e5) bit
 for bit; doubling the cutoff stays cheap enough to verify convergence directly.
 
 Tail brackets rest on two elementary facts, both exercised by the tests:
-D(x) <= x(log x + 1) for every x >= 1, and d(n) <= C*n^(1/4) with C taken
-as 1.5 times the scanned maximum of d(n)n^(-1/4) for n <= 2e6 (the scan max
-is ~8.31; the global maximum of the ratio is 8.44696..., attained at
-n = 21,621,600, so the 1.5x headroom keeps the majorant above it
-everywhere).  These are honest floating-point brackets, not certified
-interval enclosures.
+D(x) <= x(log x + 1) for every x >= 1, and d(n) <= C*n^(1/4) with C the
+literal DIVISOR_MAJORANT, 1.5 times the largest ratio d(1441440)/1441440^(1/4)
+(~8.31) for n <= 2e6; C^4 exceeds 127401984/25025, the fourth power of the
+global maximum 8.44696... at n = 21,621,600.  These are honest
+floating-point brackets, not certified interval enclosures.
 """
 
 from __future__ import annotations
@@ -35,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import PI_LD
-from .sieves import (DivisorTable, TableKind, check_memory, core_families, sieve,
+# sieve_divisors stays bound: perfbench/tracing.py wraps it here
+from .sieves import (DivisorTable, TableKind, check_memory, core_families, sieve,  # noqa: F401
                      sieve_divisors, width_runs)
 
-_MAJORANT_SCAN_LIMIT = 2 * 10**6
-_MAJORANT_HEADROOM = 1.5
+DIVISOR_MAJORANT = 288 / 1441440 ** 0.25 * 1.5   # d(n) <= C*n^(1/4), see above
 # peak bytes per unit of cutoff of quartic_diagonal_series, the table and the
 # T/U term arrays (tracemalloc, fresh process, cutoffs 1e6, 4e6 and 1e7)
 _QUARTIC_BYTES_PER_CUTOFF = 66
@@ -55,15 +54,6 @@ class SeriesValue:
     value: float
     tail_bound: float
     cutoff: int
-
-
-@functools.cache
-def divisor_majorant_constant() -> float:
-    """C with d(n) <= C*n^(1/4) for all n (scanned base times 1.5 headroom)."""
-    table = sieve_divisors(_MAJORANT_SCAN_LIMIT)
-    ns = np.arange(1, _MAJORANT_SCAN_LIMIT + 1, dtype=float)
-    ratios = table.values[1:].astype(float) / ns**0.25
-    return float(ratios.max()) * _MAJORANT_HEADROOM
 
 
 def _core_groups(d: np.ndarray, cores: np.ndarray, amaxes: np.ndarray):
@@ -138,10 +128,9 @@ def cubic_diagonal_series(cutoff: int = 10**5,
     terms *= cores.astype(np.longdouble) ** np.longdouble(-2.25)
     total = np.cumsum(np.append(0, terms))[-1]   # 0 + t_0 + t_1 + ... in core order
 
-    c4 = divisor_majorant_constant()
     tail = float(np.sum(cores**-1.5 * _tail_inner_cubic(amaxes)))
     tail += 2.0 / math.sqrt(cutoff // 4) * _full_inner("cubic")
-    tail *= c4**3
+    tail *= DIVISOR_MAJORANT**3
     return SeriesValue(name="cubic_diagonal", value=float(total),
                        tail_bound=tail, cutoff=cutoff)
 
@@ -184,9 +173,8 @@ def quartic_diagonal_series(cutoff: int = 10**5,
 
     value = float(trivial + same_core - overlap)
 
-    c4 = divisor_majorant_constant()
-    t_tail = c4 * _tail_weighted_divisor_sum(cutoff, 1.25)
-    u_tail = c4**3 * _tail_weighted_divisor_sum(cutoff, 2.25)
+    t_tail = DIVISOR_MAJORANT * _tail_weighted_divisor_sum(cutoff, 1.25)
+    u_tail = DIVISOR_MAJORANT**3 * _tail_weighted_divisor_sum(cutoff, 2.25)
     tail = 2.0 * t_tail * (2.0 * float(T) + t_tail) + u_tail
     # below cutoff 4 there are no cores: the whole q = 1 family lies in the tail
     qs, B = (cores, amaxes) if len(cores) else (np.ones(1), np.full(1, 2))
@@ -194,7 +182,7 @@ def quartic_diagonal_series(cutoff: int = 10**5,
     core_tail += (1.0 / max(qmax, 1)) * _full_inner("quartic")
     # counted twice: once for the family itself, once to cover the
     # truncation of the subtracted overlap
-    tail += 2.0 * c4**4 * core_tail
+    tail += 2.0 * DIVISOR_MAJORANT**4 * core_tail
     return SeriesValue(name="quartic_diagonal", value=value,
                        tail_bound=tail, cutoff=cutoff)
 
@@ -224,9 +212,7 @@ def classical_mean_square_coefficient() -> float:
     error term: zeta(3/2)^4 / (6 pi^2 zeta(3)).
 
     Equals (1/(6 pi^2)) * sum d^2(n) n^(-3/2); a classical cross-check
-    value, labeled external wherever it is reported.
+    value, labeled external wherever it is reported.  The literal is the
+    30-digit value rounded to a double.
     """
-    import mpmath
-    with mpmath.workdps(30):
-        val = mpmath.zeta(1.5)**4 / (6 * mpmath.pi**2 * mpmath.zeta(3))
-        return float(val)
+    return 0.6542839775088456

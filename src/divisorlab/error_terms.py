@@ -6,10 +6,12 @@ circle(x)     = R(x) - pi*x
 
 The step part is exact integer arithmetic; the smooth part is evaluated in
 80-bit extended precision, so absolute error stays below 1e-6 for x up to
-1e9.  Between consecutive jumps of the step part the error term is an exact
-step constant minus smooth_main_term; this module says where the jumps fall
-and which table holds the step constants, and the moments engine integrates
-over that grid.
+1e9.  Against 50-digit mpmath up to the top x = 1e17: delta 1.2e-3 at 1e16,
+5.1e-3 at 5e16, 0.20 at 1e17 (one ulp of x*log x is 0.25 there), delta-star
+0.017 at its top 2.5e16, circle 2.5e-3 at 1e17.  Between consecutive jumps
+of the step part the error term is an exact step constant minus
+smooth_main_term; this module says where the jumps fall and which table
+holds the step constants, and the moments engine integrates over that grid.
 """
 
 from __future__ import annotations

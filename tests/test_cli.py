@@ -382,6 +382,28 @@ def test_rejected_before_any_table_is_sieved(capsys, monkeypatch, tmp_path, argv
     assert list(cache.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("fit", "--kind", "delta", "--power", "4", "--grid", "1,2", "--cutoff", "3000000"),
+     "need at least 4 grid points, got 2"),
+    (("moment", "--kind", "delta", "--power", "4", "--from", "5", "--to", "1",
+      "--cutoff", "3000000"), "need 1 <= a < b, got [5.0, 1.0]"),
+    (("short-interval", "--kind", "delta", "--power", "4", "--x", "100", "--h", "500"),
+     "need 1 <= H <= X, got H=500.0, X=100.0"),
+    (("moment", "--kind", "delta", "--power", "3", "--to", "1e12", "--cutoff", "3000000"),
+     "step table of 1000000000001 entries needs about 10000000000020 bytes, "
+     f"over the {sieves.MEMORY_CEILING_BYTES}-byte memory ceiling"),
+], ids=["fit-grid", "moment-interval", "short-interval-h", "moment-ceiling"])
+def test_rejected_before_theory_series(capsys, monkeypatch, argv, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("theory series computed for an input that is rejected")
+
+    monkeypatch.setattr(moments, "theory_coefficient", unreachable)
+    monkeypatch.setattr(cli, "sieve", unreachable)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"compute error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("voronoi", "--kind", "delta", "-N", "10", "--scale", "100", "--samples", "1e9"),
 ], ids=["samples"])
@@ -441,3 +463,17 @@ def test_module_entry_point():
         [sys.executable, "-m", "divisorlab.cli", "moment", "--kind", "delta",
          "--power", "12", "--to", "10"], capture_output=True, text=True, cwd=where)
     assert bad.returncode == 1
+
+
+def test_cli_runs_without_mpmath():
+    import subprocess
+    import sys
+    code = ("import sys\n"
+            "from divisorlab import cli\n"
+            "assert cli.main(['moment', '--kind', 'delta', '--power', '2', '--to', '100']) == 0\n"
+            "assert cli.main(['constants', '--name', 'quartic_coefficient',"
+            " '--cutoff', '1000']) == 0\n"
+            "assert 'mpmath' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=Path(cli.__file__).parents[1])
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -7,10 +10,10 @@ import numpy as np
 import pytest
 
 from divisorlab import constants, errors, sieves
-from divisorlab.constants import (classical_mean_square_coefficient,
+from divisorlab.constants import (DIVISOR_MAJORANT,
+                                  classical_mean_square_coefficient,
                                   cubic_diagonal_series,
                                   cubic_moment_coefficient,
-                                  divisor_majorant_constant,
                                   quartic_diagonal_series,
                                   quartic_moment_coefficient)
 from divisorlab.sieves import core_families, sieve_divisors, summatory_d
@@ -163,16 +166,34 @@ def test_first_term_quartic_coefficient_example():
 
 def test_majorant_constant_is_safe():
     # the scanned base ratio must sit well inside the published constant
-    c = divisor_majorant_constant()
+    c = DIVISOR_MAJORANT
     table = sieve_divisors(10**6)
     ns = np.arange(1, 10**6 + 1, dtype=float)
     ratios = table.values[1:].astype(float) / ns ** 0.25
     assert float(ratios.max()) <= c / 1.4
 
 
+def test_majorant_literal_equals_the_scan():
+    # 1.5 times the largest float64 d(n)/n^(1/4) for n <= 2e6, bit for bit
+    limit = 2 * 10**6
+    ns = np.arange(1, limit + 1, dtype=float)
+    ratios = sieve_divisors(limit).values[1:].astype(float) / ns**0.25
+    assert DIVISOR_MAJORANT == float(ratios.max()) * 1.5
+    assert int(np.argmax(ratios)) + 1 == 1441440
+
+
+def test_majorant_bounds_every_n():
+    # sup d(n)/n^(1/4) = prod_{p<16} max_a (a+1)/p^(a/4), since every factor
+    # of a prime p >= 16 is at most 1; its fourth power, exactly
+    fourth = Fraction(1)
+    for p in (2, 3, 5, 7, 11, 13):
+        fourth *= max(Fraction((a + 1) ** 4, p**a) for a in range(40))
+    assert fourth == Fraction(127401984, 25025)
+    assert Fraction(DIVISOR_MAJORANT) ** 4 >= fourth
+
+
 def test_quartic_series_memory_ceiling(monkeypatch):
     # 66 bytes per unit of cutoff, checked before the table is sieved
-    divisor_majorant_constant()   # its fixed scan table is cached first
     monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 66 * 1000)
     assert quartic_diagonal_series(1000).cutoff == 1000
 
@@ -188,7 +209,6 @@ def test_quartic_series_memory_ceiling(monkeypatch):
 
 def test_cubic_series_memory_ceiling(monkeypatch):
     # 21 bytes per unit of cutoff, checked before the table is sieved
-    divisor_majorant_constant()   # its fixed scan table is cached first
     monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 21 * 1000)
     assert cubic_diagonal_series(1000).cutoff == 1000
 
@@ -209,7 +229,20 @@ def test_divisor_summatory_log_bound():
 
 
 def test_classical_mean_square_value():
-    with mpmath.workdps(40):
+    with mpmath.workdps(30):
         expected = float(mpmath.zeta(1.5) ** 4 / (6 * mpmath.pi ** 2 * mpmath.zeta(3)))
-    assert classical_mean_square_coefficient() == pytest.approx(expected, rel=1e-12)
+    assert classical_mean_square_coefficient() == expected
     assert classical_mean_square_coefficient() == pytest.approx(0.65428, abs=1e-5)
+
+
+def test_quartic_series_peak_allocation():
+    # the tail bracket sieves nothing: cutoff 1e4 peaks well under 8 MiB
+    code = ("import tracemalloc\n"
+            "from divisorlab.constants import quartic_diagonal_series\n"
+            "tracemalloc.start()\n"
+            "quartic_diagonal_series(10**4)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=Path(constants.__file__).parents[1])
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 8 * 2**20
