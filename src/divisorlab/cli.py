@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import constants as constants_mod
 from . import moments, spacing, voronoi
-from .error_terms import ErrorTermKind, error_term, step_table_need
+from .error_terms import ErrorTermKind, error_term
 from .errors import DivisorLabError, RangeError, TableFormatError, TableKindMismatch
 from .numerics import render_json
 # sieve_divisors and sieve_r stay bound: perfbench/tracing.py wraps them here
@@ -68,12 +68,6 @@ def _grid(text: str) -> list[float]:
 
 
 _CACHE_PATTERN = re.compile(r"^(divisor|two-squares)-(\d+)\.dvt$")
-
-
-def _step_need(args, kind: ErrorTermKind, stops, start: float = 1.0):
-    """moments.check_profile, then step_table_need up to ``stops[-1]``."""
-    moments.check_profile(kind, (args.power,), stops, start, args.threads)
-    return step_table_need(kind, int(stops[-1]) + 1)
 
 
 def _table_for(args, need):
@@ -156,13 +150,12 @@ def _moment_row(kind, power, X, integral, main, residual) -> dict:
             "main_term": main, "residual": residual}
 
 
-# moment, fit and short-interval run their own check, then _step_need, before
-# they resolve the theory coefficient, and sieve or load the table last
+# moment, fit and short-interval run their moments check first, which returns
+# the step table's need, then resolve the theory coefficient, then the table
 def _cmd_moment(args) -> None:
     kind = ErrorTermKind(args.kind)
     a, b = getattr(args, "from"), args.to
-    moments.check_interval(a, b)
-    need = _step_need(args, kind, [b], a)
+    need = moments.check_interval(kind, args.power, a, b, args.threads)
     try:
         theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff)
     except RangeError:    # no main term for this kind and power
@@ -184,8 +177,7 @@ def _cmd_moment(args) -> None:
 
 def _cmd_fit(args) -> None:
     kind = ErrorTermKind(args.kind)
-    moments.check_fit(args.power, args.grid)
-    need = _step_need(args, kind, args.grid)
+    need = moments.check_fit(kind, args.power, args.grid, args.threads)
     theory = moments.theory_coefficient(kind, args.power, cutoff=args.cutoff)
     table = _table_for(args, need)
     report = moments.fit_main_term(kind, args.power, args.grid,
@@ -199,8 +191,7 @@ def _cmd_fit(args) -> None:
 
 def _cmd_short_interval(args) -> None:
     kind = ErrorTermKind(args.kind)
-    moments.check_short_interval(args.power, args.x, args.h)
-    need = _step_need(args, kind, [args.x + args.h], args.x)
+    need = moments.check_short_interval(kind, args.power, args.x, args.h, args.threads)
     coefficient = moments.theory_coefficient(kind, args.power)
     table = _table_for(args, need)
     res = moments.short_interval_ratio(kind, args.power, args.x, args.h,
@@ -290,7 +281,7 @@ def build_parser() -> _Parser:
     p.add_argument("--power", type=_integer, required=True)
     p.add_argument("--from", type=_number, default=1.0)
     p.add_argument("--to", type=_number, required=True)
-    p.add_argument("--cutoff", type=_integer, default=10**5,
+    p.add_argument("--cutoff", type=_integer, default=constants_mod.DEFAULT_CUTOFF,
                    help="series cutoff for the theory coefficient")
     p.set_defaults(func=_cmd_moment)
 
@@ -299,7 +290,7 @@ def build_parser() -> _Parser:
     p.add_argument("--power", type=_integer, required=True)
     p.add_argument("--grid", type=_grid, required=True,
                    help="comma-separated ascending X values (>= 4)")
-    p.add_argument("--cutoff", type=_integer, default=10**5)
+    p.add_argument("--cutoff", type=_integer, default=constants_mod.DEFAULT_CUTOFF)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("short-interval", help="moment ratio over [X, X+H]")
@@ -325,7 +316,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("constants", help="diagonal series / moment coefficients")
     p.add_argument("--name", required=True, choices=_CONSTANTS)
-    p.add_argument("--cutoff", type=_integer, default=10**5)
+    p.add_argument("--cutoff", type=_integer, default=constants_mod.DEFAULT_CUTOFF)
     p.set_defaults(func=_cmd_constants)
     return parser
 

@@ -38,6 +38,7 @@ from .numerics import PI_LD
 from .sieves import (DivisorTable, TableKind, check_memory, core_families, sieve,  # noqa: F401
                      sieve_divisors, width_runs)
 
+DEFAULT_CUTOFF = 10**5   # series cutoff of the theory coefficients and --cutoff
 DIVISOR_MAJORANT = 288 / 1441440 ** 0.25 * 1.5   # d(n) <= C*n^(1/4), see above
 # peak bytes per unit of cutoff of quartic_diagonal_series, the table and the
 # T/U term arrays (tracemalloc, fresh process, cutoffs 1e6, 4e6 and 1e7)
@@ -107,7 +108,7 @@ def _full_inner(name: str) -> float:
     return float(np.sum(per_s**2)) + _tail_inner_quartic(float(top))
 
 
-def cubic_diagonal_series(cutoff: int = 10**5,
+def cubic_diagonal_series(cutoff: int = DEFAULT_CUTOFF,
                           table: DivisorTable | None = None) -> SeriesValue:
     """Sum of d(m)d(n)d(k)(mnk)^(-3/4) over exact triples with components
     <= cutoff, plus an upper bound on the omitted tail.
@@ -135,7 +136,7 @@ def cubic_diagonal_series(cutoff: int = 10**5,
                        tail_bound=tail, cutoff=cutoff)
 
 
-def quartic_diagonal_series(cutoff: int = 10**5,
+def quartic_diagonal_series(cutoff: int = DEFAULT_CUTOFF,
                             table: DivisorTable | None = None) -> SeriesValue:
     """Sum of d(m)d(n)d(k)d(l)(mnkl)^(-3/4) over ordered exact quadruples
     with components <= cutoff (trivial pairings included), with tail bound.
@@ -187,7 +188,7 @@ def quartic_diagonal_series(cutoff: int = 10**5,
                        tail_bound=tail, cutoff=cutoff)
 
 
-def cubic_moment_coefficient(cutoff: int = 10**5,
+def cubic_moment_coefficient(cutoff: int = DEFAULT_CUTOFF,
                              table: DivisorTable | None = None) -> SeriesValue:
     """Leading coefficient of the cubic long-interval moment: 3*c/(28*pi^3)
     with c the cubic diagonal series."""
@@ -197,7 +198,7 @@ def cubic_moment_coefficient(cutoff: int = 10**5,
                        tail_bound=scale * series.tail_bound, cutoff=cutoff)
 
 
-def quartic_moment_coefficient(cutoff: int = 10**5,
+def quartic_moment_coefficient(cutoff: int = DEFAULT_CUTOFF,
                                table: DivisorTable | None = None) -> SeriesValue:
     """Leading coefficient of the quartic long-interval moment:
     3*c/(64*pi^4) with c the quartic diagonal series."""

@@ -82,8 +82,8 @@ def step_part(kind: ErrorTermKind, count, ticks):
 
 def error_term(kind: ErrorTermKind, x) -> float:
     """Evaluate the requested error term at a single point x >= 1."""
-    if x < 1:
-        raise RangeError(f"error terms are defined for x >= 1, got {x}")
+    if not 1 <= x < math.inf:
+        raise RangeError(f"error terms are defined for finite x >= 1, got {x}")
     count = summatory_r if kind is ErrorTermKind.CIRCLE else summatory_d
     step = step_part(kind, count, math.floor(jump_denominator(kind) * x))
     return float(step - smooth_main_term(kind, np.longdouble(x)))

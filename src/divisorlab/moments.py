@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
+from . import constants, numerics
 from .error_terms import (ErrorTermKind, jump_denominator, smooth_main_term,
                           step_part, step_table_need)
 from .errors import DegenerateFitError, RangeError
@@ -78,11 +78,6 @@ def main_exponent(power: int) -> float:
     return 1.0 + power / 4.0
 
 
-def _check_power(power: int) -> None:
-    if not MIN_POWER <= power <= MAX_POWER:
-        raise RangeError(f"power must be in [{MIN_POWER}, {MAX_POWER}], got {power}")
-
-
 def _step_prefix(kind: ErrorTermKind, upto: float,
                  table: DivisorTable | None = None) -> np.ndarray:
     """Exact int64 prefix sums (prefix[0] = 0) of the step table of ``kind`` on [1, upto]."""
@@ -123,17 +118,19 @@ def _chunk_partials(kind: ErrorTermKind, prefix: np.ndarray, x0: float, x1: floa
 def check_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
                   threads: int = 1):
     """Reject what moment_profile would reject before its table is built:
-    powers, stops, start and thread memory.  Returns the sorted distinct
-    powers and the stops as floats."""
+    powers, stops, start, thread memory and step-table size.  Returns the
+    sorted distinct powers, the stops as floats and the step table's need."""
     powers = tuple(sorted(set(int(p) for p in powers)))
     if not powers:
         raise ValueError("powers must be a non-empty set")
     for p in powers:
-        _check_power(p)
+        if not MIN_POWER <= p <= MAX_POWER:
+            raise RangeError(f"power must be in [{MIN_POWER}, {MAX_POWER}], got {p}")
     stops = [float(s) for s in stops]
-    if not stops or any(b <= a for a, b in zip(stops, stops[1:])):
-        raise ValueError("stops must be a non-empty ascending sequence")
-    if start < 1:
+    if (not stops or not all(map(math.isfinite, stops))
+            or any(b <= a for a, b in zip(stops, stops[1:]))):
+        raise ValueError("stops must be a non-empty ascending sequence of finite numbers")
+    if not start >= 1:
         raise RangeError(f"integration starts at x >= 1, got {start}")
     if stops[0] < start:
         raise ValueError("first stop lies before the interval start")
@@ -144,7 +141,7 @@ def check_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
                             + _BLOCK_BYTES_PER_NODE * len(NODES)
                             * min(segments, max(1, numerics.BLOCK // len(NODES)))),
                  f"{workers} integration threads")
-    return powers, stops
+    return powers, stops, step_table_need(kind, stops[-1])
 
 
 def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
@@ -156,7 +153,7 @@ def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
     quadrature nodes are shared and only the power accumulation differs.
     Results are recorded at each stop in ascending order.
     """
-    powers, stops = check_profile(kind, powers, stops, start, threads)
+    powers, stops, _ = check_profile(kind, powers, stops, start, threads)
     denom = jump_denominator(kind)
     prefix = _step_prefix(kind, stops[-1], table)
 
@@ -174,7 +171,7 @@ def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
             cuts = {prev, stop, last / denom}
             cuts.update(t / denom for t in range(first, last, CHUNK_SEGMENTS))
             cuts = sorted(c for c in cuts if c >= prev)
-            for part in (map if threads == 1 else pool.map)(run, cuts[:-1], cuts[1:]):
+            for part in pool.map(run, cuts[:-1], cuts[1:]):
                 for p in powers:
                     acc[p].add(part[p])
             for p in powers:
@@ -183,17 +180,19 @@ def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
     return results
 
 
-def check_interval(a: float, b: float) -> None:
-    """Reject a moment interval [a, b] unless 1 <= a < b."""
+def check_interval(kind: ErrorTermKind, power: int, a: float, b: float, threads: int = 1):
+    """Reject a moment interval [a, b] unless 1 <= a < b, then check_profile;
+    returns the step table's need."""
     if not 1 <= a < b:
         raise RangeError(f"need 1 <= a < b, got [{a}, {b}]")
+    return check_profile(kind, (power,), [b], a, threads)[2]
 
 
 def moment(kind: ErrorTermKind, power: int, interval, threads: int = 1,
            table: DivisorTable | None = None) -> MomentResult:
     """Integral of error^power over [a, b]."""
     a, b = float(interval[0]), float(interval[1])
-    check_interval(a, b)
+    check_interval(kind, power, a, b, threads)
     profile = moment_profile(kind, (power,), [b], start=a, threads=threads,
                              table=table)
     denom = jump_denominator(kind)
@@ -205,7 +204,7 @@ def moment(kind: ErrorTermKind, power: int, interval, threads: int = 1,
 
 @functools.cache
 def theory_coefficient(kind: ErrorTermKind, power: int,
-                       cutoff: int = 10**5) -> float:
+                       cutoff: int = constants.DEFAULT_CUTOFF) -> float:
     """Predicted leading coefficient of the long-interval moment.
 
     Tabulated for the divisor error term only: k=3 and k=4 come from the
@@ -218,22 +217,23 @@ def theory_coefficient(kind: ErrorTermKind, power: int,
     if kind is not ErrorTermKind.DELTA:
         raise RangeError("theoretical moment coefficients are tabulated for "
                          "the divisor error term only; supply one explicitly")
-    from . import constants as _constants
     if power == 2:
-        return _constants.classical_mean_square_coefficient()
+        return constants.classical_mean_square_coefficient()
     if power == 3:
-        return _constants.cubic_moment_coefficient(cutoff=cutoff).value
+        return constants.cubic_moment_coefficient(cutoff=cutoff).value
     if power == 4:
-        return _constants.quartic_moment_coefficient(cutoff=cutoff).value
+        return constants.quartic_moment_coefficient(cutoff=cutoff).value
     raise RangeError(f"no theoretical main-term coefficient for power {power}")
 
 
-def check_short_interval(power: int, X: float, H: float) -> None:
-    """Reject a short-interval power other than 3 and 4, or H outside [1, X]."""
+def check_short_interval(kind: ErrorTermKind, power: int, X: float, H: float, threads: int = 1):
+    """Reject a short-interval power other than 3 and 4, or H outside [1, X],
+    then check_profile on [X, X+H]; returns the step table's need."""
     if power not in (3, 4):
         raise RangeError("short-interval ratios are defined for powers 3 and 4")
     if not 1 <= H <= X:
         raise RangeError(f"need 1 <= H <= X, got H={H}, X={X}")
+    return check_profile(kind, (power,), [X + H], X, threads)[2]
 
 
 def short_interval_ratio(kind: ErrorTermKind, power: int, X: float, H: float,
@@ -245,7 +245,7 @@ def short_interval_ratio(kind: ErrorTermKind, power: int, X: float, H: float,
     the ratio is expected to approach 1: H in [X^(7/12), X] for the cube and
     [X^(2/3), X] for the fourth power.
     """
-    check_short_interval(power, X, H)
+    check_short_interval(kind, power, X, H, threads)
     if coefficient is None:
         coefficient = theory_coefficient(kind, power)
     res = moment(kind, power, (X, X + H), threads=threads, table=table)
@@ -266,13 +266,14 @@ def fit_coefficient(Xs, integrals, exponent: float) -> float:
     return float(np.dot(xs, ys) / np.dot(xs, xs))
 
 
-def check_fit(power: int, Xs: list[float]) -> None:
-    """Reject fewer than 4 or not strictly ascending grid points, or a bad power."""
+def check_fit(kind: ErrorTermKind, power: int, Xs: list[float], threads: int = 1):
+    """Reject fewer than 4 or not strictly ascending grid points, then
+    check_profile on the grid; returns the step table's need."""
     if len(Xs) < 4:
         raise DegenerateFitError(f"need at least 4 grid points, got {len(Xs)}")
     if any(b <= a for a, b in zip(Xs, Xs[1:])):
         raise ValueError("X grid must be strictly ascending")
-    _check_power(power)
+    return check_profile(kind, (power,), Xs, threads=threads)[2]
 
 
 def fit_main_term(kind: ErrorTermKind, power: int, X_grid, threads: int = 1,
@@ -285,7 +286,7 @@ def fit_main_term(kind: ErrorTermKind, power: int, X_grid, threads: int = 1,
     coefficient itself is the single-power least-squares value.
     """
     Xs = [float(x) for x in X_grid]
-    check_fit(power, Xs)
+    check_fit(kind, power, Xs, threads)
     if theory is None:
         theory = theory_coefficient(kind, power)
     profile = moment_profile(kind, (power,), Xs, threads=threads, table=table)

@@ -190,8 +190,8 @@ def width_runs(amaxes: np.ndarray):
 
 
 def _floor_arg(x) -> int:
-    if x < 0:
-        raise ValueError(f"summatory argument must be >= 0, got {x}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"summatory argument must be finite and >= 0, got {x}")
     n = int(math.floor(x))
     if n > MAX_SUMMATORY_X:
         raise RangeError(f"x={x} beyond the 64-bit-safe summatory range")

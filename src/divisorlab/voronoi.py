@@ -116,8 +116,8 @@ def evaluate_block(series: VoronoiSeries, xs) -> np.ndarray:
 
     Results are bit-identical to per-point evaluation for any block size
     (the per-x reduction over n is a fixed-shape pairwise sum).  Points whose
-    largest phase f*sqrt(N*x) reaches 2^32 are rejected: beyond it one
-    longdouble ulp of the phase exceeds 2^-31 and the folded cosine is noise.
+    largest phase f*sqrt(N*x) reaches 2^32 are rejected.  frequency_scale is f
+    as a double, so the phase error is up to 2^-53*f*sqrt(N*x) rad, < 2^-21.
     """
     xs_arr = np.asarray(xs, dtype=float)
     flat = xs_arr.ravel()
@@ -148,8 +148,8 @@ def remainder_stats(kind: ErrorTermKind, truncation: int, X: float,
     """
     if sample_count < 100:
         raise ValueError(f"sample_count must be >= 100, got {sample_count}")
-    if truncation > X:
-        raise RangeError(f"need truncation N <= X (N={truncation}, X={X})")
+    if not truncation <= X < np.inf:
+        raise RangeError(f"need truncation N <= X < inf (N={truncation}, X={X})")
     check_memory(_BYTES_PER_SAMPLE * sample_count, f"{sample_count} remainder samples")
     work = sample_count * ((jump_denominator(kind) * 2 * X) ** 0.5 + _SAMPLE_STEPS)
     if work > WORK_BUDGET:

@@ -324,8 +324,8 @@ def test_cache_dir_reuse(tmp_path, capsys):
     code, _, _ = run(capsys, "--cache-dir", str(cache), "moment", "--kind",
                      "delta", "--power", "1", "--to", "50")
     assert code == 0
-    cached = list(cache.iterdir())
-    assert len(cached) == 1 and cached[0].name.startswith("divisor-")
+    # the library's need for --to 50: d up to 50
+    assert [entry.name for entry in cache.iterdir()] == ["divisor-50.dvt"]
     # second run loads the cached table (still succeeds, same answer)
     code, _, _ = run(capsys, "--cache-dir", str(cache), "moment", "--kind",
                      "delta", "--power", "1", "--to", "50")
@@ -390,7 +390,7 @@ def test_rejected_before_any_table_is_sieved(capsys, monkeypatch, tmp_path, argv
     (("short-interval", "--kind", "delta", "--power", "4", "--x", "100", "--h", "500"),
      "need 1 <= H <= X, got H=500.0, X=100.0"),
     (("moment", "--kind", "delta", "--power", "3", "--to", "1e12", "--cutoff", "3000000"),
-     "step table of 1000000000001 entries needs about 10000000000020 bytes, "
+     "step table of 1000000000000 entries needs about 10000000000010 bytes, "
      f"over the {sieves.MEMORY_CEILING_BYTES}-byte memory ceiling"),
 ], ids=["fit-grid", "moment-interval", "short-interval-h", "moment-ceiling"])
 def test_rejected_before_theory_series(capsys, monkeypatch, argv, message):
@@ -424,12 +424,12 @@ GOLDEN_DELTA_STAR = Path(__file__).parent / "golden" / "formats" / "02-moment.tx
 def test_damaged_cache_file_is_sieved_again(tmp_path, capsys, damage):
     cache = tmp_path / "cache"
     cache.mkdir()
-    # the table that --to 3000 needs for delta-star: D up to 4 * 3001
-    path = cache / "divisor-12004.dvt"
+    # the table that --to 3000 needs for delta-star: D up to 4 * 3000
+    path = cache / "divisor-12000.dvt"
     if damage == "bytes":
         path.write_bytes(b"DVT1" + bytes(40))
     else:
-        save_table(sieve_r(12004), path)
+        save_table(sieve_r(12000), path)
     code, out, err = run(capsys, "--cache-dir", str(cache), "--format", "json",
                          "moment", "--kind", "delta-star", "--power", "1",
                          "--from", "2.5", "--to", "3000")
@@ -437,7 +437,7 @@ def test_damaged_cache_file_is_sieved_again(tmp_path, capsys, damage):
     assert out == GOLDEN_DELTA_STAR.read_text(encoding="utf-8")
     assert err.startswith("cache: ") and err.count("\n") == 1
     fresh = load_table(path, expected_kind=TableKind.DIVISOR)
-    assert (fresh.values == sieve_divisors(12004).values).all()
+    assert (fresh.values == sieve_divisors(12000).values).all()
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,9 @@ from divisorlab.error_terms import (ErrorTermKind, delta_star_identity_residual,
                                     error_term, jump_denominator, smooth_main_term,
                                     step_part, step_table_need)
 from divisorlab.moments import _step_prefix, moment_profile
-from divisorlab.sieves import TableKind, sieve_divisors, summatory_d
+from divisorlab.sieves import (TableKind, alternating_summatory_d, sieve_divisors,
+                               summatory_d, summatory_r)
+from divisorlab.voronoi import remainder_stats
 from oracles import piecewise_segments
 
 
@@ -161,6 +163,25 @@ def test_rejects_x_below_one():
         error_term(ErrorTermKind.DELTA, 0.5)
     with pytest.raises(errors.RangeError):
         moment_profile(ErrorTermKind.DELTA, (1,), [3], start=0.2)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda v: moment_profile(ErrorTermKind.DELTA, [2], [v]), "finite numbers"),
+    (lambda v: moment_profile(ErrorTermKind.DELTA, [2], [10], start=v),
+     "x >= 1|before the interval start"),
+    (lambda v: error_term(ErrorTermKind.DELTA, v), "finite x >= 1"),
+    (lambda v: error_term(ErrorTermKind.CIRCLE, v), "finite x >= 1"),
+    (summatory_d, "finite and >= 0"),
+    (summatory_r, "finite and >= 0"),
+    (alternating_summatory_d, ">= 0"),
+    (lambda v: remainder_stats(ErrorTermKind.DELTA, 10, v), "N <= X < inf"),
+], ids=["stops", "start", "delta", "circle", "summatory_d", "summatory_r",
+        "alternating", "remainder_stats"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+def test_non_finite_arguments_rejected(call, message, value):
+    with pytest.raises((ValueError, errors.RangeError), match=message):
+        call(value)
 
 
 def test_kind_parse():

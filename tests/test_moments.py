@@ -323,6 +323,22 @@ def test_thread_memory_checked_before_threads_start(monkeypatch):
         moment_profile(DELTA, PINNED_POWERS, [4e7], threads=10**6)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: fit_main_term(DELTA, 4, [1e4, 1e5, 1e6, 1e12]), "step table"),
+    (lambda: short_interval_ratio(DELTA, 4, 1e12, 1e6), "step table"),
+    (lambda: fit_main_term(DELTA, 4, [1e4, 1e5, 1e6, 4e7], threads=10**6),
+     "613 integration threads"),
+], ids=["fit-table", "short-interval-table", "fit-threads"])
+def test_rejected_before_theory_series(call, message, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("theory series computed for an input that is rejected")
+
+    monkeypatch.setattr(moments, "theory_coefficient", unreachable)
+    monkeypatch.setattr(moments, "sieve", unreachable)
+    with pytest.raises(errors.CapacityError, match=message):
+        call()
+
+
 def test_theory_coefficient_is_computed_once(monkeypatch):
     calls = []
 

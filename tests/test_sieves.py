@@ -189,6 +189,13 @@ def test_negative_arguments_rejected():
         alternating_summatory_d(-0.5)
 
 
+def test_summatory_top_argument_accepted():
+    # eval accepts x = 1e17 exactly; the next double above it is rejected
+    assert sieves._floor_arg(1e17) == sieves.MAX_SUMMATORY_X
+    with pytest.raises(errors.RangeError):
+        sieves._floor_arg(1.0000000000000002e17)
+
+
 def test_capacity_error(monkeypatch, tmp_path):
     path = tmp_path / "t.dvt"
     save_table(sieve_divisors(1000), path)

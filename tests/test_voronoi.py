@@ -72,6 +72,21 @@ def test_phase_reduction_lossless():
     assert float(np.max(np.abs(reduced - direct))) < 1e-9
 
 
+@pytest.mark.parametrize("kind", [ErrorTermKind.DELTA, ErrorTermKind.CIRCLE])
+@pytest.mark.parametrize("x", [2e6, 1e13])
+def test_phase_error_within_double_frequency_bound(kind, x):
+    # frequency_scale is f rounded to a double, relative error at most 2^-53,
+    # so phases() stays within 2^-53*f*sqrt(N*x) of longdouble-f phases
+    series = build_series(kind, 10**4)
+    f = (2 if kind is ErrorTermKind.CIRCLE else 4) * numerics.PI_LD
+    ns = np.arange(1, series.truncation + 1, dtype=np.longdouble)
+    t = f * np.sqrt(ns * np.longdouble(x))
+    exact = t - numerics.TWO_PI_LD * np.floor(t / numerics.TWO_PI_LD) + np.longdouble(series.phase)
+    err = (phases(series, x) - exact + numerics.PI_LD) % numerics.TWO_PI_LD - numerics.PI_LD
+    bound = 2.0 ** -53 * series.frequency_scale * math.sqrt(series.truncation * x)
+    assert float(np.max(np.abs(err))) <= bound
+
+
 def test_block_evaluation_matches_pointwise(monkeypatch):
     series = build_series(ErrorTermKind.CIRCLE, 300)
     xs = np.linspace(500, 2500, 37)
