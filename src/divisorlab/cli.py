@@ -72,8 +72,8 @@ _CACHE_PATTERN = re.compile(r"^(divisor|two-squares)-(\d+)\.dvt$")
 
 def _table_for(args, need):
     """The step table ``need`` names: the smallest adequate table in the cache
-    directory, else a new sieve (cached when there is one).  A damaged cache
-    file is reported on stderr and sieved again."""
+    directory that loads, else a new sieve (cached when there is one).  Each
+    damaged cache file tried is reported on stderr."""
     raw = args.cache_dir or os.environ.get(CACHE_ENV)
     cache = Path(raw) if raw else None
     table_kind, limit = need
@@ -82,11 +82,11 @@ def _table_for(args, need):
         found = sorted((int(m.group(2)), entry) for entry in cache.iterdir()
                        if (m := _CACHE_PATTERN.match(entry.name))
                        and m.group(1) == tag and int(m.group(2)) >= limit)
-        if found:
+        for _, path in found:
             try:
-                return load_table(found[0][1], expected_kind=table_kind)
+                return load_table(path, expected_kind=table_kind)
             except (TableFormatError, TableKindMismatch) as exc:
-                sys.stderr.write(f"cache: {exc}; sieving again\n")
+                sys.stderr.write(f"cache: {exc}; skipped\n")
     table = sieve(table_kind, limit)
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)
@@ -209,14 +209,13 @@ def _cmd_spacing(args) -> None:
     form = spacing.SpacingForm(args.form)
     spec = spacing.BoxSpec(form=form, delta=args.delta, M=args.M, Mp=args.Mp,
                            K=args.K, L=args.L, root_k=args.root_k,
-                           alpha=args.alpha, beta=args.beta,
-                           exclude_exact=args.exclude_exact)
+                           alpha=args.alpha, beta=args.beta)
     result = spacing.count_box(spec)
     doc = {
         "form": form.value, "M": spec.M, "Mp": spec.Mp, "K": spec.K,
         "L": spec.L, "delta": spec.delta, "root_k": spec.root_k,
         "alpha": spec.alpha, "beta": spec.beta,
-        "exclude_exact": spec.excludes_exact(),
+        "exclude_exact": form is spacing.SpacingForm.FOUR_ROOT_PLUS,
         "count": result.count, "trivial_count": result.trivial_count,
         "exact_zero_count": result.exact_zero_count,
         "bound_2_15": result.bound_primary,
@@ -311,7 +310,6 @@ def build_parser() -> _Parser:
     p.add_argument("--root-k", type=_integer, default=2)
     p.add_argument("--alpha", type=_number, default=None)
     p.add_argument("--beta", type=_number, default=0.0)
-    p.add_argument("--exclude-exact", action="store_true")
     p.set_defaults(func=_cmd_spacing)
 
     p = sub.add_parser("constants", help="diagonal series / moment coefficients")

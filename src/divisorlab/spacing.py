@@ -67,7 +67,6 @@ class BoxSpec:
     root_k: int = 2            # the fixed root order of the four-root-kth form
     alpha: float | None = None
     beta: float = 0.0
-    exclude_exact: bool = False   # four-root-plus always excludes: 0 < |...|
 
     def __post_init__(self):
         if not self.delta > 0:
@@ -92,8 +91,6 @@ class BoxSpec:
                 raise ValueError("near-integer form needs |alpha| >= 1")
             if not 0 < self.delta < 0.5:
                 raise ValueError("near-integer form needs 0 < delta < 1/2")
-            if self.exclude_exact:   # it has no exact-zero count
-                raise ValueError(f"exact-zero exclusion unsupported for {self.form.value}")
             top = LD(abs(self.beta)) + LD(abs(self.alpha)) * np.sqrt(LD(2 * self.K))
             if np.spacing(top) > self.delta * 2.0 ** -20:
                 raise ValueError(f"|beta| + |alpha|*sqrt(2K) = {float(top):.3g} leaves "
@@ -113,13 +110,9 @@ class BoxSpec:
             raise ValueError(f"the bounds of this box at delta {self.delta} "
                              f"exceed double range")
 
-    def excludes_exact(self) -> bool:
-        return self.exclude_exact or self.form is SpacingForm.FOUR_ROOT_PLUS
-
 
 @dataclass(frozen=True)
 class SpacingCount:
-    spec: BoxSpec
     count: int
     trivial_count: int
     exact_zero_count: int | None
@@ -131,7 +124,6 @@ class SpacingCount:
 
 @dataclass(frozen=True)
 class GapResult:
-    limit: int
     min_scaled_gap: float
     argmin: tuple[int, ...]
 
@@ -350,8 +342,8 @@ def _bounds(spec: BoxSpec) -> tuple[float, float | None]:
 
 
 def count_box(spec: BoxSpec) -> SpacingCount:
-    """Exact tuple count for the requested inequality form, with the
-    epsilon-free bound value(s) and the count/bound ratio."""
+    """Exact tuple count for the form's inequality (exact zeros included but
+    for four-root-plus), with the epsilon-free bound value(s) and the ratio."""
     form, delta = spec.form, LD(spec.delta)
     M, Mp, K, L = spec.M, spec.Mp, spec.K, spec.L
     outer = {SpacingForm.NEAR_INTEGER: (K,), SpacingForm.THREE_ROOT: (M, Mp),
@@ -390,11 +382,11 @@ def count_box(spec: BoxSpec) -> SpacingCount:
                               delta * np.sqrt(LD(K)), inner + 1, 2 * inner, 2,
                               strict=False, paired=M == Mp)
         zeros, trivial = _zero_count_four((M, Mp, K, L), n_left)
-    if spec.excludes_exact():
-        count -= zeros
+        if form is SpacingForm.FOUR_ROOT_PLUS:
+            count -= zeros
     primary, secondary = _bounds(spec)
     bound_value = primary if secondary is None else min(primary, secondary)
-    return SpacingCount(spec=spec, count=count, trivial_count=trivial,
+    return SpacingCount(count=count, trivial_count=trivial,
                         exact_zero_count=zeros, bound_primary=primary,
                         bound_secondary=secondary, bound_value=bound_value,
                         ratio=count / bound_value)
@@ -486,7 +478,7 @@ def min_gap_three(limit: int) -> GapResult:
                 np.where(core[m] == core[n], (root[m] + root[n]) ** 2 * core[m], -1)
 
     best, _, _, m, n, k = _min_gap(blocks, limit, limit * limit)
-    return GapResult(limit=limit, min_scaled_gap=float(best), argmin=(m, n, k))
+    return GapResult(min_scaled_gap=float(best), argmin=(m, n, k))
 
 
 def min_gap_four(limit: int, sign: int = 1) -> GapResult:
@@ -515,4 +507,4 @@ def min_gap_four(limit: int, sign: int = 1) -> GapResult:
                     k * k, exact
 
     best, k, _, m, n, lv = _min_gap(blocks, limit, limit**3)
-    return GapResult(limit=limit, min_scaled_gap=float(best), argmin=(m, n, k, lv))
+    return GapResult(min_scaled_gap=float(best), argmin=(m, n, k, lv))

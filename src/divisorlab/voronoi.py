@@ -12,8 +12,9 @@ with
 
 Phases are formed in 80-bit extended precision before the cosine: sqrt(n*x)
 reaches 1e6 at desk scale, and a double-precision product would surrender
-six digits of the phase.  Argument folding mod 2*pi happens at the same
-precision, so reduced and unreduced evaluations agree far below 1e-9.
+six digits of the phase.  Folding mod 2*pi happens at the same precision, so
+reduced and unreduced evaluations agree far below 1e-9.  But f is a double
+(frequency_scale), so a phase is accurate to 2^-53*f*sqrt(N*x) rad only.
 """
 
 from __future__ import annotations

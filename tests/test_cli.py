@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from divisorlab import cli, moments, sieves, spacing, voronoi
+from divisorlab import cli, moments, sieves, voronoi
 from divisorlab.cli import main
 from divisorlab.error_terms import ErrorTermKind, error_term
 from divisorlab.moments import moment
@@ -204,16 +204,31 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ("moment", "--kind", "delta", "--power", "2", "--to", "100"),
-    ("fit", "--kind", "delta", "--power", "2", "--grid", "1e3,2e3,3e3,4e3"),
-    ("short-interval", "--kind", "delta", "--power", "4", "--x", "100", "--h", "100"),
-], ids=["moment", "fit", "short-interval"])
-def test_order_flag_is_usage_error(capsys, argv):
-    # the quadrature is fixed at order 8: --order is no flag, not even --order 8
-    code, out, err = run(capsys, *argv, "--order", "8")
+@pytest.mark.parametrize("argv,flag", [
+    (("moment", "--kind", "delta", "--power", "2", "--to", "100"), ("--order", "8")),
+    (("fit", "--kind", "delta", "--power", "2", "--grid", "1e3,2e3,3e3,4e3"),
+     ("--order", "8")),
+    (("short-interval", "--kind", "delta", "--power", "4", "--x", "100", "--h", "100"),
+     ("--order", "8")),
+    (("spacing", "--form", "three-root", "--M", "8", "--Mp", "8", "--delta", "0.01"),
+     ("--exclude-exact",)),
+], ids=["moment", "fit", "short-interval", "spacing"])
+def test_removed_flag_is_usage_error(capsys, argv, flag):
+    # the quadrature is fixed at order 8, so --order is no flag, not even
+    # --order 8; each spacing form's inequality decides on its exact zeros
+    code, out, err = run(capsys, *argv, *flag)
     assert code == 1
     assert out == "" and err.startswith("usage error:")
+
+
+def test_negative_scientific_flag_needs_equals_form(capsys):
+    # argparse reads "-1.5e2" after a space as a flag; the --flag=value form
+    # passes it as the value
+    argv = ("--format", "json", "spacing", "--form", "near-integer", "--K", "64",
+            "--alpha", "2", "--delta", "0.01")
+    code, want, _ = run(capsys, *argv, "--beta", "-150")
+    assert code == 0
+    assert run(capsys, *argv, "--beta=-1.5e2") == (0, want, "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -297,17 +312,6 @@ def test_beyond_extended_precision_is_compute_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "compute error" in err
-
-
-def test_near_integer_exclude_exact_rejected_before_counting(capsys, monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("counted a box whose exclusion is unsupported")
-
-    monkeypatch.setattr(spacing, "_count_near_integer", unreachable)
-    code, out, err = run(capsys, "spacing", "--form", "near-integer", "--K", "5e6",
-                         "--alpha", "2", "--delta", "0.01", "--exclude-exact")
-    assert code == 2 and out == ""
-    assert err == "compute error: exact-zero exclusion unsupported for near-integer\n"
 
 
 def test_spacing_root_power_overflow_is_silent(capsys):
@@ -438,6 +442,23 @@ def test_damaged_cache_file_is_sieved_again(tmp_path, capsys, damage):
     assert err.startswith("cache: ") and err.count("\n") == 1
     fresh = load_table(path, expected_kind=TableKind.DIVISOR)
     assert (fresh.values == sieve_divisors(12000).values).all()
+
+
+def test_damaged_cache_file_yields_to_a_larger_one(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sieved although an adequate cache file loads")
+
+    monkeypatch.setattr(cli, "sieve", unreachable)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "divisor-40000.dvt").write_bytes(b"DVT1" + bytes(40))
+    save_table(sieve_divisors(50000), cache / "divisor-50000.dvt")
+    code, out, err = run(capsys, "--cache-dir", str(cache), "moment", "--kind",
+                         "delta", "--power", "2", "--to", "35000")
+    assert code == 0 and out
+    assert err.startswith("cache: ") and err.count("\n") == 1
+    assert sorted(p.name for p in cache.iterdir()) == ["divisor-40000.dvt",
+                                                      "divisor-50000.dvt"]
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

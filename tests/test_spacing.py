@@ -146,6 +146,8 @@ def test_four_root_minus_matches_brute_force(M, Mp, K, L, delta):
                    delta=delta)
     res = count_box(spec)
     assert res.count == brute_count_four_root(M, Mp, K, L, delta, -1, False)
+    assert res.count - res.exact_zero_count \
+        == brute_count_four_root(M, Mp, K, L, delta, -1, True)
 
 
 @pytest.mark.parametrize("M,Mp,K,L,delta", [
@@ -260,21 +262,6 @@ def test_trivial_pairings_reported_separately():
     assert res.count == res.trivial_count == res.exact_zero_count == 28
 
 
-def test_exclude_exact_counts_near_misses_only():
-    base = BoxSpec(form=SpacingForm.FOUR_ROOT_MINUS, M=8, Mp=8, K=8, L=8,
-                   delta=1e-6 / math.sqrt(8))
-    with_exact = count_box(base)
-    without = count_box(BoxSpec(form=SpacingForm.FOUR_ROOT_MINUS, M=8, Mp=8,
-                                K=8, L=8, delta=1e-6 / math.sqrt(8),
-                                exclude_exact=True))
-    assert with_exact.count >= with_exact.exact_zero_count
-    assert without.count == with_exact.count - with_exact.exact_zero_count
-    # four-root-plus excludes whatever the flag says: its inequality is 0 < |...|
-    assert not base.excludes_exact() and without.spec.excludes_exact()
-    assert BoxSpec(form=SpacingForm.FOUR_ROOT_PLUS, M=8, Mp=8, K=8, L=8,
-                   delta=0.1).excludes_exact()
-
-
 def test_three_root_zero_detection():
     # exact hits are exactly the same-core pairs of the (8,16]^2 box
     spec = BoxSpec(form=SpacingForm.THREE_ROOT, M=8, Mp=8, delta=1e-9)
@@ -285,9 +272,6 @@ def test_three_root_zero_detection():
             if squarefree_core(m)[0] == squarefree_core(n)[0]:
                 want += 1
     assert res.exact_zero_count == want
-    excl = count_box(BoxSpec(form=SpacingForm.THREE_ROOT, M=8, Mp=8,
-                             delta=1e-9, exclude_exact=True))
-    assert excl.count == res.count - res.exact_zero_count
 
 
 def test_count_monotone_in_delta_and_box():
@@ -505,9 +489,6 @@ def test_boxspec_validation():
         BoxSpec(form=SpacingForm.NEAR_INTEGER, K=10, delta=0.1, alpha=1e300)
     with pytest.raises(ValueError):
         BoxSpec(form=SpacingForm.FOUR_ROOT_KTH, M=4, delta=0.1, root_k=1)
-    with pytest.raises(ValueError, match="exact-zero exclusion unsupported"):
-        BoxSpec(form=SpacingForm.NEAR_INTEGER, K=10, delta=0.1, alpha=2.0,
-                exclude_exact=True)
     with pytest.raises(ValueError):
         BoxSpec(form=SpacingForm.THREE_ROOT, M=4, Mp=4, delta=-1.0)
     # non-finite parameters would round to nonsense in int64
