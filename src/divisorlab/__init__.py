@@ -2,14 +2,12 @@
 error terms, their truncated cosine expansions, moment asymptotics, and
 square-root spacing counts."""
 
-from .error_terms import (ErrorTermKind, delta_star_identity_residual,
-                          error_term)
+from .error_terms import ErrorTermKind, error_term
 from .errors import (BudgetError, CapacityError, DegenerateFitError,
                      DivisorLabError, RangeError, TableFormatError,
                      TableKindMismatch)
-from .sieves import (DivisorTable, TableKind, alternating_summatory_d,
-                     load_table, save_table, sieve_divisors, sieve_r,
-                     summatory_d, summatory_r)
+from .sieves import (DivisorTable, TableKind, load_table, save_table,
+                     sieve_divisors, sieve_r, summatory_d, summatory_r)
 
 __version__ = "0.1.0"
 
@@ -17,7 +15,6 @@ __all__ = [
     "BudgetError", "CapacityError", "DegenerateFitError", "DivisorLabError",
     "DivisorTable", "ErrorTermKind", "RangeError",
     "TableFormatError", "TableKind", "TableKindMismatch",
-    "alternating_summatory_d", "delta_star_identity_residual", "error_term",
-    "load_table", "save_table", "sieve_divisors", "sieve_r",
+    "error_term", "load_table", "save_table", "sieve_divisors", "sieve_r",
     "summatory_d", "summatory_r",
 ]

@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import RangeError
 from .numerics import EULER_GAMMA, PI_LD, NamedEnum
-from .sieves import (TableKind, alternating_summatory_d, check_memory,
-                     summatory_d, summatory_r)
+from .sieves import TableKind, check_memory, summatory_d, summatory_r
 
 # peak bytes per entry of a step table, the uint16 table and its int64 prefix
 # (tracemalloc, fresh process, each kind, 1e6 and 3e6 entries)
@@ -87,17 +86,3 @@ def error_term(kind: ErrorTermKind, x) -> float:
     count = summatory_r if kind is ErrorTermKind.CIRCLE else summatory_d
     step = step_part(kind, count, math.floor(jump_denominator(kind) * x))
     return float(step - smooth_main_term(kind, np.longdouble(x)))
-
-
-def delta_star_identity_residual(x) -> float:
-    """Residual of the alternating-sum identity for delta-star at x.
-
-    Returns 0.5*sum_{n<=4x}(-1)^n d(n) - x(log x + 2*gamma - 1) - delta-star(x),
-    which must vanish to ~1e-12; the integer parts cancel exactly and the two
-    smooth evaluations share one code path.
-    """
-    if x < 1:
-        raise RangeError(f"identity is checked for x >= 1, got {x}")
-    alt = np.longdouble(alternating_summatory_d(x)) / 2
-    lhs = alt - smooth_main_term(ErrorTermKind.DELTA, np.longdouble(x))
-    return float(lhs - np.longdouble(error_term(ErrorTermKind.DELTA_STAR, x)))

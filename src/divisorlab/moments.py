@@ -118,8 +118,8 @@ def _chunk_partials(kind: ErrorTermKind, prefix: np.ndarray, x0: float, x1: floa
 def check_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
                   threads: int = 1):
     """Reject what moment_profile would reject before its table is built:
-    powers, stops, start, thread memory and step-table size.  Returns the
-    sorted distinct powers, the stops as floats and the step table's need."""
+    powers, stops, start, thread count and memory, step-table size.  Returns
+    the sorted distinct powers, the stops as floats and the step table's need."""
     powers = tuple(sorted(set(int(p) for p in powers)))
     if not powers:
         raise ValueError("powers must be a non-empty set")
@@ -132,6 +132,8 @@ def check_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
         raise ValueError("stops must be a non-empty ascending sequence of finite numbers")
     if not start >= 1:
         raise RangeError(f"integration starts at x >= 1, got {start}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if stops[0] < start:
         raise ValueError("first stop lies before the interval start")
     denom = jump_denominator(kind)
@@ -163,6 +165,7 @@ def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
     run = functools.partial(_chunk_partials, kind, prefix, powers=powers)
     prev = start
     with ThreadPoolExecutor(max_workers=threads) as pool:
+        pieces = map if threads == 1 else pool.map  # one thread: the caller integrates
         for stop in stops:
             first, last = math.ceil(prev * denom), math.floor(stop * denom)
             # x-ranges between consecutive cuts, in Kahan add order: head
@@ -171,7 +174,7 @@ def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
             cuts = {prev, stop, last / denom}
             cuts.update(t / denom for t in range(first, last, CHUNK_SEGMENTS))
             cuts = sorted(c for c in cuts if c >= prev)
-            for part in pool.map(run, cuts[:-1], cuts[1:]):
+            for part in pieces(run, cuts[:-1], cuts[1:]):
                 for p in powers:
                     acc[p].add(part[p])
             for p in powers:

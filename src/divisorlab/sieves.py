@@ -1,5 +1,5 @@
 """Exact arithmetic kernels: divisor-count and two-squares sieves, their
-summatory functions, alternating divisor sums, and a binary table cache.
+summatory functions, and a binary table cache.
 
 Everything in this module is exact integer arithmetic.  Summatory values are
 returned as Python ints.  Both tables come from one divisor-sum sieve of a
@@ -198,12 +198,12 @@ def _floor_arg(x) -> int:
     return n
 
 
-def _chunked_sum(term, stop: int, step: int = 1) -> int:
-    """sum of term(ks) over the int64 ks = range(1, stop, step), in chunks of
+def _chunked_sum(term, stop: int) -> int:
+    """sum of term(ks) over the int64 ks = range(1, stop), in chunks of
     numerics.BLOCK, so peak memory stays at a few blocks for any stop."""
     total = 0
-    for lo in range(1, stop, step * numerics.BLOCK):
-        ks = np.arange(lo, min(stop, lo + step * numerics.BLOCK), step, dtype=np.int64)
+    for lo in range(1, stop, numerics.BLOCK):
+        ks = np.arange(lo, min(stop, lo + numerics.BLOCK), dtype=np.int64)
         total += int(np.sum(term(ks), dtype=np.int64))
     return total
 
@@ -234,29 +234,6 @@ def summatory_r(x) -> int:
         return _isqrt(np.subtract(n, v, out=v), buf[1:, :a.size])
 
     return 4 * (root + _chunked_sum(term, root + 1))
-
-
-def _count_odd_pairs(y: int) -> int:
-    """#{(a, b) : a, b odd, ab <= y}, by the hyperbola method."""
-    root = math.isqrt(y)
-    # number of odd b <= y/a is (floor(y/a) + 1) // 2 = y//a - (y//2)//a
-    inner = _chunked_sum(lambda a: y // a - (y // 2) // a, root + 1, 2)
-    odd_to_root = (root + 1) // 2
-    return 2 * inner - odd_to_root * odd_to_root
-
-
-def alternating_summatory_d(x) -> int:
-    """sum_{n <= 4x} (-1)^n d(n), exact, in O(sqrt(x)) operations.
-
-    Splitting at parity: the sum equals D(y) - 2*T(y) with y = floor(4x)
-    and T(y) the number of divisor pairs (a, b), ab <= y, both odd
-    (every even-n divisor pair has a or b even, so d-even mass is
-    D(y) - T(y)).
-    """
-    if x < 0:
-        raise ValueError(f"argument must be >= 0, got {x}")
-    y = _floor_arg(4 * x)
-    return summatory_d(y) - 2 * _count_odd_pairs(y)
 
 
 def save_table(table: DivisorTable, path) -> None:

@@ -62,11 +62,11 @@ def summatory_r_by_characters(x) -> int:
     return 4 * total
 
 
-def alternating_sum_direct(y: int, d_values: np.ndarray) -> int:
-    """sum_{n <= y} (-1)^n d(n) from a sieved table."""
-    ns = np.arange(1, y + 1)
-    signs = np.where(ns % 2 == 0, 1, -1)
-    return int(np.sum(signs * d_values[1:y + 1].astype(np.int64)))
+def alternating_prefix(d_values: np.ndarray) -> np.ndarray:
+    """sum_{n <= y} (-1)^n d(n) for y = 0 .. len(d_values) - 1, from a sieved
+    table of d(n) indexed by n, whose entry 0 is 0."""
+    signs = np.where(np.arange(d_values.size) % 2 == 0, 1, -1)
+    return np.cumsum(signs * d_values.astype(np.int64))
 
 
 def piecewise_segments(kind_name: str, a: float, b: float) -> list[tuple]:

@@ -26,11 +26,13 @@ import pytest
 
 from divisorlab import constants as cst
 from divisorlab import moments, spacing, voronoi
-from divisorlab.error_terms import ErrorTermKind, delta_star_identity_residual
+from divisorlab.error_terms import ErrorTermKind
 from divisorlab.numerics import loglog_slope
 from divisorlab.sieves import sieve_divisors, sieve_r, summatory_d, summatory_r
 
-from oracles import brute_exact_quadruples, brute_exact_triples, lattice_cumulative
+from oracles import (alternating_prefix, brute_exact_quadruples, brute_exact_triples,
+                     lattice_cumulative)
+from test_error_terms import identity_residual
 
 DELTA = ErrorTermKind.DELTA
 
@@ -99,7 +101,8 @@ def test_a1_exact_kernel_equivalence():
 
 def test_a2_alternating_identity():
     rng = np.random.default_rng(2024)
-    worst = max(abs(delta_star_identity_residual(float(x)))
+    prefix = alternating_prefix(sieve_divisors(4 * 10**5).values)
+    worst = max(abs(identity_residual(float(x), prefix))
                 for x in rng.uniform(1, 10**5, 10**4))
     ok = worst <= 1e-8
     assert report("A2", ok, f"worst residual {worst:.3e} over 1e4 samples")

@@ -5,14 +5,27 @@ import numpy as np
 import pytest
 
 from divisorlab import errors
-from divisorlab.error_terms import (ErrorTermKind, delta_star_identity_residual,
-                                    error_term, jump_denominator, smooth_main_term,
-                                    step_part, step_table_need)
+from divisorlab.error_terms import (ErrorTermKind, error_term, jump_denominator,
+                                    smooth_main_term, step_part, step_table_need)
 from divisorlab.moments import _step_prefix, moment_profile
-from divisorlab.sieves import (TableKind, alternating_summatory_d, sieve_divisors,
-                               summatory_d, summatory_r)
+from divisorlab.sieves import TableKind, sieve_divisors, summatory_d, summatory_r
 from divisorlab.voronoi import remainder_stats
-from oracles import piecewise_segments
+from oracles import alternating_prefix, piecewise_segments
+
+
+def identity_residual(x, prefix) -> float:
+    """0.5*sum_{n<=4x}(-1)^n d(n) - x(log x + 2*gamma - 1) - delta-star(x) in
+    longdouble, the alternating sum read from ``prefix``
+    (oracles.alternating_prefix); it must vanish to ~1e-12."""
+    alt = np.longdouble(prefix[math.floor(4 * x)]) / 2
+    lhs = alt - smooth_main_term(ErrorTermKind.DELTA, np.longdouble(x))
+    return float(lhs - np.longdouble(error_term(ErrorTermKind.DELTA_STAR, x)))
+
+
+@pytest.fixture(scope="module")
+def alt_prefix():
+    # reaches floor(4 * 123456.25) = 493,825, the largest spec point
+    return alternating_prefix(sieve_divisors(493_825).values)
 
 
 def test_delta_example():
@@ -42,14 +55,14 @@ def test_delta_star_from_brute_force_summatory():
 
 
 @pytest.mark.parametrize("x", [1, 1000.5, 123456.25])
-def test_identity_residual_spec_points(x):
-    assert abs(delta_star_identity_residual(x)) <= 1e-8
+def test_identity_residual_spec_points(x, alt_prefix):
+    assert abs(identity_residual(x, alt_prefix)) <= 1e-8
 
 
-def test_identity_residual_random():
+def test_identity_residual_random(alt_prefix):
     rng = np.random.default_rng(17)
     for x in rng.uniform(1, 10**5, 300):
-        assert abs(delta_star_identity_residual(float(x))) <= 1e-8
+        assert abs(identity_residual(float(x), alt_prefix)) <= 1e-8
 
 
 def _step_pieces(kind, a, b):
@@ -173,10 +186,9 @@ def test_rejects_x_below_one():
     (lambda v: error_term(ErrorTermKind.CIRCLE, v), "finite x >= 1"),
     (summatory_d, "finite and >= 0"),
     (summatory_r, "finite and >= 0"),
-    (alternating_summatory_d, ">= 0"),
     (lambda v: remainder_stats(ErrorTermKind.DELTA, 10, v), "N <= X < inf"),
 ], ids=["stops", "start", "delta", "circle", "summatory_d", "summatory_r",
-        "alternating", "remainder_stats"])
+        "remainder_stats"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
                          ids=["inf", "-inf", "nan"])
 def test_non_finite_arguments_rejected(call, message, value):

@@ -1,3 +1,5 @@
+import threading
+
 import mpmath
 import numpy as np
 import pytest
@@ -337,6 +339,34 @@ def test_rejected_before_theory_series(call, message, monkeypatch):
     monkeypatch.setattr(moments, "sieve", unreachable)
     with pytest.raises(errors.CapacityError, match=message):
         call()
+
+
+@pytest.mark.parametrize("threads", (0, -3))
+@pytest.mark.parametrize("call", [
+    lambda t: moment(DELTA, 4, (1, 1e5), threads=t),
+    lambda t: fit_main_term(DELTA, 4, [1e5, 2e5, 4e5, 1e6], threads=t),
+    lambda t: short_interval_ratio(DELTA, 4, 1e6, 1e4, threads=t),
+], ids=["moment", "fit", "short-interval"])
+def test_thread_count_below_one_rejected_before_work(call, threads, monkeypatch):
+    monkeypatch.setattr(moments, "theory_coefficient", _unreachable)
+    monkeypatch.setattr(moments, "sieve", _unreachable)
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        call(threads)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_one_thread_integrates_in_the_caller(threads, monkeypatch):
+    seen = []
+    real = moments._chunk_partials
+
+    def recorded(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "_chunk_partials", recorded)
+    moment_profile(DELTA, (2,), [1000.5], start=2.5, threads=threads)
+    caller = threading.get_ident()
+    assert seen and all((ident == caller) == (threads == 1) for ident in seen)
 
 
 def test_theory_coefficient_is_computed_once(monkeypatch):

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from divisorlab import errors, numerics, sieves
-from divisorlab.sieves import (TableKind, alternating_summatory_d,
-                               load_table, save_table, sieve, sieve_divisors,
-                               sieve_r, summatory_d, summatory_r)
+from divisorlab.sieves import (TableKind, load_table, save_table, sieve,
+                               sieve_divisors, sieve_r, summatory_d, summatory_r)
 
-from oracles import (alternating_sum_direct, divisor_count, lattice_cumulative,
+from oracles import (alternating_prefix, divisor_count, lattice_cumulative,
                      summatory_r_by_characters, two_squares_count)
 
 
@@ -137,7 +136,7 @@ def test_summatory_block_size_does_not_change_values(monkeypatch):
     xs = sorted({*range(120), *(10**e for e in range(1, 9)),
                  *(k * k + e for k in (99, 9999) for e in (-1, 0, 1)),
                  *np.exp(rng.uniform(0, math.log(1e8), 40)).astype(np.int64).tolist()})
-    kernels = (summatory_d, summatory_r, sieves._count_odd_pairs)
+    kernels = (summatory_d, summatory_r)
     default = [[f(x) for x in xs] for f in kernels]
     monkeypatch.setattr(numerics, "BLOCK", 7)
     assert [[f(x) for x in xs] for f in kernels] == default
@@ -167,26 +166,17 @@ def test_summatory_r_faults_in_no_pages_per_block():
 
 
 def test_alternating_sum_examples():
-    assert alternating_summatory_d(1) == 2          # d(2)+d(4)-d(1)-d(3)
-    assert alternating_summatory_d(0.2) == 0
-    assert alternating_summatory_d(2.5) == 7
-
-
-def test_alternating_sum_vs_direct():
-    table = sieve_divisors(10**5)
-    for y in range(1, 3001):
-        assert alternating_summatory_d(y / 4) == alternating_sum_direct(y, table.values)
-    rng = np.random.default_rng(5)
-    for y in rng.integers(1, 10**5, 200):
-        assert alternating_summatory_d(int(y) / 4) == \
-            alternating_sum_direct(int(y), table.values)
+    prefix = alternating_prefix(sieve_divisors(300).values)
+    assert prefix[4] == 2          # d(2)+d(4)-d(1)-d(3)
+    assert prefix[0] == 0
+    assert prefix[10] == 7
+    direct = np.cumsum([0] + [(-1) ** n * divisor_count(n) for n in range(1, 301)])
+    assert prefix.tolist() == direct.tolist()
 
 
 def test_negative_arguments_rejected():
     with pytest.raises(ValueError):
         summatory_d(-1)
-    with pytest.raises(ValueError):
-        alternating_summatory_d(-0.5)
 
 
 def test_summatory_top_argument_accepted():
