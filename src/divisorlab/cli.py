@@ -73,7 +73,8 @@ _CACHE_PATTERN = re.compile(r"^(divisor|two-squares)-(\d+)\.dvt$")
 def _table_for(args, need):
     """The step table ``need`` names: the smallest adequate table in the cache
     directory that loads, else a new sieve (cached when there is one).  Each
-    damaged cache file tried is reported on stderr."""
+    damaged cache file tried is deleted, so that no later run reads it
+    again, and reported once on stderr."""
     raw = args.cache_dir or os.environ.get(CACHE_ENV)
     cache = Path(raw) if raw else None
     table_kind, limit = need
@@ -86,7 +87,8 @@ def _table_for(args, need):
             try:
                 return load_table(path, expected_kind=table_kind)
             except (TableFormatError, TableKindMismatch) as exc:
-                sys.stderr.write(f"cache: {exc}; skipped\n")
+                path.unlink(missing_ok=True)
+                sys.stderr.write(f"cache: {exc}; removed\n")
     table = sieve(table_kind, limit)
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)

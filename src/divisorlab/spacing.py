@@ -10,13 +10,17 @@ Conventions used throughout:
     combination vanishes iff the per-core coefficient sums do.  No floating
     tolerance ever classifies a tuple as exactly zero.
   * Threshold comparisons (|combination| vs delta * scale) are decided in
-    80-bit extended precision by one solved-variable counter for all four
-    root forms: it enumerates the outer variables, never the innermost one,
-    whose admissible values are an integer interval found by inverting the
-    monotone root.  The sum is formed in one fixed order and the interval's
-    ends are rounded exactly (numerics.floor_int), so that order's
-    longdouble rounding decides exact ties; x + a and a + x are the same
-    bits, so equal first boxes are evaluated once per unordered pair.
+    80-bit extended precision by one rule: the sum of all roots but one is
+    formed in one fixed order, and the remaining integer must lie in the
+    interval found by inverting its monotone root, whose ends are compared
+    exactly, so that order's longdouble rounding decides exact ties.  The
+    three-root form enumerates (m, n) and counts each interval of k whole
+    (numerics.floor_int); x + a and a + x are the same bits, so equal boxes
+    are evaluated once per unordered pair.  The three four-root forms are
+    counted by sorted sums: |P - Q| for two float64 tables of pair sums,
+    the smaller sorted once and the larger streamed against it in sorted
+    rows, and only the tuples within a proven band of the threshold are
+    decided again by the longdouble rule.
     Minimal gaps are decided in longdouble too, after a float64 screen with
     a proven error bound, and the first minimum in one fixed order wins.
   * Bound values evaluate the reference bound shapes with the epsilon term
@@ -42,10 +46,12 @@ LD = np.longdouble
 # the most tuples a count or gap search may enumerate
 WORK_BUDGET = 10**10
 # Peak bytes of count_box (tracemalloc, each form): 64-286 per unit of the
-# sides summed (sides to 1e6), 121-129 per broadcast block element (blocks
-# to 4.9e5).
+# sides summed (sides to 1e6); 16-31.4 per entry of a sorted pair table
+# (tables to 2.25e6); per element of a streamed block, 42 for a block of
+# pair sums and 89-99.5 for a three-root row (rows to 1e6).
 _BOX_BYTES_PER_SIDE = 290
-_BOX_BYTES_PER_BLOCK = 130
+_BOX_BYTES_PER_TABLE = 33
+_BOX_BYTES_PER_BLOCK = 100
 
 
 class SpacingForm(NamedEnum):
@@ -204,57 +210,27 @@ def enumerate_exact_quadruples(limit: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# counting with a solved inner variable
+# three-root counting with a solved inner variable
 
-def _count_in_interval(lo, hi, floor_lo, cap_hi, strict: bool) -> np.ndarray:
-    """Vectorized count of integers v with floor_lo <= v <= cap_hi and
-    lo (<|<=) v (<|<=) hi, as int64, where lo/hi are longdouble arrays and
-    0 <= lo < 2^63.
+def _count_solved(x, y, t, paired: bool) -> int:
+    """Number of (m, n, k), k >= 1, with |x_m + y_n - sqrt k| <= t.
 
-    hi is clipped in place at cap_hi (cap_hi + 1 when strict): that clamps
-    the largest v before rounding, so hi fits in int64 for any delta, inf
-    included, and an infinite cap_hi needs no integer clamp."""
-    np.minimum(hi, cap_hi + strict, out=hi)
-    if strict:
-        vmin = floor_int(lo) + 1
-        vmax = -floor_int(-hi) - 1
-    else:
-        vmin = -floor_int(-lo)
-        vmax = floor_int(hi)
-    np.maximum(vmin, floor_lo, out=vmin)
-    cnt = vmax - vmin + 1
-    return np.maximum(cnt, 0, out=cnt)
+    k is never enumerated: it fills the integer interval between
+    max(s - t, 0)^2 and (s + t)^2, s = x_m + y_n, whose ends are rounded
+    exactly (numerics.floor_int), so longdouble rounding decides exact ties.
 
-
-def _count_solved(axes, t, inner_lo, inner_hi, r: int, strict: bool,
-                  paired: bool) -> int:
-    """Number of tuples (x, a_1, ..., v) with |x + a_1 + ... - v^(1/r)|
-    (<|<=) t and inner_lo <= v <= inner_hi, where x runs over axes[0] and
-    the later axes broadcast against each other.
-
-    v is never enumerated: it fills the integer interval between
-    max(s - t, 0)^r and max(s + t, 0)^r.  Clamping hi leaves an empty
-    interval where s + t <= 0, since inner_lo >= 1.  The sum s is always
-    added left to right, so threshold ties are decided the same way on
-    every call.
-
-    paired says axes[1] holds the values of axes[0] (along its first
-    dimension).  IEEE addition is commutative, so the tuples with x and a_1
-    swapped have the same s to the bit and the same count: row i runs a_1
-    over axes[1][i:] only and counts those twice, less the a_1 = x row."""
+    paired says y holds the values of x.  IEEE addition is commutative, so
+    the tuples with m and n swapped have the same s to the bit and the same
+    count: row i runs n over y[i:] only and counts those twice, less n = m."""
     total = 0
-    for i, x in enumerate(axes[0]):
-        s = x + (axes[1][i:] if paired else axes[1])
-        for a in axes[2:]:
-            s = s + a
+    for i, a in enumerate(x):
+        s = a + (y[i:] if paired else y)
         lo, hi = s - t, s + t
         lo[lo < 0] = 0
-        hi[hi < 0] = 0
-        with np.errstate(over="ignore"):    # an infinite hi**r is clipped
-            hi **= r
-        cnt = _count_in_interval(lo ** r, hi, inner_lo, inner_hi, strict)
+        cnt = floor_int(hi * hi) - np.maximum(-floor_int(-(lo * lo)), 1) + 1
+        np.maximum(cnt, 0, out=cnt)
         row = int(np.sum(cnt))
-        total += 2 * row - int(np.sum(cnt[0])) if paired else row
+        total += 2 * row - int(cnt[0]) if paired else row
     return total
 
 
@@ -268,6 +244,128 @@ def _count_near_integer(spec: BoxSpec) -> int:
     frac = t - floor_int(t)
     dist = np.minimum(frac, 1 - frac)
     return int(np.count_nonzero(dist < LD(spec.delta)))
+
+
+# ---------------------------------------------------------------------------
+# four-root counting by sorted pair sums
+
+def _band(top: float, t: float) -> float:
+    """Half-width B of the band around t outside which float64 pair sums
+    decide a four-root tuple as _ld_counted does, where the four |roots| sum
+    to at most A = top.  With u = 2^-53: each float64 root rounds a
+    longdouble root good to 2^-60 and each table entry rounds one sum, so
+    float64 |P - Q| is within 3u A of the exact value; a search key q +- w
+    rounds t, w and the sum, u (A + 3t + 2B); the longdouble rule, rounding
+    s, s +- t and (s +- t)^r, decides |P - Q| against t within
+    8 2^-64 (A + t).  The total is under 4.1u A + 3.1u t + 2u B, so
+    16u (A + t) covers it three times over."""
+    return 16 * 2.0 ** -53 * (top + t)
+
+
+def _ld_counted(s, v, t, r: int, strict: bool) -> np.ndarray:
+    """Whether each integer v lies between max(s - t, 0)^r and
+    max(s + t, 0)^r (strictly when strict), in longdouble: the rule that
+    decides the four-root tuples in the band, exact ties included.  The
+    caller forms s in one fixed order."""
+    lo, hi = s - t, s + t
+    lo[lo < 0] = 0
+    hi[hi < 0] = 0
+    with np.errstate(over="ignore"):    # an infinite hi**r compares as it should
+        lo, hi = lo ** r, hi ** r
+    return (lo < v) & (v < hi) if strict else (lo <= v) & (v <= hi)
+
+
+def _rows(cols: int) -> int:
+    """Rows per streamed block: numerics.BLOCK entries, or one row."""
+    return max(1, numerics.BLOCK // cols)
+
+
+def _count_pairs(p, q, t: float, band: float, decide) -> int:
+    """Number of (i, j, k, l) with |P[i, j] - Q[k, l]| within t, where
+    P = p[0][:, None] + p[1] and Q = q[0][:, None] + q[1] in float64 have
+    sorted rows (p[1] and q[1] ascending).
+
+    A tuple whose float64 |P - Q| lies more than band inside t counts, one
+    more than band outside does not, and decide(i, j, k, l) settles the
+    rest; an infinite t counts all.  The smaller table is sorted once and
+    the larger streamed against it in blocks of whole rows: two searchsorted
+    calls a block find each entry's partners within t + band, and the few
+    entries whose first or last partner lies in a band are searched again
+    for the ends of both bands."""
+    swap = p[0].size * p[1].size > q[0].size * q[1].size
+    (sa, sb), (ra, rb) = (q, p) if swap else (p, q)
+    if t == np.inf:
+        return sa.size * sb.size * ra.size * rb.size
+    table = np.add.outer(sa, sb).ravel()
+    order = np.argsort(table)
+    # the sorted table between -inf and +inf guards: table[i] is ext[i + 1]
+    ext = np.concatenate([[-np.inf], table[order], [np.inf]])
+    table = ext[1:-1]
+    inner = max(t - band, 0.0)
+    outer = t + band
+    total = 0
+    step = _rows(rb.size)
+    for r0 in range(0, ra.size, step):
+        keys = np.add.outer(ra[r0:r0 + step], rb).ravel()
+        lo = np.searchsorted(table, keys - outer)
+        hi = np.searchsorted(table, keys + outer)
+        total += int(np.sum(hi)) - int(np.sum(lo))
+        # the first partner table[lo] and the last table[hi - 1]
+        edge = ext[1:][lo] < keys - inner
+        edge |= ext[hi] >= keys + inner
+        if not edge.any():
+            continue
+        at = np.flatnonzero(edge)
+        # the low band [ends[0], ends[1]) and the high band [ends[2], ends[3])
+        ends = np.searchsorted(table, keys[at] + [[-outer], [-inner], [inner], [outer]])
+        start, size = ends[::2].ravel(), (ends[1::2] - ends[::2]).ravel()
+        total -= int(np.sum(size))
+        hit = np.flatnonzero(size)
+        size = size[hit]
+        cum = np.cumsum(size)
+        i, j = np.divmod(order[np.repeat(start[hit] - cum + size, size)
+                               + np.arange(cum[-1])], sb.size)
+        k, l = np.divmod(np.repeat(at[hit % at.size], size) + r0 * rb.size, rb.size)
+        total += int(np.count_nonzero(decide(k, l, i, j) if swap else decide(i, j, k, l)))
+    return total
+
+
+def _pair_need(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    """(entries of the sorted table, entries of one streamed block) when
+    _count_pairs joins pair tables of shapes p and q."""
+    small, large = sorted((p, q), key=math.prod)
+    return math.prod(small), min(_rows(large[1]), large[0]) * large[1]
+
+
+def _count_four(spec: BoxSpec) -> tuple[int, int, int]:
+    """(count, exact zeros, trivial pairings) of a four-root box.
+
+    The count is of the tuples with |P - Q| within t, P = x_m + x_n and
+    Q = a + b: (a, b) = (x_l, x_k) for minus and k-th root, (-x_k, x_l) for
+    plus.  A tuple in the band is decided as the solved-variable counter
+    always did: s = (x_m + x_n) - a against the integer under b."""
+    form, M = spec.form, spec.M
+    kth, plus = form is SpacingForm.FOUR_ROOT_KTH, form is SpacingForm.FOUR_ROOT_PLUS
+    Mp, K, L = (M, M, M) if kth else (spec.Mp, spec.K, spec.L)
+    r = spec.root_k if kth else 2
+    # first, so that no root table is held while the zeros are counted
+    zeros, trivial = _zero_count_four((M, Mp, K, L), 3 if plus else 2, r)
+    if kth:
+        inv = LD(1) / LD(r)
+        xm = xn = xk = xl = np.arange(M + 1, 2 * M + 1, dtype=np.int64).astype(LD) ** inv
+        t, trivial = LD(spec.delta) * LD(M) ** inv, 0
+    else:
+        xm, xn, xk, xl = map(_sqrt_box, (M, Mp, K, L))
+        t = LD(spec.delta) * np.sqrt(LD(K))
+    a, b, v0 = (-xk, xl, L + 1) if plus else (xl, xk, K + 1)
+
+    def decide(i, j, k, l):
+        return _ld_counted(xm[i] + xn[j] - a[k], v0 + l, t, r, kth)
+
+    top = float(xm[-1] + xn[-1] + xk[-1] + xl[-1])
+    p64, q64 = ([x.astype(np.float64) for x in pair] for pair in ((xm, xn), (a, b)))
+    count = _count_pairs(p64, q64, float(t), _band(top, float(t)), decide)
+    return count - zeros if plus else count, zeros, trivial
 
 
 # ---------------------------------------------------------------------------
@@ -354,36 +452,25 @@ def count_box(spec: BoxSpec) -> SpacingCount:
     if volume > WORK_BUDGET:
         raise BudgetError(f"box volume {volume} exceeds budget {WORK_BUDGET}")
     sides = sum(v for v in (M, Mp, K, L) if v is not None)
-    check_memory(_BOX_BYTES_PER_SIDE * sides
-                 + _BOX_BYTES_PER_BLOCK * math.prod(outer[1:]), f"{form.value} box")
+    tables = {SpacingForm.FOUR_ROOT_MINUS: ((M, Mp), (L, K)),
+              SpacingForm.FOUR_ROOT_PLUS: ((M, Mp), (K, L)),
+              SpacingForm.FOUR_ROOT_KTH: ((M, M), (M, M))}.get(form)
+    table, block = _pair_need(*tables) if tables else (0, math.prod(outer[1:]))
+    check_memory(_BOX_BYTES_PER_SIDE * sides + _BOX_BYTES_PER_TABLE * table
+                 + _BOX_BYTES_PER_BLOCK * block, f"{form.value} box")
     trivial = 0
     zeros: int | None = None
     if form is SpacingForm.NEAR_INTEGER:
         count = _count_near_integer(spec)
-    elif form is SpacingForm.FOUR_ROOT_KTH:
-        inv = LD(1) / LD(spec.root_k)
-        b = np.arange(M + 1, 2 * M + 1, dtype=np.int64).astype(LD) ** inv
-        count = _count_solved((b, b[:, None], -b[None, :]), delta * LD(M) ** inv,
-                              M + 1, 2 * M, spec.root_k, strict=True, paired=True)
-        zeros, _ = _zero_count_four((M, M, M, M), 2, spec.root_k)
     elif form is SpacingForm.THREE_ROOT:
-        count = _count_solved((_sqrt_box(M), _sqrt_box(Mp)), delta * np.sqrt(LD(M)),
-                              1, np.inf, 2, strict=False, paired=M == Mp)
+        count = _count_solved(_sqrt_box(M), _sqrt_box(Mp), delta * np.sqrt(LD(M)),
+                              paired=M == Mp)
         # k is unconstrained and exact hits always satisfy the inequality, so
         # the zero count is the number of same-core pairs (m, n)
         core, _ = core_tables(2 * max(M, Mp))
         zeros = _equal_sums([core[M + 1:2 * M + 1]], [core[Mp + 1:2 * Mp + 1]])
     else:
-        if form is SpacingForm.FOUR_ROOT_MINUS:
-            last, inner, n_left = -_sqrt_box(L), K, 2
-        else:
-            last, inner, n_left = _sqrt_box(K), L, 3
-        count = _count_solved((_sqrt_box(M), _sqrt_box(Mp)[:, None], last[None, :]),
-                              delta * np.sqrt(LD(K)), inner + 1, 2 * inner, 2,
-                              strict=False, paired=M == Mp)
-        zeros, trivial = _zero_count_four((M, Mp, K, L), n_left)
-        if form is SpacingForm.FOUR_ROOT_PLUS:
-            count -= zeros
+        count, zeros, trivial = _count_four(spec)
     primary, secondary = _bounds(spec)
     bound_value = primary if secondary is None else min(primary, secondary)
     return SpacingCount(count=count, trivial_count=trivial,

@@ -269,6 +269,89 @@ def brute_count_kth(N: int, delta: float, r: int) -> int:
     return count
 
 
+def _floor_int(x: np.ndarray) -> np.ndarray:
+    """floor(x) of a longdouble array as int64, exact for finite |x| < 2^63."""
+    f = x.astype(np.int64)
+    return f - (f > x)
+
+
+def _count_in_interval(lo, hi, floor_lo, cap_hi, strict: bool) -> np.ndarray:
+    """Vectorized count of integers v with floor_lo <= v <= cap_hi and
+    lo (<|<=) v (<|<=) hi, as int64, where lo/hi are longdouble arrays and
+    0 <= lo < 2^63.
+
+    hi is clipped in place at cap_hi (cap_hi + 1 when strict): that clamps
+    the largest v before rounding, so hi fits in int64 for any delta, inf
+    included, and an infinite cap_hi needs no integer clamp."""
+    np.minimum(hi, cap_hi + strict, out=hi)
+    if strict:
+        vmin = _floor_int(lo) + 1
+        vmax = -_floor_int(-hi) - 1
+    else:
+        vmin = -_floor_int(-lo)
+        vmax = _floor_int(hi)
+    np.maximum(vmin, floor_lo, out=vmin)
+    cnt = vmax - vmin + 1
+    return np.maximum(cnt, 0, out=cnt)
+
+
+def count_solved(axes, t, inner_lo, inner_hi, r: int, strict: bool,
+                 paired: bool) -> int:
+    """Number of tuples (x, a_1, ..., v) with |x + a_1 + ... - v^(1/r)|
+    (<|<=) t and inner_lo <= v <= inner_hi, where x runs over axes[0] and
+    the later axes broadcast against each other: the library's four-root
+    counter before sorted pair sums replaced it, kept as the route whose
+    longdouble rounding the library must reproduce.
+
+    v is never enumerated: it fills the integer interval between
+    max(s - t, 0)^r and max(s + t, 0)^r.  Clamping hi leaves an empty
+    interval where s + t <= 0, since inner_lo >= 1.  The sum s is always
+    added left to right, so threshold ties are decided the same way on
+    every call.
+
+    paired says axes[1] holds the values of axes[0] (along its first
+    dimension).  IEEE addition is commutative, so the tuples with x and a_1
+    swapped have the same s to the bit and the same count: row i runs a_1
+    over axes[1][i:] only and counts those twice, less the a_1 = x row."""
+    total = 0
+    for i, x in enumerate(axes[0]):
+        s = x + (axes[1][i:] if paired else axes[1])
+        for a in axes[2:]:
+            s = s + a
+        lo, hi = s - t, s + t
+        lo[lo < 0] = 0
+        hi[hi < 0] = 0
+        with np.errstate(over="ignore"):    # an infinite hi**r is clipped
+            hi **= r
+        cnt = _count_in_interval(lo ** r, hi, inner_lo, inner_hi, strict)
+        row = int(np.sum(cnt))
+        total += 2 * row - int(np.sum(cnt[0])) if paired else row
+    return total
+
+
+def solved_count_four(form: str, box: dict, delta: float) -> int:
+    """count_solved on a four-root box, set up as the library once did: the
+    tuples within the threshold, exact zeros included for every form."""
+    LD = np.longdouble
+
+    def roots(R):
+        return np.sqrt(np.arange(R + 1, 2 * R + 1, dtype=np.int64).astype(LD))
+
+    if form == "four-root-kth":
+        M, inv = box["M"], LD(1) / LD(box.get("root_k", 2))
+        b = np.arange(M + 1, 2 * M + 1, dtype=np.int64).astype(LD) ** inv
+        return count_solved((b, b[:, None], -b[None, :]), LD(delta) * LD(M) ** inv,
+                            M + 1, 2 * M, box.get("root_k", 2), strict=True, paired=True)
+    M, Mp, K, L = box["M"], box["Mp"], box["K"], box["L"]
+    if form == "four-root-minus":
+        last, inner = -roots(L), K
+    else:
+        last, inner = roots(K), L
+    return count_solved((roots(M), roots(Mp)[:, None], last[None, :]),
+                        LD(delta) * np.sqrt(LD(K)), inner + 1, 2 * inner, 2,
+                        strict=False, paired=M == Mp)
+
+
 def near_integer_count_by_sorting(K: int, alpha: float, beta: float,
                                   delta: float) -> int:
     """Number of k in (K, 2K] with ||beta + alpha*sqrt(k)|| < delta, by

@@ -453,12 +453,15 @@ def test_damaged_cache_file_yields_to_a_larger_one(tmp_path, capsys, monkeypatch
     cache.mkdir()
     (cache / "divisor-40000.dvt").write_bytes(b"DVT1" + bytes(40))
     save_table(sieve_divisors(50000), cache / "divisor-50000.dvt")
-    code, out, err = run(capsys, "--cache-dir", str(cache), "moment", "--kind",
-                         "delta", "--power", "2", "--to", "35000")
+    argv = ("--cache-dir", str(cache), "moment", "--kind", "delta", "--power", "2",
+            "--to", "35000")
+    code, out, err = run(capsys, *argv)
     assert code == 0 and out
-    assert err.startswith("cache: ") and err.count("\n") == 1
-    assert sorted(p.name for p in cache.iterdir()) == ["divisor-40000.dvt",
-                                                      "divisor-50000.dvt"]
+    assert err.startswith("cache: ") and err.endswith("; removed\n")
+    assert err.count("\n") == 1
+    assert [p.name for p in cache.iterdir()] == ["divisor-50000.dvt"]
+    # the damaged file is gone, so the next run reads no damaged file
+    assert run(capsys, *argv) == (0, out, "")
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -14,8 +14,10 @@ from divisorlab.spacing import (BoxSpec, SpacingForm, count_box,
 
 from oracles import (brute_count_four_root, brute_count_kth,
                      brute_count_three_root, brute_exact_quadruples,
-                     brute_exact_triples, near_integer_count_by_sorting,
-                     power_free_split, squarefree_core)
+                     brute_exact_triples, count_solved,
+                     near_integer_count_by_sorting, power_free_split,
+                     solved_count_four, squarefree_core)
+from test_acceptance import PILOT_DELTAS, PILOT_GRID
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +249,98 @@ def test_paired_rows_count_every_row(j):
     for axes, t, lo, hi, r, strict in [
             ((kth, kth[:, None], -kth[None, :]), delta * LD(16) ** (LD(1) / 3),
              17, 32, 3, True),
-            ((box16, box16[:, None], -box16[None, :]), delta * LD(4), 17, 32, 2, False),
-            ((box64, box64), delta * LD(8), 1, np.inf, 2, False)]:
-        assert spacing._count_solved(axes, t, lo, hi, r, strict, paired=True) \
-            == spacing._count_solved(axes, t, lo, hi, r, strict, paired=False)
+            ((box16, box16[:, None], -box16[None, :]), delta * LD(4), 17, 32, 2, False)]:
+        assert count_solved(axes, t, lo, hi, r, strict, paired=True) \
+            == count_solved(axes, t, lo, hi, r, strict, paired=False)
+    assert spacing._count_solved(box64, box64, delta * LD(8), paired=True) \
+        == spacing._count_solved(box64, box64, delta * LD(8), paired=False)
+
+
+def _count_with_zeros(form: str, box: dict, delta: float) -> int:
+    """count_box's count with the exact zeros that four-root-plus leaves out."""
+    res = count_box(BoxSpec(form=SpacingForm.parse(form), delta=delta, **box))
+    return res.count + (res.exact_zero_count if form == "four-root-plus" else 0)
+
+
+# the four-root boxes of the spacing-grid benchmark workload, full and tiny
+GRID_FOUR_ROOT_BOXES = [
+    ("four-root-minus", {"M": 128, "Mp": 128, "K": 128, "L": 128}),
+    ("four-root-minus", {"M": 64, "Mp": 64, "K": 64, "L": 64}),
+    ("four-root-minus", {"M": 256, "Mp": 16, "K": 256, "L": 64}),
+    ("four-root-minus", {"M": 16, "Mp": 16, "K": 16, "L": 16}),
+    ("four-root-plus", {"M": 64, "Mp": 64, "K": 64, "L": 512}),
+    ("four-root-plus", {"M": 16, "Mp": 16, "K": 16, "L": 128}),
+    ("four-root-kth", {"M": 64}),
+    ("four-root-kth", {"M": 16}),
+    # beyond the benchmark: cube roots and unequal sides
+    ("four-root-kth", {"M": 24, "root_k": 3}),
+    ("four-root-minus", {"M": 24, "Mp": 9, "K": 17, "L": 40}),
+    ("four-root-plus", {"M": 9, "Mp": 24, "K": 40, "L": 300}),
+]
+
+
+@pytest.mark.parametrize("form,box", GRID_FOUR_ROOT_BOXES)
+def test_sorted_sums_match_the_solved_counter(form, box):
+    # every threshold 2^-j the benchmark draws; one inside the band, where
+    # longdouble decides every tuple within 2 bands of 0; and the whole box
+    for delta in [*(2.0 ** -j for j in range(2, 21)), 2.0 ** -50, math.inf]:
+        assert _count_with_zeros(form, box, delta) \
+            == solved_count_four(form, box, delta), delta
+
+
+@pytest.mark.parametrize("form,box", [
+    (form.value, box) for form, boxes, _ in PILOT_GRID.values()
+    if form.value.startswith("four-root") for box in boxes])
+def test_sorted_sums_match_the_solved_counter_on_the_a8_grid(form, box):
+    for delta in PILOT_DELTAS:
+        assert _count_with_zeros(form, box, delta) \
+            == solved_count_four(form, box, delta), delta
+
+
+# the four-root tie boxes of test_threshold_tie_counts_pinned: the k-th root
+# and minus boxes of side 64 hold exact ties at j = 2 and 3 that longdouble
+# rounding decides both ways; the plus box holds two at j = 2
+@pytest.mark.parametrize("form,box,ties", [
+    ("four-root-kth", {"M": 64}, (508, 1008)),
+    ("four-root-minus", {"M": 64, "Mp": 64, "K": 64, "L": 64}, (508, 1008)),
+    ("four-root-plus", {"M": 16, "Mp": 16, "K": 16, "L": 128}, (2, 0))])
+def test_band_covers_every_float64_misjudgement(form, box, ties):
+    # every tuple, decided in float64 (|P - Q| against t) and by the
+    # longdouble rule: where they differ, the tuple lies in the band, and
+    # every float64 |P - Q| lies within the band of the longdouble one
+    LD = np.longdouble
+    strict = form == "four-root-kth"    # whose roots are powers, as in count_box
+    r = box.get("root_k", 2)
+    sides = [box[name] for name in ("M", "Mp", "K", "L")] if "K" in box else [box["M"]] * 4
+    root = (lambda a: a ** (LD(1) / r)) if strict else np.sqrt
+    m, n, k, l = (root(np.arange(R + 1, 2 * R + 1).astype(LD)) for R in sides)
+    n, k, l = n[:, None, None], k[None, :, None], l[None, None, :]
+    if form == "four-root-plus":    # s = (x_m + x_n) + last, solved for v
+        last, v, q = k, np.arange(sides[3] + 1, 2 * sides[3] + 1)[None, None, :], \
+            l.astype(np.float64) - k.astype(np.float64)
+    else:
+        last, v, q = -l, np.arange(sides[2] + 1, 2 * sides[2] + 1)[None, :, None], \
+            k.astype(np.float64) + l.astype(np.float64)
+    root_v = root(v.astype(LD))
+    worst = 0.0
+    for j, tied in zip((2, 3), ties):
+        t = LD(2.0 ** -j) * LD(sides[0 if strict else 2]) ** (LD(1) / r)
+        band = spacing._band(float(sum(x.max() for x in (m, n, k, l))), float(t))
+        near = misjudged = 0
+        for x in m:    # one m at a time: 64^3 tuples
+            s = x + n + last
+            lo, hi = np.maximum(s - t, 0) ** r, np.maximum(s + t, 0) ** r
+            ld = (lo < v) & (v < hi) if strict else (lo <= v) & (v <= hi)
+            gap = np.abs(np.float64(x) + n.astype(np.float64) - q)
+            wrong = (gap < float(t) if strict else gap <= float(t)) != ld
+            assert np.all(np.abs(gap[wrong] - float(t)) < band)
+            near += int(np.count_nonzero(np.abs(gap - float(t)) < band))
+            misjudged += int(np.count_nonzero(wrong))
+            worst = max(worst, float(np.max(np.abs(gap - np.abs(s - root_v)))) / band)
+        # the band is not empty: it holds the exact ties, and on the side-64
+        # boxes float64 alone would misjudge some of them
+        assert near == tied and (misjudged > 0) == (tied > 2)
+    assert 0 < worst < 1
 
 
 def test_trivial_pairings_reported_separately():
@@ -535,7 +625,8 @@ def test_budget_errors(monkeypatch):
 
 def test_box_memory_ceiling(monkeypatch):
     # 290 bytes per unit of the sides summed, the solved inner side included,
-    # plus 130 per element of the broadcast block, checked before any table
+    # 33 per entry of the sorted pair table and 100 per element of a streamed
+    # block (a block of pair sums or a three-root row), checked before any table
     def unreachable(*args, **kwargs):
         raise AssertionError("allocation reached past the memory ceiling")
 
@@ -545,12 +636,25 @@ def test_box_memory_ceiling(monkeypatch):
     for form, box in [
             (SpacingForm.FOUR_ROOT_MINUS, dict(M=1, Mp=1, K=10**4, L=1)),
             (SpacingForm.FOUR_ROOT_PLUS, dict(M=1, Mp=1, K=1, L=10**4)),
-            (SpacingForm.FOUR_ROOT_PLUS, dict(M=1, Mp=100, K=100, L=1)),
+            # pair tables of 100 and 10^4 entries, streamed in one block
+            (SpacingForm.FOUR_ROOT_PLUS, dict(M=1, Mp=100, K=100, L=100)),
             (SpacingForm.THREE_ROOT, dict(M=10**4, Mp=1)),
             (SpacingForm.NEAR_INTEGER, dict(K=10**4, alpha=2.0)),
             (SpacingForm.FOUR_ROOT_KTH, dict(M=100))]:
         with pytest.raises(errors.CapacityError):
             count_box(BoxSpec(form=form, delta=0.1, **box))
+    monkeypatch.undo()
+    # the plus box below sorts its 8 x 6 pair table and streams its 5 x 40
+    # one in a single block: the count runs at its need and not a byte below
+    spec = BoxSpec(form=SpacingForm.FOUR_ROOT_PLUS, M=8, Mp=6, K=5, L=40, delta=0.1)
+    need = 290 * (8 + 6 + 5 + 40) + 33 * 8 * 6 + 100 * 5 * 40
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", need)
+    assert count_box(spec).count == brute_count_four_root(8, 6, 5, 40, 0.1, +1, True)
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", need - 1)
+    for name in ("core_tables", "_sqrt_box"):
+        monkeypatch.setattr(spacing, name, unreachable)
+    with pytest.raises(errors.CapacityError):
+        count_box(spec)
 
 
 def test_triple_memory_ceiling(monkeypatch):
