@@ -10,17 +10,16 @@ Conventions used throughout:
     combination vanishes iff the per-core coefficient sums do.  No floating
     tolerance ever classifies a tuple as exactly zero.
   * Threshold comparisons (|combination| vs delta * scale) are decided in
-    80-bit extended precision by one rule: the sum of all roots but one is
-    formed in one fixed order, and the remaining integer must lie in the
-    interval found by inverting its monotone root, whose ends are compared
-    exactly, so that order's longdouble rounding decides exact ties.  The
-    three-root form enumerates (m, n) and counts each interval of k whole
-    (numerics.floor_int); x + a and a + x are the same bits, so equal boxes
-    are evaluated once per unordered pair.  The three four-root forms are
-    counted by sorted sums: |P - Q| for two float64 tables of pair sums,
-    the smaller sorted once and the larger streamed against it in sorted
-    rows, and only the tuples within a proven band of the threshold are
-    decided again by the longdouble rule.
+    80-bit extended precision by one rule, _ends: with the sum s of all
+    roots but one formed in one fixed order, the integer v left out counts
+    where it lies between max(s - t, 0)^r and max(s + t, 0)^r (strictly for
+    k-th root), so that order's longdouble rounding decides exact ties.
+    Three-root counts the k >= 1 between the ends whole, for blocks of rows
+    of (m, n) sums, on the pairs m <= n of an equal box (x + a and a + x are
+    the same bits).  The four-root forms are counted by sorted sums: |P - Q|
+    for two float64 tables of pair sums, the smaller sorted once and the
+    larger streamed against it in blocks of sorted rows, and only the tuples
+    within a proven band of the threshold are decided again by the rule.
     Minimal gaps are decided in longdouble too, after a float64 screen with
     a proven error bound, and the first minimum in one fixed order wins.
   * Bound values evaluate the reference bound shapes with the epsilon term
@@ -43,12 +42,12 @@ from .sieves import check_memory, core_families, core_tables, width_runs
 
 LD = np.longdouble
 
-# the most tuples a count or gap search may enumerate
+# the most entries a count sorts plus streams, or tuples a gap search scans
 WORK_BUDGET = 10**10
 # Peak bytes of count_box (tracemalloc, each form): 64-286 per unit of the
 # sides summed (sides to 1e6); 16-31.4 per entry of a sorted pair table
 # (tables to 2.25e6); per element of a streamed block, 42 for a block of
-# pair sums and 89-99.5 for a three-root row (rows to 1e6).
+# pair sums and 75-94.1 for a block of three-root sums (blocks to 1e6).
 _BOX_BYTES_PER_SIDE = 290
 _BOX_BYTES_PER_TABLE = 33
 _BOX_BYTES_PER_BLOCK = 100
@@ -104,7 +103,7 @@ class BoxSpec:
         if self.form is SpacingForm.THREE_ROOT:
             if self.Mp > self.M:
                 raise ValueError("three-root form requires Mp <= M")
-            # k runs up to top^2, and a row of Mp interval lengths is summed
+            # k runs up to top^2, and a block's interval lengths are summed
             top = math.sqrt(2 * self.M) + math.sqrt(2 * self.Mp) \
                 + self.delta * math.sqrt(self.M)
             if self.Mp * top * top >= 2.0 ** 44:
@@ -212,25 +211,24 @@ def enumerate_exact_quadruples(limit: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # three-root counting with a solved inner variable
 
-def _count_solved(x, y, t, paired: bool) -> int:
-    """Number of (m, n, k), k >= 1, with |x_m + y_n - sqrt k| <= t.
-
-    k is never enumerated: it fills the integer interval between
-    max(s - t, 0)^2 and (s + t)^2, s = x_m + y_n, whose ends are rounded
-    exactly (numerics.floor_int), so longdouble rounding decides exact ties.
-
-    paired says y holds the values of x.  IEEE addition is commutative, so
-    the tuples with m and n swapped have the same s to the bit and the same
-    count: row i runs n over y[i:] only and counts those twice, less n = m."""
+def _count_solved(x, y, t) -> int:
+    """Number of (m, n, k), k >= 1, with |x_m + y_n - sqrt k| <= t: k fills
+    the integers between the _ends of s = x_m + y_n, rounded exactly, for
+    blocks of _rows(y.size) whole rows of sums.  When y is x, s is symmetric
+    in m and n to the bit (IEEE addition commutes), so a block meets only
+    the columns from its own first row on, and counts the sums above the
+    diagonal twice and those on it once."""
     total = 0
-    for i, a in enumerate(x):
-        s = a + (y[i:] if paired else y)
-        lo, hi = s - t, s + t
-        lo[lo < 0] = 0
-        cnt = floor_int(hi * hi) - np.maximum(-floor_int(-(lo * lo)), 1) + 1
+    step = _rows(y.size)
+    for r0 in range(0, x.size, step):
+        rows = x[r0:r0 + step]
+        lo, hi = _ends(np.add.outer(rows, y[r0:] if y is x else y), t, 2)
+        cnt = floor_int(hi) - np.maximum(-floor_int(-lo), 1) + 1
         np.maximum(cnt, 0, out=cnt)
-        row = int(np.sum(cnt))
-        total += 2 * row - int(cnt[0]) if paired else row
+        if y is x:
+            cnt[np.tril_indices(rows.size, -1)] = 0
+            total += int(np.sum(cnt)) - int(np.trace(cnt))
+        total += int(np.sum(cnt))
     return total
 
 
@@ -251,7 +249,7 @@ def _count_near_integer(spec: BoxSpec) -> int:
 
 def _band(top: float, t: float) -> float:
     """Half-width B of the band around t outside which float64 pair sums
-    decide a four-root tuple as _ld_counted does, where the four |roots| sum
+    decide a four-root tuple as the _ends rule does, where the four |roots| sum
     to at most A = top.  With u = 2^-53: each float64 root rounds a
     longdouble root good to 2^-60 and each table entry rounds one sum, so
     float64 |P - Q| is within 3u A of the exact value; a search key q +- w
@@ -262,17 +260,17 @@ def _band(top: float, t: float) -> float:
     return 16 * 2.0 ** -53 * (top + t)
 
 
-def _ld_counted(s, v, t, r: int, strict: bool) -> np.ndarray:
-    """Whether each integer v lies between max(s - t, 0)^r and
-    max(s + t, 0)^r (strictly when strict), in longdouble: the rule that
-    decides the four-root tuples in the band, exact ties included.  The
-    caller forms s in one fixed order."""
+def _ends(s, t, r: int):
+    """max(s - t, 0)^r and max(s + t, 0)^r in longdouble: the one threshold
+    rule.  The integer left out of the sums s, each formed in one fixed
+    order, counts where it lies between the two (strictly for k-th root)."""
     lo, hi = s - t, s + t
     lo[lo < 0] = 0
     hi[hi < 0] = 0
-    with np.errstate(over="ignore"):    # an infinite hi**r compares as it should
-        lo, hi = lo ** r, hi ** r
-    return (lo < v) & (v < hi) if strict else (lo <= v) & (v <= hi)
+    with np.errstate(over="ignore"):    # an infinite hi^r compares as it should
+        lo **= r
+        hi **= r
+    return lo, hi
 
 
 def _rows(cols: int) -> int:
@@ -301,23 +299,22 @@ def _count_pairs(p, q, t: float, band: float, decide) -> int:
     # the sorted table between -inf and +inf guards: table[i] is ext[i + 1]
     ext = np.concatenate([[-np.inf], table[order], [np.inf]])
     table = ext[1:-1]
-    inner = max(t - band, 0.0)
-    outer = t + band
+    near, far = max(t - band, 0.0), t + band
     total = 0
     step = _rows(rb.size)
     for r0 in range(0, ra.size, step):
         keys = np.add.outer(ra[r0:r0 + step], rb).ravel()
-        lo = np.searchsorted(table, keys - outer)
-        hi = np.searchsorted(table, keys + outer)
+        lo = np.searchsorted(table, keys - far)
+        hi = np.searchsorted(table, keys + far)
         total += int(np.sum(hi)) - int(np.sum(lo))
         # the first partner table[lo] and the last table[hi - 1]
-        edge = ext[1:][lo] < keys - inner
-        edge |= ext[hi] >= keys + inner
+        edge = ext[1:][lo] < keys - near
+        edge |= ext[hi] >= keys + near
         if not edge.any():
             continue
         at = np.flatnonzero(edge)
         # the low band [ends[0], ends[1]) and the high band [ends[2], ends[3])
-        ends = np.searchsorted(table, keys[at] + [[-outer], [-inner], [inner], [outer]])
+        ends = np.searchsorted(table, keys[at] + [[-far], [-near], [near], [far]])
         start, size = ends[::2].ravel(), (ends[1::2] - ends[::2]).ravel()
         total -= int(np.sum(size))
         hit = np.flatnonzero(size)
@@ -330,11 +327,12 @@ def _count_pairs(p, q, t: float, band: float, decide) -> int:
     return total
 
 
-def _pair_need(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
-    """(entries of the sorted table, entries of one streamed block) when
-    _count_pairs joins pair tables of shapes p and q."""
-    small, large = sorted((p, q), key=math.prod)
-    return math.prod(small), min(_rows(large[1]), large[0]) * large[1]
+def _pair_need(*shapes: tuple[int, int]) -> tuple[int, int]:
+    """(entries of the sorted table, entries of one streamed block) when a
+    count streams the largest of these (rows, columns) shapes of sums in
+    blocks of _rows(columns) whole rows, after sorting the other, if any."""
+    *small, (rows, cols) = sorted(shapes, key=math.prod)
+    return sum(map(math.prod, small)), min(_rows(cols), rows) * cols
 
 
 def _count_four(spec: BoxSpec) -> tuple[int, int, int]:
@@ -342,8 +340,8 @@ def _count_four(spec: BoxSpec) -> tuple[int, int, int]:
 
     The count is of the tuples with |P - Q| within t, P = x_m + x_n and
     Q = a + b: (a, b) = (x_l, x_k) for minus and k-th root, (-x_k, x_l) for
-    plus.  A tuple in the band is decided as the solved-variable counter
-    always did: s = (x_m + x_n) - a against the integer under b."""
+    plus.  A tuple in the band is decided by _ends: s = (x_m + x_n) - a
+    against the integer under b."""
     form, M = spec.form, spec.M
     kth, plus = form is SpacingForm.FOUR_ROOT_KTH, form is SpacingForm.FOUR_ROOT_PLUS
     Mp, K, L = (M, M, M) if kth else (spec.Mp, spec.K, spec.L)
@@ -360,7 +358,9 @@ def _count_four(spec: BoxSpec) -> tuple[int, int, int]:
     a, b, v0 = (-xk, xl, L + 1) if plus else (xl, xk, K + 1)
 
     def decide(i, j, k, l):
-        return _ld_counted(xm[i] + xn[j] - a[k], v0 + l, t, r, kth)
+        lo, hi = _ends(xm[i] + xn[j] - a[k], t, r)
+        v = v0 + l
+        return (lo < v) & (v < hi) if kth else (lo <= v) & (v <= hi)
 
     top = float(xm[-1] + xn[-1] + xk[-1] + xl[-1])
     p64, q64 = ([x.astype(np.float64) for x in pair] for pair in ((xm, xn), (a, b)))
@@ -391,15 +391,16 @@ def _zero_count_four(boxes: tuple[int, int, int, int], n_left: int,
     parts a balance, or (two roots a side) the kernels on the left differ
     and the right side is the left side reordered."""
     core, root = core_tables(2 * max(boxes), r)
-    by_core = []
-    for R in boxes:
-        c, a = core[R + 1:2 * R + 1], root[R + 1:2 * R + 1]
-        order = np.argsort(c, kind="stable")
-        q, first = np.unique(c[order], return_index=True)
-        by_core.append(dict(zip(q.tolist(), np.split(a[order], first[1:]))))
-    total = sum(_equal_sums([p[q] for p in by_core[:n_left]],
-                            [p[q] for p in by_core[n_left:]])
-                for q in set.intersection(*map(set, by_core)))
+    orders = (np.argsort(core[R + 1:2 * R + 1], kind="stable") + R + 1 for R in boxes)
+    sides = [(core[o], root[o]) for o in orders]
+    # the runs, side by side, of each kernel that all four sides hold (a set
+    # intersection: np.intersect1d's np.unique would import numpy.ma)
+    shared = np.array(sorted(set.intersection(*(set(c.tolist()) for c, _ in sides))), int)
+    ends = [np.searchsorted(c, [shared, shared + 1]).T.tolist() for c, _ in sides]
+    total = 0
+    for runs in zip(*ends):
+        parts = [a[lo:hi] for (_, a), (lo, hi) in zip(sides, runs)]
+        total += _equal_sums(parts[:n_left], parts[n_left:])
     if n_left != 2:
         return total, 0
     # the trivial pairings (k, l) = (m, n) and (k, l) = (n, m): m and n range
@@ -444,27 +445,25 @@ def count_box(spec: BoxSpec) -> SpacingCount:
     for four-root-plus), with the epsilon-free bound value(s) and the ratio."""
     form, delta = spec.form, LD(spec.delta)
     M, Mp, K, L = spec.M, spec.Mp, spec.K, spec.L
-    outer = {SpacingForm.NEAR_INTEGER: (K,), SpacingForm.THREE_ROOT: (M, Mp),
-             SpacingForm.FOUR_ROOT_MINUS: (M, Mp, L),
-             SpacingForm.FOUR_ROOT_PLUS: (M, Mp, K),
-             SpacingForm.FOUR_ROOT_KTH: (M, M, M)}[form]
-    volume = math.prod(outer)
-    if volume > WORK_BUDGET:
-        raise BudgetError(f"box volume {volume} exceeds budget {WORK_BUDGET}")
-    sides = sum(v for v in (M, Mp, K, L) if v is not None)
-    tables = {SpacingForm.FOUR_ROOT_MINUS: ((M, Mp), (L, K)),
+    # each form's sorted and streamed shapes: K values, or (rows, columns) of sums
+    shapes = {SpacingForm.NEAR_INTEGER: ((K,),), SpacingForm.THREE_ROOT: ((M, Mp),),
+              SpacingForm.FOUR_ROOT_MINUS: ((M, Mp), (L, K)),
               SpacingForm.FOUR_ROOT_PLUS: ((M, Mp), (K, L)),
-              SpacingForm.FOUR_ROOT_KTH: ((M, M), (M, M))}.get(form)
-    table, block = _pair_need(*tables) if tables else (0, math.prod(outer[1:]))
+              SpacingForm.FOUR_ROOT_KTH: ((M, M), (M, M))}[form]
+    work = sum(map(math.prod, shapes))
+    if work > WORK_BUDGET:
+        raise BudgetError(f"box work {work} (entries sorted plus streamed) "
+                          f"exceeds budget {WORK_BUDGET}")
+    sides = sum(v for v in (M, Mp, K, L) if v is not None)
+    table, block = (0, 0) if form is SpacingForm.NEAR_INTEGER else _pair_need(*shapes)
     check_memory(_BOX_BYTES_PER_SIDE * sides + _BOX_BYTES_PER_TABLE * table
                  + _BOX_BYTES_PER_BLOCK * block, f"{form.value} box")
-    trivial = 0
-    zeros: int | None = None
+    trivial, zeros = 0, None
     if form is SpacingForm.NEAR_INTEGER:
         count = _count_near_integer(spec)
     elif form is SpacingForm.THREE_ROOT:
-        count = _count_solved(_sqrt_box(M), _sqrt_box(Mp), delta * np.sqrt(LD(M)),
-                              paired=M == Mp)
+        x = _sqrt_box(M)
+        count = _count_solved(x, x if Mp == M else _sqrt_box(Mp), delta * np.sqrt(LD(M)))
         # k is unconstrained and exact hits always satisfy the inequality, so
         # the zero count is the number of same-core pairs (m, n)
         core, _ = core_tables(2 * max(M, Mp))

@@ -241,7 +241,9 @@ def test_floor_int_is_exact():
 
 @pytest.mark.parametrize("j", [2, 3])
 def test_paired_rows_count_every_row(j):
-    # the tie boxes above: a swapped pair of equal axes gives the same sum
+    # the tie boxes above: a swapped pair of equal axes gives the same sum;
+    # three-root takes the upper triangle when both axes are one array, and
+    # the full rectangle for a copy
     LD = np.longdouble
     delta = LD(2.0 ** -j)
     kth = np.arange(17, 33).astype(LD) ** (LD(1) / 3)
@@ -252,8 +254,29 @@ def test_paired_rows_count_every_row(j):
             ((box16, box16[:, None], -box16[None, :]), delta * LD(4), 17, 32, 2, False)]:
         assert count_solved(axes, t, lo, hi, r, strict, paired=True) \
             == count_solved(axes, t, lo, hi, r, strict, paired=False)
-    assert spacing._count_solved(box64, box64, delta * LD(8), paired=True) \
-        == spacing._count_solved(box64, box64, delta * LD(8), paired=False)
+    assert spacing._count_solved(box64, box64, delta * LD(8)) \
+        == spacing._count_solved(box64, box64.copy(), delta * LD(8))
+
+
+# the spacing-grid boxes of test_threshold_tie_counts_pinned, and three-root
+# boxes whose blocks of 7 entries hold two rows, with a partial last block,
+# or one row
+@pytest.mark.parametrize("form,box", [
+    ("four-root-kth", {"M": 64}),
+    ("four-root-minus", {"M": 64, "Mp": 64, "K": 64, "L": 64}),
+    ("four-root-minus", {"M": 256, "Mp": 16, "K": 256, "L": 64}),
+    ("four-root-plus", {"M": 16, "Mp": 16, "K": 16, "L": 128}),
+    ("three-root", {"M": 64, "Mp": 64}),
+    ("three-root", {"M": 256, "Mp": 16}),
+    ("three-root", {"M": 3, "Mp": 3}),
+    ("three-root", {"M": 5, "Mp": 3}),
+    ("three-root", {"M": 9, "Mp": 9})])
+def test_counts_in_blocks_of_seven(monkeypatch, form, box):
+    specs = [BoxSpec(form=SpacingForm.parse(form), delta=2.0 ** -j, **box)
+             for j in (2, 3, 4)]
+    want = [count_box(spec) for spec in specs]
+    monkeypatch.setattr(numerics, "BLOCK", 7)
+    assert [count_box(spec) for spec in specs] == want
 
 
 def _count_with_zeros(form: str, box: dict, delta: float) -> int:
@@ -601,16 +624,17 @@ def test_budget_errors(monkeypatch):
     monkeypatch.setattr(spacing, "WORK_BUDGET", 1000)
     with pytest.raises(errors.BudgetError):
         count_box(spec)
-    # one box per form: the budget caps the product of the enumerated sides
-    for form, box, volume in [
+    # one box per form: the budget caps the entries a count sorts plus
+    # streams: K values, M x Mp three-root sums, or both four-root pair tables
+    for form, box, work in [
             (SpacingForm.NEAR_INTEGER, dict(K=40, alpha=2.0), 40),
             (SpacingForm.THREE_ROOT, dict(M=6, Mp=5), 6 * 5),
-            (SpacingForm.FOUR_ROOT_MINUS, dict(M=3, Mp=4, K=50, L=5), 3 * 4 * 5),
-            (SpacingForm.FOUR_ROOT_PLUS, dict(M=3, Mp=4, K=5, L=50), 3 * 4 * 5),
-            (SpacingForm.FOUR_ROOT_KTH, dict(M=4, root_k=3), 4 ** 3)]:
-        monkeypatch.setattr(spacing, "WORK_BUDGET", volume)
+            (SpacingForm.FOUR_ROOT_MINUS, dict(M=3, Mp=4, K=50, L=5), 3 * 4 + 5 * 50),
+            (SpacingForm.FOUR_ROOT_PLUS, dict(M=3, Mp=4, K=5, L=50), 3 * 4 + 5 * 50),
+            (SpacingForm.FOUR_ROOT_KTH, dict(M=4, root_k=3), 2 * 4 * 4)]:
+        monkeypatch.setattr(spacing, "WORK_BUDGET", work)
         count_box(BoxSpec(form=form, delta=0.1, **box))
-        monkeypatch.setattr(spacing, "WORK_BUDGET", volume - 1)
+        monkeypatch.setattr(spacing, "WORK_BUDGET", work - 1)
         with pytest.raises(errors.BudgetError):
             count_box(BoxSpec(form=form, delta=0.1, **box))
     monkeypatch.undo()
@@ -623,10 +647,24 @@ def test_budget_errors(monkeypatch):
         enumerate_exact_quadruples(10**5)
 
 
+def test_budget_counts_every_streamed_sum(monkeypatch):
+    # one pair sum against 2^40: 2^20 tuples (m, n, k) or (m, n, l) for the
+    # solved counter the sorted sums replaced, but hours of streamed sums
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a table was built past the work budget")
+
+    for name in ("core_tables", "_sqrt_box"):
+        monkeypatch.setattr(spacing, name, unreachable)
+    for form in (SpacingForm.FOUR_ROOT_MINUS, SpacingForm.FOUR_ROOT_PLUS):
+        with pytest.raises(errors.BudgetError):
+            count_box(BoxSpec(form=form, M=1, Mp=1, K=2**20, L=2**20, delta=0.1))
+
+
 def test_box_memory_ceiling(monkeypatch):
     # 290 bytes per unit of the sides summed, the solved inner side included,
     # 33 per entry of the sorted pair table and 100 per element of a streamed
-    # block (a block of pair sums or a three-root row), checked before any table
+    # block (of four-root pair sums or three-root sums), checked before any
+    # table
     def unreachable(*args, **kwargs):
         raise AssertionError("allocation reached past the memory ceiling")
 
@@ -645,16 +683,24 @@ def test_box_memory_ceiling(monkeypatch):
             count_box(BoxSpec(form=form, delta=0.1, **box))
     monkeypatch.undo()
     # the plus box below sorts its 8 x 6 pair table and streams its 5 x 40
-    # one in a single block: the count runs at its need and not a byte below
-    spec = BoxSpec(form=SpacingForm.FOUR_ROOT_PLUS, M=8, Mp=6, K=5, L=40, delta=0.1)
-    need = 290 * (8 + 6 + 5 + 40) + 33 * 8 * 6 + 100 * 5 * 40
-    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", need)
-    assert count_box(spec).count == brute_count_four_root(8, 6, 5, 40, 0.1, +1, True)
-    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", need - 1)
-    for name in ("core_tables", "_sqrt_box"):
-        monkeypatch.setattr(spacing, name, unreachable)
-    with pytest.raises(errors.CapacityError):
-        count_box(spec)
+    # one in a single block, and the equal three-root box streams blocks of
+    # BLOCK // 200 rows of 200 sums: each count runs at its need and not a
+    # byte below
+    three = BoxSpec(form=SpacingForm.THREE_ROOT, M=200, Mp=200, delta=0.1)
+    for spec, need, count in [
+            (BoxSpec(form=SpacingForm.FOUR_ROOT_PLUS, M=8, Mp=6, K=5, L=40, delta=0.1),
+             290 * (8 + 6 + 5 + 40) + 33 * 8 * 6 + 100 * 5 * 40,
+             brute_count_four_root(8, 6, 5, 40, 0.1, +1, True)),
+            (three, 290 * (200 + 200) + 100 * (numerics.BLOCK // 200) * 200,
+             count_box(three).count)]:
+        monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", need)
+        assert count_box(spec).count == count
+        monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", need - 1)
+        with monkeypatch.context() as patch:
+            for name in ("core_tables", "_sqrt_box"):
+                patch.setattr(spacing, name, unreachable)
+            with pytest.raises(errors.CapacityError):
+                count_box(spec)
 
 
 def test_triple_memory_ceiling(monkeypatch):
