@@ -21,13 +21,17 @@ Tail brackets rest on two elementary facts, both exercised by the tests:
 D(x) <= x(log x + 1) for every x >= 1, and d(n) <= C*n^(1/4) with C the
 literal DIVISOR_MAJORANT, 1.5 times the largest ratio d(1441440)/1441440^(1/4)
 (~8.31) for n <= 2e6; C^4 exceeds 127401984/25025, the fourth power of the
-global maximum 8.44696... at n = 21,621,600.  These are honest
-floating-point brackets, not certified interval enclosures.
+global maximum 8.44696... at n = 21,621,600.  Cores too large to admit any
+tuple enter through the complete inner sums over s >= 2: sum 2H_{s-1}/s^2 =
+2 zeta(3) (Euler: sum H_n/n^2 = 2 zeta(3)) and sum (2H_{s-1}/s)^2 = 11 zeta(4)
+= 11 pi^4/90 (sum H_n^2/n^2 = 17 zeta(4)/4, sum H_n/n^3 = 5 zeta(4)/4).  The
+literals _CUBIC_INNER and _QUARTIC_INNER are a float64 partial sum to s = 1e5
+plus _tail_inner_*(1e5), so they exceed the closed forms by at most that tail.
+These are honest floating-point brackets, not certified interval enclosures.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +44,9 @@ from .sieves import (DivisorTable, TableKind, check_memory, core_families, sieve
 
 DEFAULT_CUTOFF = 10**5   # series cutoff of the theory coefficients and --cutoff
 DIVISOR_MAJORANT = 288 / 1441440 ** 0.25 * 1.5   # d(n) <= C*n^(1/4), see above
+# the complete inner sums, upper bounds on 2 zeta(3) and 11 pi^4/90 (see above)
+_CUBIC_INNER = 2.4041222632649006
+_QUARTIC_INNER = 11.906005496967614
 # peak bytes per unit of cutoff of quartic_diagonal_series, the table and the
 # T/U term arrays (tracemalloc, fresh process, cutoffs 1e6, 4e6 and 1e7)
 _QUARTIC_BYTES_PER_CUTOFF = 66
@@ -95,19 +102,6 @@ def _tail_inner_quartic(B):
     return 4.0 * (u * u + 2.0 * u + 2.0) / B
 
 
-@functools.cache
-def _full_inner(name: str) -> float:
-    """Numeric value of the complete inner sum over s >= 2 (plus its own
-    integral tail), used for cores too large to admit any tuple."""
-    top = 100000
-    h = np.cumsum(1.0 / np.arange(1, top + 1, dtype=float))  # H_1 .. H_top
-    s = np.arange(2, top + 1, dtype=float)
-    per_s = 2.0 * h[:top - 1] / s          # 2 H_{s-1} / s
-    if name == "cubic":
-        return float(np.sum(per_s / s)) + _tail_inner_cubic(float(top))
-    return float(np.sum(per_s**2)) + _tail_inner_quartic(float(top))
-
-
 def cubic_diagonal_series(cutoff: int = DEFAULT_CUTOFF,
                           table: DivisorTable | None = None) -> SeriesValue:
     """Sum of d(m)d(n)d(k)(mnk)^(-3/4) over exact triples with components
@@ -130,7 +124,7 @@ def cubic_diagonal_series(cutoff: int = DEFAULT_CUTOFF,
     total = np.cumsum(np.append(0, terms))[-1]   # 0 + t_0 + t_1 + ... in core order
 
     tail = float(np.sum(cores**-1.5 * _tail_inner_cubic(amaxes)))
-    tail += 2.0 / math.sqrt(cutoff // 4) * _full_inner("cubic")
+    tail += 2.0 / math.sqrt(cutoff // 4) * _CUBIC_INNER
     tail *= DIVISOR_MAJORANT**3
     return SeriesValue(name="cubic_diagonal", value=float(total),
                        tail_bound=tail, cutoff=cutoff)
@@ -180,7 +174,7 @@ def quartic_diagonal_series(cutoff: int = DEFAULT_CUTOFF,
     # below cutoff 4 there are no cores: the whole q = 1 family lies in the tail
     qs, B = (cores, amaxes) if len(cores) else (np.ones(1), np.full(1, 2))
     core_tail = float(np.sum(qs**-2.0 * _tail_inner_quartic(B)))
-    core_tail += (1.0 / max(qmax, 1)) * _full_inner("quartic")
+    core_tail += (1.0 / max(qmax, 1)) * _QUARTIC_INNER
     # counted twice: once for the family itself, once to cover the
     # truncation of the subtracted overlap
     tail += 2.0 * DIVISOR_MAJORANT**4 * core_tail
@@ -188,24 +182,26 @@ def quartic_diagonal_series(cutoff: int = DEFAULT_CUTOFF,
                        tail_bound=tail, cutoff=cutoff)
 
 
+def _scaled(name: str, scale: float, series: SeriesValue) -> SeriesValue:
+    """A moment coefficient: the series value and tail bound times scale."""
+    return SeriesValue(name=name, value=scale * series.value,
+                       tail_bound=scale * series.tail_bound, cutoff=series.cutoff)
+
+
 def cubic_moment_coefficient(cutoff: int = DEFAULT_CUTOFF,
                              table: DivisorTable | None = None) -> SeriesValue:
     """Leading coefficient of the cubic long-interval moment: 3*c/(28*pi^3)
     with c the cubic diagonal series."""
-    series = cubic_diagonal_series(cutoff, table)
-    scale = 3 / (28 * float(PI_LD) ** 3)
-    return SeriesValue(name="cubic_coefficient", value=scale * series.value,
-                       tail_bound=scale * series.tail_bound, cutoff=cutoff)
+    return _scaled("cubic_coefficient", 3 / (28 * float(PI_LD) ** 3),
+                   cubic_diagonal_series(cutoff, table))
 
 
 def quartic_moment_coefficient(cutoff: int = DEFAULT_CUTOFF,
                                table: DivisorTable | None = None) -> SeriesValue:
     """Leading coefficient of the quartic long-interval moment:
     3*c/(64*pi^4) with c the quartic diagonal series."""
-    series = quartic_diagonal_series(cutoff, table)
-    scale = 3 / (64 * float(PI_LD) ** 4)
-    return SeriesValue(name="quartic_coefficient", value=scale * series.value,
-                       tail_bound=scale * series.tail_bound, cutoff=cutoff)
+    return _scaled("quartic_coefficient", 3 / (64 * float(PI_LD) ** 4),
+                   quartic_diagonal_series(cutoff, table))
 
 
 def classical_mean_square_coefficient() -> float:

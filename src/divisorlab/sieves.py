@@ -146,6 +146,8 @@ def core_tables(limit: int, r: int = 2) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("power must be >= 2")
     check_memory(_CORE_BYTES_PER_ENTRY * (limit + 1), f"core table up to {limit}")
     root = np.ones(limit + 1, dtype=np.int64)
+    if r >= int(limit).bit_length():   # 2^r > limit: every n is its own core
+        return np.arange(limit + 1, dtype=np.int64), root
     f = 2
     while f**r <= limit:
         root[f**r::f**r] = f

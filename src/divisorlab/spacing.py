@@ -61,6 +61,14 @@ class SpacingForm(NamedEnum):
     FOUR_ROOT_PLUS = "four-root-plus"    # 0 < |sqrt m + sqrt n + sqrt k - sqrt l| <= delta*sqrt(K)
 
 
+# each form's box sides, as the shapes count_box sorts and streams: K values,
+# or (rows, columns) of sums
+_SHAPES = {SpacingForm.NEAR_INTEGER: (("K",),), SpacingForm.THREE_ROOT: (("M", "Mp"),),
+           SpacingForm.FOUR_ROOT_MINUS: (("M", "Mp"), ("L", "K")),
+           SpacingForm.FOUR_ROOT_PLUS: (("M", "Mp"), ("K", "L")),
+           SpacingForm.FOUR_ROOT_KTH: (("M", "M"), ("M", "M"))}
+
+
 @dataclass(frozen=True)
 class BoxSpec:
     form: SpacingForm
@@ -78,14 +86,7 @@ class BoxSpec:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if not all(math.isfinite(v) for v in (self.alpha, self.beta) if v is not None):
             raise ValueError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
-        need = {
-            SpacingForm.FOUR_ROOT_KTH: ("M",),
-            SpacingForm.NEAR_INTEGER: ("K",),
-            SpacingForm.THREE_ROOT: ("M", "Mp"),
-            SpacingForm.FOUR_ROOT_MINUS: ("M", "Mp", "K", "L"),
-            SpacingForm.FOUR_ROOT_PLUS: ("M", "Mp", "K", "L"),
-        }[self.form]
-        for name in need:
+        for name in (name for shape in _SHAPES[self.form] for name in shape):
             val = getattr(self, name)
             if val is None or val < 1:
                 raise ValueError(f"form {self.form.value} needs box {name} >= 1")
@@ -445,11 +446,7 @@ def count_box(spec: BoxSpec) -> SpacingCount:
     for four-root-plus), with the epsilon-free bound value(s) and the ratio."""
     form, delta = spec.form, LD(spec.delta)
     M, Mp, K, L = spec.M, spec.Mp, spec.K, spec.L
-    # each form's sorted and streamed shapes: K values, or (rows, columns) of sums
-    shapes = {SpacingForm.NEAR_INTEGER: ((K,),), SpacingForm.THREE_ROOT: ((M, Mp),),
-              SpacingForm.FOUR_ROOT_MINUS: ((M, Mp), (L, K)),
-              SpacingForm.FOUR_ROOT_PLUS: ((M, Mp), (K, L)),
-              SpacingForm.FOUR_ROOT_KTH: ((M, M), (M, M))}[form]
+    shapes = [tuple(getattr(spec, name) for name in shape) for shape in _SHAPES[form]]
     work = sum(map(math.prod, shapes))
     if work > WORK_BUDGET:
         raise BudgetError(f"box work {work} (entries sorted plus streamed) "

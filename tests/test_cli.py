@@ -323,6 +323,15 @@ def test_spacing_root_power_overflow_is_silent(capsys):
     assert json.loads(out)["count"] == 1
 
 
+def test_spacing_huge_root_order(capsys):
+    # 2^(10^300) is never formed: every n of the box is its own kernel
+    code, out, err = run(capsys, "--format", "json", "spacing", "--form",
+                         "four-root-kth", "--M", "4", "--delta", "0.1",
+                         "--root-k", "1e300")
+    assert code == 0 and err == ""
+    assert json.loads(out)["count"] == 256
+
+
 def test_cache_dir_reuse(tmp_path, capsys):
     cache = tmp_path / "cache"
     code, _, _ = run(capsys, "--cache-dir", str(cache), "moment", "--kind",

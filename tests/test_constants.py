@@ -164,6 +164,42 @@ def test_first_term_quartic_coefficient_example():
     assert c.value == pytest.approx(4.812e-4, abs=1e-6)
 
 
+def test_inner_literals_bracket_closed_forms():
+    # each literal is a partial sum to 1e5 plus its integral tail there, so
+    # it exceeds the complete sum, 2 zeta(3) or 11 zeta(4), by at most that tail
+    with mpmath.workdps(30):
+        for literal, closed, tail in (
+                (constants._CUBIC_INNER, 2 * mpmath.zeta(3), constants._tail_inner_cubic),
+                (constants._QUARTIC_INNER, 11 * mpmath.pi**4 / 90,
+                 constants._tail_inner_quartic)):
+            assert closed < literal <= closed + float(tail(1e5))
+
+
+def test_inner_tail_helpers_bound_exact_tails():
+    # the exact tail over s > S is the closed form minus the partial sum to S
+    with mpmath.workdps(30):
+        cubic, quartic, h = 2 * mpmath.zeta(3), 11 * mpmath.zeta(4), mpmath.mpf(0)
+        for s in range(2, 3001):
+            h += mpmath.mpf(1) / (s - 1)
+            cubic -= 2 * h / s**2
+            quartic -= (2 * h / s) ** 2
+            if s in (2, 3, 10, 100, 1000, 3000):
+                assert float(constants._tail_inner_cubic(float(s))) >= cubic > 0, s
+                assert float(constants._tail_inner_quartic(float(s))) >= quartic > 0, s
+
+
+def test_divisor_tail_helper_bounds_exact_tail():
+    # sum_{n > M} d(n) n^(-p) = zeta(p)^2 - sum_{n <= M} d(n) n^(-p); that
+    # difference of doubles is off by under 1e-13, far below the slack
+    d = sieve_divisors(10**5).values[1:].astype(float)
+    ns = np.arange(1, 10**5 + 1, dtype=float)
+    for p in (1.25, 2.25):
+        terms = d * ns**-p
+        for M in (1, 4, 100, 1000, 10**5):
+            exact = float(mpmath.zeta(p) ** 2 - math.fsum(terms[:M]))
+            assert constants._tail_weighted_divisor_sum(M, p) >= exact > 0, (p, M)
+
+
 def test_majorant_constant_is_safe():
     # the scanned base ratio must sit well inside the published constant
     c = DIVISOR_MAJORANT

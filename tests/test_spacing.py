@@ -43,6 +43,13 @@ def test_core_tables_agree_with_trial_division():
         core_tables(10, 1)
 
 
+def test_core_tables_at_huge_root_orders():
+    # 2^r above the limit leaves every n its own kernel, without forming f^r
+    for r in (7, 64, 10**12, 10**20):
+        core, root = core_tables(64, r)
+        assert np.array_equal(core, np.arange(65)) and not np.any(root - 1), r
+
+
 def test_power_free_split():
     def split(n, r):
         core, root = core_tables(n, r)
@@ -173,6 +180,14 @@ def test_four_root_plus_matches_brute_force(M, Mp, K, L, delta):
 def test_four_root_kth_matches_brute_force(N, delta, r):
     spec = BoxSpec(form=SpacingForm.FOUR_ROOT_KTH, M=N, delta=delta, root_k=r)
     assert count_box(spec).count == brute_count_kth(N, delta, r)
+
+
+def test_four_root_kth_at_huge_root_orders():
+    # the roots lie so close that all 4^4 tuples count; 2^r is never formed,
+    # and orders past int64 never reach an int64 power
+    for r in (63, 64, 200, 10**12, 10**20, int(1.7e308)):
+        res = count_box(BoxSpec(form=SpacingForm.FOUR_ROOT_KTH, M=4, delta=0.1, root_k=r))
+        assert (res.count, res.exact_zero_count) == (256, 28), r
 
 
 def test_near_integer_example_and_second_route():
