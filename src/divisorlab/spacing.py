@@ -5,10 +5,12 @@ Conventions used throughout:
 
   * A dyadic box parameter R means the integer range (R, 2R].
   * Exact vanishing of a signed combination of square roots is decided by
-    pure integer arithmetic: write each n as s^2*q with q squarefree; sums
-    of sqrt over distinct squarefree cores are linearly independent, so a
-    combination vanishes iff the per-core coefficient sums do.  No floating
-    tolerance ever classifies a tuple as exactly zero.
+    pure integer arithmetic on the core table: n = s^2*q with q squarefree;
+    sums of sqrt over distinct squarefree cores are linearly independent, so
+    a combination vanishes iff the per-core coefficient sums do (a triple is
+    listed under its largest entry).  No floating tolerance ever classifies
+    a tuple as exactly zero, and a root-sum box whose threshold t is under
+    2^-56 times its largest root sum, where rounding would, is rejected.
   * Threshold comparisons (|combination| vs delta * scale) are decided in
     80-bit extended precision by one rule, _ends: with the sum s of all
     roots but one formed in one fixed order, the integer v left out counts
@@ -38,7 +40,7 @@ import numpy as np
 from . import numerics
 from .errors import BudgetError
 from .numerics import NamedEnum, floor_int
-from .sieves import check_memory, core_families, core_tables, width_runs
+from .sieves import check_memory, core_tables
 
 LD = np.longdouble
 
@@ -111,6 +113,17 @@ class BoxSpec:
                 raise ValueError(f"Mp*(sqrt(2M) + sqrt(2Mp) + delta*sqrt(M))^2 = "
                                  f"{self.Mp * top * top:.3g} leaves too few fractional "
                                  f"bits for an exact count")
+        if self.form is not SpacingForm.NEAR_INTEGER:
+            # t must clear 32 times the rule's rounding bound 8 2^-64 (A + t)
+            # (_band), A the largest root sum, or rounding decides exact zeros
+            r = self.root_k if self.form is SpacingForm.FOUR_ROOT_KTH else 2
+            top = sum((2.0 * getattr(self, name)) ** (1 / r)
+                      for shape in _SHAPES[self.form] for name in shape)
+            side = self.K if self.form in (SpacingForm.FOUR_ROOT_MINUS,
+                                           SpacingForm.FOUR_ROOT_PLUS) else self.M
+            if not self.delta * side ** (1 / r) > 2.0 ** -56 * top:
+                raise ValueError(f"delta {self.delta} puts the threshold under 2^-56 times "
+                                 f"the largest root sum {top:.3g}: rounding decides zeros")
         if math.isfinite(self.delta) and not all(
                 math.isfinite(b) for b in _bounds(self) if b is not None):
             raise ValueError(f"the bounds of this box at delta {self.delta} "
@@ -137,9 +150,9 @@ class GapResult:
 # ---------------------------------------------------------------------------
 # exact square-root identities
 
-# Peak memory of enumerate_exact_triples per row: the per-width rows, their
-# concatenation, the lexsort order and the sorted copy.  Measured 56.7-57.3
-# bytes (tracemalloc, fresh process, limits 1e4-1e6), under this bound.
+# Peak memory of enumerate_exact_triples per row: a, q, s and the columns
+# beside the stacked rows, or the rows, their lexsort order and the sorted
+# copy.  Measured 72 bytes (tracemalloc, fresh process, limits 1e4-1e6).
 _TRIPLE_BYTES_PER_ROW = 90
 
 
@@ -148,20 +161,18 @@ def enumerate_exact_triples(limit: int) -> np.ndarray:
     sqrt(m) + sqrt(n) = sqrt(k), as a lexicographically sorted (N, 3)
     integer array.
 
-    Each is (a^2 q, b^2 q, (a+b)^2 q) for a squarefree core q and a, b >= 1
-    with a + b <= amax = isqrt(limit // q): amax(amax-1)/2 rows per core.
+    Each is listed under its largest entry k = s^2 q, q = core[k] squarefree:
+    (a^2 q, (s - a)^2 q, k) for 1 <= a < s, so s - 1 rows for each k.
     """
-    cores, amaxes = core_families(limit)
-    check_memory(_TRIPLE_BYTES_PER_ROW * int(np.sum(amaxes * (amaxes - 1) // 2)),
-                 f"triples up to {limit}")
-    rows = [np.empty((0, 3), dtype=np.int64)]
-    for lo, hi, amax in width_runs(amaxes):
-        # one (a, b) mask per width, broadcast against the run's cores
-        a = np.arange(1, amax, dtype=np.int64)
-        i, j = np.nonzero(np.add.outer(a, a) <= amax)
-        roots = np.stack([a[i], a[j], a[i] + a[j]], axis=1)
-        rows.append((roots * roots * cores[lo:hi, None, None]).reshape(-1, 3))
-    rows = np.concatenate(rows)
+    q, s = core_tables(max(limit, 0))
+    q, s = q[s >= 2], s[s >= 2]    # core[k] and root[k] of each k with s >= 2
+    total = int(np.sum(s - 1))
+    check_memory(_TRIPLE_BYTES_PER_ROW * total, f"triples up to {limit}")
+    # a = 1 .. s - 1 for each k: the ragged range of _count_pairs
+    a = np.repeat(s - np.cumsum(s - 1), s - 1) + np.arange(total)
+    q, s = np.repeat(q, s - 1), np.repeat(s, s - 1)
+    rows = np.stack([a * a * q, (s - a) ** 2 * q, s * s * q], axis=1)
+    del a, q, s
     return rows[np.lexsort(rows.T[::-1])]
 
 
@@ -238,8 +249,7 @@ def _sqrt_box(R: int) -> np.ndarray:
 
 
 def _count_near_integer(spec: BoxSpec) -> int:
-    k = np.arange(spec.K + 1, 2 * spec.K + 1, dtype=np.int64)
-    t = LD(spec.beta) + LD(spec.alpha) * np.sqrt(k.astype(LD))
+    t = LD(spec.beta) + LD(spec.alpha) * _sqrt_box(spec.K)
     frac = t - floor_int(t)
     dist = np.minimum(frac, 1 - frac)
     return int(np.count_nonzero(dist < LD(spec.delta)))

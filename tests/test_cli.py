@@ -10,6 +10,8 @@ from divisorlab.moments import moment
 from divisorlab.sieves import TableKind, load_table, save_table, sieve_divisors, sieve_r
 from divisorlab.spacing import BoxSpec, SpacingForm, count_box
 
+from test_spacing import ROOT_SUM_BOXES, root_sum_floor
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -330,6 +332,17 @@ def test_spacing_huge_root_order(capsys):
                          "--root-k", "1e300")
     assert code == 0 and err == ""
     assert json.loads(out)["count"] == 256
+
+
+@pytest.mark.parametrize("form,box,top,scale", ROOT_SUM_BOXES)
+def test_spacing_threshold_under_rounding_is_compute_error(capsys, form, box, top, scale):
+    sides = [arg for name, v in box.items()
+             for arg in ("--root-k" if name == "root_k" else f"--{name}", str(v))]
+    for delta in (1e-20, root_sum_floor(top, scale) * 0.99):
+        code, out, err = run(capsys, "--format", "json", "spacing", "--form", form.value,
+                             *sides, "--delta", repr(delta))
+        assert code == 2 and out == ""
+        assert err.startswith("compute error:") and "Traceback" not in err
 
 
 def test_cache_dir_reuse(tmp_path, capsys):

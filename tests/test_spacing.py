@@ -91,10 +91,12 @@ def test_exact_triples_parametrization_is_exact():
 
 
 def test_exact_triples_vs_brute_force():
-    # rows sorted and distinct, and as a set the oracle's
-    rows = enumerate_exact_triples(300)
-    assert rows.dtype == np.int64
-    assert list(map(tuple, rows.tolist())) == sorted(brute_exact_triples(300))
+    # rows sorted and distinct, and as a set the oracle's: the empty case up
+    # to 3, the first triple (1, 1, 4), and every limit to 64
+    for limit in [*range(65), 300]:
+        rows = enumerate_exact_triples(limit)
+        assert rows.dtype == np.int64 and rows.shape[1:] == (3,)
+        assert list(map(tuple, rows.tolist())) == sorted(brute_exact_triples(limit))
 
 
 def test_exact_quadruples_examples():
@@ -633,6 +635,43 @@ def test_boxspec_validation():
                              delta=math.inf)).count == 5**4
 
 
+# One box of each root-sum form, its largest root sum A = sum of (2R)^(1/r)
+# over the sides, and the scale of its threshold t = delta * scale.  At delta
+# 1e-20 rounding decided their exact zeros: minus counted 1,815 of 8,136, both
+# k-th root boxes 0, three-root 37 of 80, and plus -12.
+ROOT_SUM_BOXES = [
+    pytest.param(SpacingForm.FOUR_ROOT_MINUS, dict(M=64, Mp=64, K=64, L=64),
+                 4 * 128**0.5, 8.0, id="minus-64"),
+    pytest.param(SpacingForm.FOUR_ROOT_KTH, dict(M=64), 4 * 128**0.5, 8.0, id="kth-64"),
+    pytest.param(SpacingForm.FOUR_ROOT_KTH, dict(M=16, root_k=3), 4 * 32 ** (1 / 3),
+                 16 ** (1 / 3), id="kth-16-r3"),
+    pytest.param(SpacingForm.THREE_ROOT, dict(M=64, Mp=64), 2 * 128**0.5, 8.0,
+                 id="three-root-64"),
+    pytest.param(SpacingForm.FOUR_ROOT_PLUS, dict(M=16, Mp=16, K=16, L=128),
+                 3 * 32**0.5 + 16, 4.0, id="plus-16-128"),
+]
+
+
+def root_sum_floor(top: float, scale: float) -> float:
+    """The least delta a root-sum box accepts: t = 2^-56 A."""
+    return 2.0 ** -56 * top / scale
+
+
+@pytest.mark.parametrize("form,box,top,scale", ROOT_SUM_BOXES)
+def test_root_sum_threshold_floor(form, box, top, scale):
+    # 2^-56 A is 32 times the rule's rounding bound 8 2^-64 (A + t): below
+    # it a box is rejected, and just above it every exact zero is counted
+    floor = root_sum_floor(top, scale)
+    for delta in (1e-20, floor * 0.99):
+        with pytest.raises(ValueError, match="rounding decides zeros"):
+            BoxSpec(form=form, delta=delta, **box)
+    res = count_box(BoxSpec(form=form, delta=floor * 1.01, **box))
+    if form is SpacingForm.FOUR_ROOT_PLUS:
+        assert res.count >= 0
+    else:
+        assert res.count >= res.exact_zero_count > 0
+
+
 def test_budget_errors(monkeypatch):
     spec = BoxSpec(form=SpacingForm.FOUR_ROOT_MINUS, M=100, Mp=100, K=100,
                    L=100, delta=0.1)
@@ -719,24 +758,24 @@ def test_box_memory_ceiling(monkeypatch):
 
 
 def test_triple_memory_ceiling(monkeypatch):
-    # 90 bytes per row, amax(amax-1)/2 rows per core family, checked before
-    # any row is built
+    # 90 bytes per row, s - 1 rows per k = s^2 q, checked before any row is
+    # built
     monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 90 * 3748)
     assert len(enumerate_exact_triples(2000)) == 3748
     monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 90 * 3748 - 1)
     with pytest.raises(errors.CapacityError):
         enumerate_exact_triples(2000)
-    # 3,770,060 rows up to 1e6 would take 339 MB; only the core families
-    # (about 6 MB) may be allocated
-    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 2 * 10**7)
+    # up to 1e6 the core table needs 24 MB and its 3,770,060 rows 339 MB: the
+    # row check raises, and only the core table may have been allocated
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 10**8)
     tracemalloc.start()
     try:
-        with pytest.raises(errors.CapacityError):
+        with pytest.raises(errors.CapacityError, match="triples up to 1000000"):
             enumerate_exact_triples(10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 10**7
+    assert peak < 10**8
 
 
 def test_quadruple_memory_ceiling(monkeypatch):
