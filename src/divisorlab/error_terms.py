@@ -30,29 +30,30 @@ _STEP_BYTES_PER_ENTRY = 10
 
 
 class ErrorTermKind(NamedEnum):
-    DELTA = "delta"
-    DELTA_STAR = "delta-star"
-    CIRCLE = "circle"
-
-
-def jump_denominator(kind: ErrorTermKind) -> int:
-    """The step part jumps only at multiples of 1/jump_denominator(kind).
-
-    Delta and circle jump at integers; delta-star jumps at quarter-integers,
-    the union of the jump sets of D(x), D(2x) and D(4x).
+    """An error term, named by its CLI value, with the two facts the engines
+    read: ``table``, the table whose prefix sums give its step part, and
+    ``denom``, its jump grid: the step part jumps only at multiples of
+    1/denom.  Delta and circle jump at integers; delta-star jumps at
+    quarter-integers, the union of the jump sets of D(x), D(2x) and D(4x).
     """
-    return 4 if kind is ErrorTermKind.DELTA_STAR else 1
+
+    def __new__(cls, value: str, table: TableKind, denom: int):
+        member = object.__new__(cls)
+        member._value_, member.table, member.denom = value, table, denom
+        return member
+
+    DELTA = "delta", TableKind.DIVISOR, 1
+    DELTA_STAR = "delta-star", TableKind.DIVISOR, 4
+    CIRCLE = "circle", TableKind.SUM_OF_TWO_SQUARES, 1
 
 
 def step_table_need(kind: ErrorTermKind, upto) -> tuple[TableKind, int]:
     """The table kind and limit whose prefix sums give the step part on
-    [1, upto]: r up to upto for circle, d up to jump_denominator(kind)*upto
-    otherwise (delta-star reads D(4x)); CapacityError past the ceiling."""
-    limit = math.ceil(jump_denominator(kind) * upto)
+    [1, upto]: kind.table up to kind.denom*upto (delta-star reads D(4x));
+    CapacityError past the ceiling."""
+    limit = math.ceil(kind.denom * upto)
     check_memory(_STEP_BYTES_PER_ENTRY * (limit + 1), f"step table of {limit} entries")
-    if kind is ErrorTermKind.CIRCLE:
-        return TableKind.SUM_OF_TWO_SQUARES, limit
-    return TableKind.DIVISOR, limit
+    return kind.table, limit
 
 
 def smooth_main_term(kind: ErrorTermKind, x) -> np.longdouble:
@@ -83,6 +84,7 @@ def error_term(kind: ErrorTermKind, x) -> float:
     """Evaluate the requested error term at a single point x >= 1."""
     if not 1 <= x < math.inf:
         raise RangeError(f"error terms are defined for finite x >= 1, got {x}")
-    count = summatory_r if kind is ErrorTermKind.CIRCLE else summatory_d
-    step = step_part(kind, count, math.floor(jump_denominator(kind) * x))
+    # read from the module at call time: perfbench/tracing.py wraps them here
+    count = summatory_d if kind.table is TableKind.DIVISOR else summatory_r
+    step = step_part(kind, count, math.floor(kind.denom * x))
     return float(step - smooth_main_term(kind, np.longdouble(x)))

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants, numerics
-from .error_terms import (ErrorTermKind, jump_denominator, smooth_main_term,
-                          step_part, step_table_need)
+from .error_terms import ErrorTermKind, smooth_main_term, step_part, step_table_need
 from .errors import DegenerateFitError, RangeError
 from .numerics import KahanAccumulator, loglog_slope
 # sieve_divisors and sieve_r stay bound: perfbench/tracing.py wraps them here
@@ -95,7 +94,7 @@ def _chunk_partials(kind: ErrorTermKind, prefix: np.ndarray, x0: float, x1: floa
     start off its tick.  Node sums are formed numerics.BLOCK // len(NODES)
     segments at a time; np.sum of a one-segment piece is exact.
     """
-    denom = jump_denominator(kind)
+    denom = kind.denom
     m0, m1 = math.floor(x0 * denom), math.ceil(x1 * denom)
     lo, hi = np.longdouble(m0) / denom, np.longdouble(m0 + 1) / denom
     width = min(hi, np.longdouble(x1)) - max(lo, np.longdouble(x0))
@@ -136,8 +135,7 @@ def check_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
         raise ValueError(f"threads must be >= 1, got {threads}")
     if stops[0] < start:
         raise ValueError("first stop lies before the interval start")
-    denom = jump_denominator(kind)
-    segments = math.ceil(stops[-1] * denom) - math.floor(start * denom)
+    segments = math.ceil(stops[-1] * kind.denom) - math.floor(start * kind.denom)
     workers = min(threads, segments // CHUNK_SEGMENTS + 3)
     check_memory(workers * (16 * len(powers) * min(segments, CHUNK_SEGMENTS)  # chunk sums
                             + _BLOCK_BYTES_PER_NODE * len(NODES)
@@ -156,7 +154,7 @@ def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
     Results are recorded at each stop in ascending order.
     """
     powers, stops, _ = check_profile(kind, powers, stops, start, threads)
-    denom = jump_denominator(kind)
+    denom = kind.denom
     prefix = _step_prefix(kind, stops[-1], table)
 
     acc = {p: KahanAccumulator() for p in powers}
@@ -198,8 +196,7 @@ def moment(kind: ErrorTermKind, power: int, interval, threads: int = 1,
     check_interval(kind, power, a, b, threads)
     profile = moment_profile(kind, (power,), [b], start=a, threads=threads,
                              table=table)
-    denom = jump_denominator(kind)
-    count = int(math.ceil(b * denom) - math.floor(a * denom))
+    count = int(math.ceil(b * kind.denom) - math.floor(a * kind.denom))
     return MomentResult(kind=kind, power=power, interval=(a, b),
                         integral=profile[power][0], quadrature_order=len(NODES),
                         partition_count=count)

@@ -151,8 +151,8 @@ class GapResult:
 # exact square-root identities
 
 # Peak memory of enumerate_exact_triples per row: a, q, s and the columns
-# beside the stacked rows, or the rows, their lexsort order and the sorted
-# copy.  Measured 72 bytes (tracemalloc, fresh process, limits 1e4-1e6).
+# beside the stacked rows, or the rows, their sort key and order and the
+# sorted copy.  Measured 72 bytes (tracemalloc, fresh process, limits 1e4-1e6).
 _TRIPLE_BYTES_PER_ROW = 90
 
 
@@ -173,7 +173,7 @@ def enumerate_exact_triples(limit: int) -> np.ndarray:
     q, s = np.repeat(q, s - 1), np.repeat(s, s - 1)
     rows = np.stack([a * a * q, (s - a) ** 2 * q, s * s * q], axis=1)
     del a, q, s
-    return rows[np.lexsort(rows.T[::-1])]
+    return rows[np.argsort(rows[:, 0] * (limit + 1) + rows[:, 1])]    # (m, n) fixes k
 
 
 # Peak memory of enumerate_exact_quadruples per pair (m, n) <= limit: the

@@ -24,14 +24,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .error_terms import ErrorTermKind, error_term, jump_denominator
+from .error_terms import ErrorTermKind, error_term
 from .errors import BudgetError, RangeError
 from .numerics import PI_LD, TWO_PI_LD, floor_int
 # sieve_divisors and sieve_r stay bound: perfbench/tracing.py wraps them here
 from .sieves import (DivisorTable, TableKind, check_memory, sieve,  # noqa: F401
                      sieve_divisors, sieve_r)
 
-_SQRT2_LD = np.sqrt(np.longdouble(2))
+# amplitude, phase and frequency f of the series over each table's weights
+_CONSTANTS = {
+    TableKind.DIVISOR: (1 / float(PI_LD * np.sqrt(np.longdouble(2))), -float(PI_LD / 4),
+                        4 * float(PI_LD)),
+    TableKind.SUM_OF_TWO_SQUARES: (-1 / float(PI_LD), float(PI_LD / 4), 2 * float(PI_LD)),
+}
 # peak bytes per term: coefficients 16 plus one evaluate_block row 64
 # (tracemalloc, fresh process, N = 1e5 and 1e6, each kind)
 _SERIES_BYTES_PER_TERM = 80
@@ -73,20 +78,10 @@ def build_series(kind: ErrorTermKind, truncation: int,
     if truncation < 2:
         raise ValueError(f"truncation length must be >= 2, got {truncation}")
     check_memory(_SERIES_BYTES_PER_TERM * truncation, f"series of {truncation} terms")
-    circle = kind is ErrorTermKind.CIRCLE
-    table = sieve(TableKind.SUM_OF_TWO_SQUARES if circle else TableKind.DIVISOR,
-                  truncation, table)
-    weights = table.values[1:truncation + 1].astype(np.longdouble)
-    if circle:
-        amplitude = -1 / float(PI_LD)
-        phase = float(PI_LD / 4)
-        freq = 2 * float(PI_LD)
-    else:
-        if kind is ErrorTermKind.DELTA_STAR:
-            weights[::2] *= -1      # (-1)^n d(n): odd n are the even indices
-        amplitude = 1 / float(PI_LD * _SQRT2_LD)
-        phase = -float(PI_LD / 4)
-        freq = 4 * float(PI_LD)
+    weights = sieve(kind.table, truncation, table).values[1:truncation + 1].astype(np.longdouble)
+    if kind is ErrorTermKind.DELTA_STAR:
+        weights[::2] *= -1      # (-1)^n d(n): odd n are the even indices
+    amplitude, phase, freq = _CONSTANTS[kind.table]
     ns = np.arange(1, truncation + 1, dtype=np.longdouble)
     coeffs = weights * ns ** np.longdouble(-0.75)
     return VoronoiSeries(kind=kind, truncation=truncation, coefficients=coeffs,
@@ -152,7 +147,7 @@ def remainder_stats(kind: ErrorTermKind, truncation: int, X: float,
     if not truncation <= X < np.inf:
         raise RangeError(f"need truncation N <= X < inf (N={truncation}, X={X})")
     check_memory(_BYTES_PER_SAMPLE * sample_count, f"{sample_count} remainder samples")
-    work = sample_count * ((jump_denominator(kind) * 2 * X) ** 0.5 + _SAMPLE_STEPS)
+    work = sample_count * ((kind.denom * 2 * X) ** 0.5 + _SAMPLE_STEPS)
     if work > WORK_BUDGET:
         raise BudgetError(f"remainder work {work:.3g} exceeds budget {WORK_BUDGET}")
     series = build_series(kind, truncation)

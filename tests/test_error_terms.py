@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from divisorlab import errors
-from divisorlab.error_terms import (ErrorTermKind, error_term, jump_denominator,
-                                    smooth_main_term, step_part, step_table_need)
+from divisorlab.error_terms import (ErrorTermKind, error_term, smooth_main_term, step_part,
+                                    step_table_need)
 from divisorlab.moments import _step_prefix, moment_profile
+from divisorlab.numerics import render_json
 from divisorlab.sieves import TableKind, sieve_divisors, summatory_d, summatory_r
 from divisorlab.voronoi import remainder_stats
 from oracles import alternating_prefix, piecewise_segments
@@ -67,14 +68,14 @@ def test_identity_residual_random(alt_prefix):
 
 def _step_pieces(kind, a, b):
     """(left, right, constant) of the step table's segments covering [a, b]."""
-    denom = jump_denominator(kind)
+    denom = kind.denom
     ticks = np.arange(math.floor(a * denom), math.ceil(b * denom))
     consts = step_part(kind, _step_prefix(kind, b).__getitem__, ticks)
     return [(t / denom, (t + 1) / denom, c) for t, c in zip(ticks, consts)]
 
 
 def test_segments_delta():
-    assert jump_denominator(ErrorTermKind.DELTA) == 1
+    assert ErrorTermKind.DELTA.denom == 1
     assert step_table_need(ErrorTermKind.DELTA, 3) == (TableKind.DIVISOR, 3)
     assert _step_pieces(ErrorTermKind.DELTA, 1, 3) == [(1, 2, 1), (2, 3, 3)]
     assert piecewise_segments("delta", 1, 3) == [(1, 2, 1), (2, 3, 3)]
@@ -88,7 +89,7 @@ def test_segments_circle_single():
 
 def test_segments_delta_star_quarter_breakpoints():
     # delta-star reads D(4x), so its table reaches 4x and it jumps at 1.25
-    assert jump_denominator(ErrorTermKind.DELTA_STAR) == 4
+    assert ErrorTermKind.DELTA_STAR.denom == 4
     assert step_table_need(ErrorTermKind.DELTA_STAR, 1.5) == (TableKind.DIVISOR, 6)
     pieces = _step_pieces(ErrorTermKind.DELTA_STAR, 1, 1.5)
     assert pieces == [(1, 1.25, 1), (1.25, 1.5, 0)]
@@ -200,6 +201,15 @@ def test_kind_parse():
     assert ErrorTermKind.parse("delta-star") is ErrorTermKind.DELTA_STAR
     with pytest.raises(ValueError):
         ErrorTermKind.parse("nope")
+
+
+def test_kind_record():
+    # each kind carries its table and jump grid; its value stays the CLI name
+    assert [(k.value, k.table, k.denom) for k in ErrorTermKind] == [
+        ("delta", TableKind.DIVISOR, 1), ("delta-star", TableKind.DIVISOR, 4),
+        ("circle", TableKind.SUM_OF_TWO_SQUARES, 1)]
+    assert ErrorTermKind("delta") is ErrorTermKind.DELTA
+    assert render_json(ErrorTermKind.DELTA) == '"delta"'
 
 
 def test_smooth_part_precision_large_x():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from divisorlab import constants, errors, moments, numerics, sieves
-from divisorlab.error_terms import ErrorTermKind, jump_denominator
+from divisorlab.error_terms import ErrorTermKind
 from divisorlab.moments import (CHUNK_SEGMENTS, fit_coefficient, fit_main_term,
                                 main_exponent, moment, moment_profile,
                                 short_interval_ratio, theory_coefficient)
@@ -228,7 +228,7 @@ def test_stop_on_chunk_start_bits_pinned(threads, monkeypatch):
 @pytest.mark.parametrize("kind", list(ErrorTermKind))
 def test_block_size_does_not_change_bits(kind, monkeypatch):
     prefix = moments._step_prefix(kind, 16000)
-    d = jump_denominator(kind)
+    d = kind.denom
     # a run of 5000 whole segments, then a head and a tail piece of segment 999
     parts = [(10**4 / d, (10**4 + 5000) / d), ((999 + 0.3) / d, 1000 / d),
              (999 / d, (999 + 0.6) / d)]

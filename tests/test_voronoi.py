@@ -38,14 +38,18 @@ def test_coefficients_match_sieve():
 
 
 def test_series_constants():
-    delta = build_series(ErrorTermKind.DELTA, 4)
-    assert delta.amplitude == pytest.approx(1 / (math.pi * math.sqrt(2)), rel=1e-15)
-    assert delta.phase == pytest.approx(-math.pi / 4, rel=1e-15)
-    assert delta.frequency_scale == pytest.approx(4 * math.pi, rel=1e-15)
-    circle = build_series(ErrorTermKind.CIRCLE, 4)
-    assert circle.amplitude == pytest.approx(-1 / math.pi, rel=1e-15)
-    assert circle.phase == pytest.approx(math.pi / 4, rel=1e-15)
-    assert circle.frequency_scale == pytest.approx(2 * math.pi, rel=1e-15)
+    # bit for bit: delta and delta-star share the divisor table's constants
+    divisor = tuple(map(float.fromhex, ("0x1.ccf6429be6621p-3", "-0x1.921fb54442d18p-1",
+                                        "0x1.921fb54442d18p+3")))
+    circle = tuple(map(float.fromhex, ("-0x1.45f306dc9c883p-2", "0x1.921fb54442d18p-1",
+                                       "0x1.921fb54442d18p+2")))
+    for kind, expected in ((ErrorTermKind.DELTA, divisor),
+                           (ErrorTermKind.DELTA_STAR, divisor), (ErrorTermKind.CIRCLE, circle)):
+        series = build_series(kind, 4)
+        assert (series.amplitude, series.phase, series.frequency_scale) == expected
+    assert divisor == pytest.approx((1 / (math.pi * math.sqrt(2)), -math.pi / 4, 4 * math.pi),
+                                    rel=1e-15)
+    assert circle == pytest.approx((-1 / math.pi, math.pi / 4, 2 * math.pi), rel=1e-15)
 
 
 def test_truncation_additivity():
