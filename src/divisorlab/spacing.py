@@ -16,14 +16,12 @@ Conventions used throughout:
     roots but one formed in one fixed order, the integer v left out counts
     where it lies between max(s - t, 0)^r and max(s + t, 0)^r (strictly for
     k-th root), so that order's longdouble rounding decides exact ties.
-    Three-root counts the k >= 1 between the ends whole, for blocks of rows
-    of (m, n) sums, on the pairs m <= n of an equal box (x + a and a + x are
-    the same bits).  The four-root forms are counted by sorted sums: |P - Q|
-    for two float64 tables of pair sums, the smaller sorted once and the
-    larger streamed against it in blocks of sorted rows, and only the tuples
-    within a proven band of the threshold are decided again by the rule.
-    Minimal gaps are decided in longdouble too, after a float64 screen with
-    a proven error bound, and the first minimum in one fixed order wins.
+    Each root-sum count and gap search screens in float64 and leaves to
+    longdouble only what lies within a proven bound of the decision: the
+    three-root ends of blocks of rows of (m, n) sums, four-root |P - Q|
+    against t for two tables of pair sums (the smaller sorted once, the
+    larger streamed against it in blocks of sorted rows), and the gap
+    candidates near the least, the first in one fixed order winning.
   * Bound values evaluate the reference bound shapes with the epsilon term
     dropped and the implied constant set to 1, so measured ratios carry all
     the constant information.
@@ -32,7 +30,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 
 import numpy as np
@@ -49,7 +47,7 @@ WORK_BUDGET = 10**10
 # Peak bytes of count_box (tracemalloc, each form): 64-286 per unit of the
 # sides summed (sides to 1e6); 16-31.4 per entry of a sorted pair table
 # (tables to 2.25e6); per element of a streamed block, 42 for a block of
-# pair sums and 75-94.1 for a block of three-root sums (blocks to 1e6).
+# pair sums and 41-66 for a block of three-root sums (blocks to 1e6).
 _BOX_BYTES_PER_SIDE = 290
 _BOX_BYTES_PER_TABLE = 33
 _BOX_BYTES_PER_BLOCK = 100
@@ -88,6 +86,11 @@ class BoxSpec:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if not all(math.isfinite(v) for v in (self.alpha, self.beta) if v is not None):
             raise ValueError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
+        reads = {SpacingForm.FOUR_ROOT_KTH: {"root_k"}, SpacingForm.NEAR_INTEGER: {"alpha", "beta"}}
+        unread = [f.name for f in fields(self)[2:] if getattr(self, f.name) != f.default
+                  and f.name not in reads.get(self.form, set()).union(*_SHAPES[self.form])]
+        if unread:
+            raise ValueError(f"form {self.form.value} does not read {', '.join(unread)}")
         for name in (name for shape in _SHAPES[self.form] for name in shape):
             val = getattr(self, name)
             if val is None or val < 1:
@@ -106,7 +109,7 @@ class BoxSpec:
         if self.form is SpacingForm.THREE_ROOT:
             if self.Mp > self.M:
                 raise ValueError("three-root form requires Mp <= M")
-            # k runs up to top^2, and a block's interval lengths are summed
+            # top^2 < 2^44 keeps _count_solved's band 16 2^-53 top^2 under 2^-5
             top = math.sqrt(2 * self.M) + math.sqrt(2 * self.Mp) \
                 + self.delta * math.sqrt(self.M)
             if self.Mp * top * top >= 2.0 ** 44:
@@ -225,22 +228,25 @@ def enumerate_exact_quadruples(limit: int) -> np.ndarray:
 
 def _count_solved(x, y, t) -> int:
     """Number of (m, n, k), k >= 1, with |x_m + y_n - sqrt k| <= t: k fills
-    the integers between the _ends of s = x_m + y_n, rounded exactly, for
-    blocks of _rows(y.size) whole rows of sums.  When y is x, s is symmetric
-    in m and n to the bit (IEEE addition commutes), so a block meets only
-    the columns from its own first row on, and counts the sums above the
-    diagonal twice and those on it once."""
-    total = 0
-    step = _rows(y.size)
+    the integers between the _ends of s = x_m + y_n, formed in float64 for
+    blocks of _rows(y.size) rows of sums.  With u = 2^-53 and A the largest
+    sum: float64 roots round longdouble ones good to 2^-64, so s -+ t is
+    within 3u (A + t) of the rule's and an end, squared and rounded, within
+    7u (A + t)^2 (7.1u with the rule's own rounding).  Only sums with an end
+    within 16u (A + t)^2 of an integer go to _ends.  That band is under 2^-5
+    (BoxSpec), so a lower end at or below 1/2 gives k >= 1 on both routes
+    and is not tested."""
+    x64, y64, t64 = x.astype(np.float64), y.astype(np.float64), float(t)
+    band = 16 * 2.0 ** -53 * (float(x[-1] + y[-1]) + t64) ** 2
+    total, step = 0, _rows(y.size)
     for r0 in range(0, x.size, step):
-        rows = x[r0:r0 + step]
-        lo, hi = _ends(np.add.outer(rows, y[r0:] if y is x else y), t, 2)
-        cnt = floor_int(hi) - np.maximum(-floor_int(-lo), 1) + 1
-        np.maximum(cnt, 0, out=cnt)
-        if y is x:
-            cnt[np.tril_indices(rows.size, -1)] = 0
-            total += int(np.sum(cnt)) - int(np.trace(cnt))
-        total += int(np.sum(cnt))
+        lo, hi = _ends(np.add.outer(x64[r0:r0 + step], y64), t64, 2)
+        near = (np.abs(hi - np.rint(hi)) <= band) | (lo > 0.5) & (np.abs(lo - np.rint(lo)) <= band)
+        i, j = np.nonzero(near)
+        lo_ld, hi_ld = _ends(x[r0 + i] + y[j], t, 2)
+        lo[i, j], hi[i, j] = np.ceil(lo_ld), np.floor(hi_ld)    # exact in float64
+        cnt = np.floor(hi) - np.maximum(np.ceil(lo), 1) + 1
+        total += int(np.sum(np.maximum(cnt, 0, out=cnt), dtype=np.int64))
     return total
 
 
@@ -469,8 +475,7 @@ def count_box(spec: BoxSpec) -> SpacingCount:
     if form is SpacingForm.NEAR_INTEGER:
         count = _count_near_integer(spec)
     elif form is SpacingForm.THREE_ROOT:
-        x = _sqrt_box(M)
-        count = _count_solved(x, x if Mp == M else _sqrt_box(Mp), delta * np.sqrt(LD(M)))
+        count = _count_solved(_sqrt_box(M), _sqrt_box(Mp), delta * np.sqrt(LD(M)))
         # k is unconstrained and exact hits always satisfy the inequality, so
         # the zero count is the number of same-core pairs (m, n)
         core, _ = core_tables(2 * max(M, Mp))

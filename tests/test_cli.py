@@ -345,6 +345,21 @@ def test_spacing_threshold_under_rounding_is_compute_error(capsys, form, box, to
         assert err.startswith("compute error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,unread", [
+    (("--form", "three-root", "--M", "8", "--Mp", "8", "--K", "99"), "K"),
+    (("--form", "three-root", "--M", "8", "--Mp", "8", "--root-k", "3", "--alpha", "5"),
+     "root_k, alpha"),
+    (("--form", "four-root-kth", "--M", "8", "--Mp", "5", "--L", "7"), "Mp, L"),
+    (("--form", "four-root-minus", "--M", "4", "--Mp", "4", "--K", "4", "--L", "4",
+      "--beta", "0.5"), "beta"),
+], ids=["three-root-K", "three-root-root-k-alpha", "four-root-kth-Mp-L", "minus-beta"])
+def test_spacing_unread_field_is_compute_error(capsys, argv, unread):
+    # each printed the ignored value in its JSON as if the count had used it
+    code, out, err = run(capsys, "--format", "json", "spacing", *argv, "--delta", "0.1")
+    assert code == 2 and out == ""
+    assert err == f"compute error: form {argv[1]} does not read {unread}\n"
+
+
 def test_cache_dir_reuse(tmp_path, capsys):
     cache = tmp_path / "cache"
     code, _, _ = run(capsys, "--cache-dir", str(cache), "moment", "--kind",

@@ -146,6 +146,57 @@ def test_three_root_wide_threshold_matches_mpmath():
         BoxSpec(form=SpacingForm.THREE_ROOT, M=M, Mp=Mp, delta=1e7)
 
 
+# the three-root tie boxes of test_threshold_tie_counts_pinned, saturated
+# thresholds (t above every sum), thresholds where (s - t)^2 crosses 1, and
+# the wide threshold above
+THREE_ROOT_BOXES = [(M, Mp, 2.0 ** -j) for M, Mp in ((64, 64), (256, 16)) for j in (2, 3, 4)] \
+    + [(64, 64, 8.0), (256, 16, 8.0), (64, 64, 2.5), (256, 16, 1.25), (5, 3, 1e6)]
+
+
+@pytest.mark.parametrize("M,Mp,delta", THREE_ROOT_BOXES)
+def test_three_root_matches_the_solved_oracle(M, Mp, delta):
+    # the per-row longdouble route, on the pairs m <= n of an equal box
+    x, y = spacing._sqrt_box(M), spacing._sqrt_box(Mp)
+    t = np.longdouble(delta) * np.sqrt(np.longdouble(M))
+    want = count_solved((x, y), t, 1, math.inf, 2, strict=False, paired=M == Mp)
+    spec = BoxSpec(form=SpacingForm.THREE_ROOT, M=M, Mp=Mp, delta=delta)
+    assert count_box(spec).count == want
+
+
+def test_three_root_band_covers_every_float64_misjudgement():
+    # every (m, n) sum of THREE_ROOT_BOXES, its ends formed in float64 as
+    # _count_solved screens them and by the longdouble rule: where the k
+    # counted differ, an end above 1/2 lies within the band of an integer;
+    # so does every exact tie; and every float64 end lies within
+    # 7.1u (A + t)^2 of the rule's
+    LD = np.longdouble
+
+    def count(lo, hi):
+        return np.maximum(np.floor(hi) - np.maximum(np.ceil(lo), 1) + 1, 0)
+
+    misjudged = untested = 0
+    for M, Mp, delta in THREE_ROOT_BOXES:
+        x, y = spacing._sqrt_box(M), spacing._sqrt_box(Mp)
+        t = LD(delta) * np.sqrt(LD(M))
+        top = float(x[-1] + y[-1]) + float(t)
+        lo, hi = spacing._ends(np.add.outer(x, y), t, 2)
+        lo64, hi64 = spacing._ends(np.add.outer(x.astype(np.float64), y.astype(np.float64)),
+                                   float(t), 2)
+        band = 16 * 2.0 ** -53 * top ** 2
+        near = (np.abs(hi64 - np.rint(hi64)) <= band) \
+            | (lo64 > 0.5) & (np.abs(lo64 - np.rint(lo64)) <= band)
+        wrong = count(lo64, hi64) != count(lo, hi)
+        assert not np.any(wrong & ~near), (M, Mp, delta)
+        assert np.all(near[(hi == np.rint(hi)) | (lo > 0.5) & (lo == np.rint(lo))])
+        worst = max(np.max(np.abs(lo64 - lo)), np.max(np.abs(hi64 - hi)))
+        assert worst < 7.1 * 2.0 ** -53 * top ** 2, (M, Mp, delta)
+        misjudged += int(np.count_nonzero(wrong))
+        untested += int(np.count_nonzero(lo64 <= 0.5))
+    # float64 alone would miscount some sums (at (256, 16, 1.25)), and the
+    # saturated and crossing thresholds hold lower ends that are not tested
+    assert misjudged > 0 and untested > 0
+
+
 @pytest.mark.parametrize("M,Mp,K,L,delta", [
     (4, 4, 4, 4, 1e-6),
     (4, 4, 4, 4, 0.05),
@@ -259,8 +310,7 @@ def test_floor_int_is_exact():
 @pytest.mark.parametrize("j", [2, 3])
 def test_paired_rows_count_every_row(j):
     # the tie boxes above: a swapped pair of equal axes gives the same sum;
-    # three-root takes the upper triangle when both axes are one array, and
-    # the full rectangle for a copy
+    # three-root counts one array passed as both axes as it counts a copy
     LD = np.longdouble
     delta = LD(2.0 ** -j)
     kth = np.arange(17, 33).astype(LD) ** (LD(1) / 3)
@@ -633,6 +683,24 @@ def test_boxspec_validation():
                              delta=math.inf)).count == 4**4
     assert count_box(BoxSpec(form=SpacingForm.FOUR_ROOT_KTH, M=5, root_k=3,
                              delta=math.inf)).count == 5**4
+
+
+def test_boxspec_rejects_unread_fields():
+    # a field its form does not read would be echoed as if it had been used
+    for form, box, unread in [
+            (SpacingForm.THREE_ROOT, dict(M=8, Mp=8, K=99), "K"),
+            (SpacingForm.THREE_ROOT, dict(M=8, Mp=8, root_k=3, alpha=5.0), "root_k, alpha"),
+            (SpacingForm.FOUR_ROOT_KTH, dict(M=8, Mp=5, L=7), "Mp, L"),
+            (SpacingForm.NEAR_INTEGER, dict(K=8, alpha=2.0, M=3), "M"),
+            (SpacingForm.NEAR_INTEGER, dict(K=8, alpha=2.0, root_k=3), "root_k"),
+            (SpacingForm.FOUR_ROOT_PLUS, dict(M=4, Mp=4, K=4, L=8, beta=0.5), "beta"),
+            (SpacingForm.FOUR_ROOT_MINUS, dict(M=4, Mp=4, K=4, L=4, alpha=2.0), "alpha")]:
+        with pytest.raises(ValueError, match=f"form {form.value} does not read {unread}$"):
+            BoxSpec(form=form, delta=0.1, **box)
+    # the defaults spelled out, and the fields each form reads, are accepted
+    BoxSpec(form=SpacingForm.THREE_ROOT, M=8, Mp=8, delta=0.1, root_k=2, beta=0.0)
+    BoxSpec(form=SpacingForm.FOUR_ROOT_KTH, M=8, delta=0.1, root_k=3)
+    BoxSpec(form=SpacingForm.NEAR_INTEGER, K=8, delta=0.1, alpha=2.0, beta=0.5)
 
 
 # One box of each root-sum form, its largest root sum A = sum of (2R)^(1/r)
