@@ -91,7 +91,7 @@ def _chunk_partials(kind: ErrorTermKind, prefix: np.ndarray, x0: float, x1: floa
 
     Precondition: the range is a run of whole segments or part of one
     segment, so all its segments share one width and only the first can
-    start off its tick.  Node sums are formed numerics.BLOCK // len(NODES)
+    start off its tick.  Node sums are formed numerics.rows(len(NODES))
     segments at a time; np.sum of a one-segment piece is exact.
     """
     denom = kind.denom
@@ -99,7 +99,7 @@ def _chunk_partials(kind: ErrorTermKind, prefix: np.ndarray, x0: float, x1: floa
     lo, hi = np.longdouble(m0) / denom, np.longdouble(m0 + 1) / denom
     width = min(hi, np.longdouble(x1)) - max(lo, np.longdouble(x0))
     sums = {k: np.empty(m1 - m0, dtype=np.longdouble) for k in powers}
-    rows = max(1, numerics.BLOCK // len(NODES))
+    rows = numerics.rows(len(NODES))
     for i in range(0, m1 - m0, rows):
         ticks = np.arange(m0 + i, min(m0 + i + rows, m1), dtype=np.int64)
         left = ticks.astype(np.longdouble) / denom
@@ -139,7 +139,7 @@ def check_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
     workers = min(threads, segments // CHUNK_SEGMENTS + 3)
     check_memory(workers * (16 * len(powers) * min(segments, CHUNK_SEGMENTS)  # chunk sums
                             + _BLOCK_BYTES_PER_NODE * len(NODES)
-                            * min(segments, max(1, numerics.BLOCK // len(NODES)))),
+                            * min(segments, numerics.rows(len(NODES)))),
                  f"{workers} integration threads")
     return powers, stops, step_table_need(kind, stops[-1])
 

@@ -24,6 +24,11 @@ TWO_PI_LD = np.longdouble("6.28318530717958647692528676655900577")
 BLOCK = 1 << 15
 
 
+def rows(cols: int) -> int:
+    """Rows of cols entries in one block: BLOCK // cols, or one row."""
+    return max(1, BLOCK // cols)
+
+
 def floor_int(x: np.ndarray) -> np.ndarray:
     """floor(x) of a longdouble array as int64, exact for finite |x| < 2^63
     (ceil(x) is -floor_int(-x)): the cast truncates toward zero and the

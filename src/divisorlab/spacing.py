@@ -17,7 +17,7 @@ Conventions used throughout:
     where it lies between max(s - t, 0)^r and max(s + t, 0)^r (strictly for
     k-th root), so that order's longdouble rounding decides exact ties.
     Each root-sum count and gap search screens in float64 and leaves to
-    longdouble only what lies within a proven bound of the decision: the
+    longdouble only what lies within the one band _band of the decision: the
     three-root ends of blocks of rows of (m, n) sums, four-root |P - Q|
     against t for two tables of pair sums (the smaller sorted once, the
     larger streamed against it in blocks of sorted rows), and the gap
@@ -109,22 +109,20 @@ class BoxSpec:
         if self.form is SpacingForm.THREE_ROOT:
             if self.Mp > self.M:
                 raise ValueError("three-root form requires Mp <= M")
-            # top^2 < 2^44 keeps _count_solved's band 16 2^-53 top^2 under 2^-5
+            # _count_solved's band around the ends must stay under 2^-5
             top = math.sqrt(2 * self.M) + math.sqrt(2 * self.Mp) \
                 + self.delta * math.sqrt(self.M)
-            if self.Mp * top * top >= 2.0 ** 44:
-                raise ValueError(f"Mp*(sqrt(2M) + sqrt(2Mp) + delta*sqrt(M))^2 = "
-                                 f"{self.Mp * top * top:.3g} leaves too few fractional "
-                                 f"bits for an exact count")
+            if _band(top * top) >= 2.0 ** -5:
+                raise ValueError(f"(sqrt(2M) + sqrt(2Mp) + delta*sqrt(M))^2 = {top * top:.3g} "
+                                 f"leaves too few fractional bits for an exact count")
         if self.form is not SpacingForm.NEAR_INTEGER:
             # t must clear 32 times the rule's rounding bound 8 2^-64 (A + t)
-            # (_band), A the largest root sum, or rounding decides exact zeros
-            r = self.root_k if self.form is SpacingForm.FOUR_ROOT_KTH else 2
-            top = sum((2.0 * getattr(self, name)) ** (1 / r)
+            # (_count_four), A the largest root sum, or rounding decides exact zeros
+            top = sum((2.0 * getattr(self, name)) ** (1 / self.root_k)
                       for shape in _SHAPES[self.form] for name in shape)
             side = self.K if self.form in (SpacingForm.FOUR_ROOT_MINUS,
                                            SpacingForm.FOUR_ROOT_PLUS) else self.M
-            if not self.delta * side ** (1 / r) > 2.0 ** -56 * top:
+            if not self.delta * side ** (1 / self.root_k) > 2.0 ** -56 * top:
                 raise ValueError(f"delta {self.delta} puts the threshold under 2^-56 times "
                                  f"the largest root sum {top:.3g}: rounding decides zeros")
         if math.isfinite(self.delta) and not all(
@@ -229,16 +227,16 @@ def enumerate_exact_quadruples(limit: int) -> np.ndarray:
 def _count_solved(x, y, t) -> int:
     """Number of (m, n, k), k >= 1, with |x_m + y_n - sqrt k| <= t: k fills
     the integers between the _ends of s = x_m + y_n, formed in float64 for
-    blocks of _rows(y.size) rows of sums.  With u = 2^-53 and A the largest
-    sum: float64 roots round longdouble ones good to 2^-64, so s -+ t is
-    within 3u (A + t) of the rule's and an end, squared and rounded, within
+    blocks of numerics.rows(y.size) rows of sums.  With u = 2^-53 and A the
+    largest sum: float64 roots round longdouble ones good to 2^-64, so s -+ t
+    is within 3u (A + t) of the rule's and an end, squared and rounded, within
     7u (A + t)^2 (7.1u with the rule's own rounding).  Only sums with an end
-    within 16u (A + t)^2 of an integer go to _ends.  That band is under 2^-5
-    (BoxSpec), so a lower end at or below 1/2 gives k >= 1 on both routes
-    and is not tested."""
+    within _band((A + t)^2) of an integer go to _ends.  That band is under
+    2^-5 (BoxSpec), so a lower end at or below 1/2 gives k >= 1 on both
+    routes and is not tested."""
     x64, y64, t64 = x.astype(np.float64), y.astype(np.float64), float(t)
-    band = 16 * 2.0 ** -53 * (float(x[-1] + y[-1]) + t64) ** 2
-    total, step = 0, _rows(y.size)
+    band = _band((float(x[-1] + y[-1]) + t64) ** 2)
+    total, step = 0, numerics.rows(y.size)
     for r0 in range(0, x.size, step):
         lo, hi = _ends(np.add.outer(x64[r0:r0 + step], y64), t64, 2)
         near = (np.abs(hi - np.rint(hi)) <= band) | (lo > 0.5) & (np.abs(lo - np.rint(lo)) <= band)
@@ -264,17 +262,11 @@ def _count_near_integer(spec: BoxSpec) -> int:
 # ---------------------------------------------------------------------------
 # four-root counting by sorted pair sums
 
-def _band(top: float, t: float) -> float:
-    """Half-width B of the band around t outside which float64 pair sums
-    decide a four-root tuple as the _ends rule does, where the four |roots| sum
-    to at most A = top.  With u = 2^-53: each float64 root rounds a
-    longdouble root good to 2^-60 and each table entry rounds one sum, so
-    float64 |P - Q| is within 3u A of the exact value; a search key q +- w
-    rounds t, w and the sum, u (A + 3t + 2B); the longdouble rule, rounding
-    s, s +- t and (s +- t)^r, decides |P - Q| against t within
-    8 2^-64 (A + t).  The total is under 4.1u A + 3.1u t + 2u B, so
-    16u (A + t) covers it three times over."""
-    return 16 * 2.0 ** -53 * (top + t)
+def _band(size: float) -> float:
+    """16u size, u = 2^-53: the one float64 screen band.  Each caller proves
+    its float64 values within a few u size of the longdouble ones, and only
+    those within the band of a decision go to longdouble."""
+    return 16 * 2.0 ** -53 * size
 
 
 def _ends(s, t, r: int):
@@ -288,11 +280,6 @@ def _ends(s, t, r: int):
         lo **= r
         hi **= r
     return lo, hi
-
-
-def _rows(cols: int) -> int:
-    """Rows per streamed block: numerics.BLOCK entries, or one row."""
-    return max(1, numerics.BLOCK // cols)
 
 
 def _count_pairs(p, q, t: float, band: float, decide) -> int:
@@ -318,7 +305,7 @@ def _count_pairs(p, q, t: float, band: float, decide) -> int:
     table = ext[1:-1]
     near, far = max(t - band, 0.0), t + band
     total = 0
-    step = _rows(rb.size)
+    step = numerics.rows(rb.size)
     for r0 in range(0, ra.size, step):
         keys = np.add.outer(ra[r0:r0 + step], rb).ravel()
         lo = np.searchsorted(table, keys - far)
@@ -347,9 +334,9 @@ def _count_pairs(p, q, t: float, band: float, decide) -> int:
 def _pair_need(*shapes: tuple[int, int]) -> tuple[int, int]:
     """(entries of the sorted table, entries of one streamed block) when a
     count streams the largest of these (rows, columns) shapes of sums in
-    blocks of _rows(columns) whole rows, after sorting the other, if any."""
+    blocks of numerics.rows(columns) whole rows, after sorting the other, if any."""
     *small, (rows, cols) = sorted(shapes, key=math.prod)
-    return sum(map(math.prod, small)), min(_rows(cols), rows) * cols
+    return sum(map(math.prod, small)), min(numerics.rows(cols), rows) * cols
 
 
 def _count_four(spec: BoxSpec) -> tuple[int, int, int]:
@@ -357,12 +344,17 @@ def _count_four(spec: BoxSpec) -> tuple[int, int, int]:
 
     The count is of the tuples with |P - Q| within t, P = x_m + x_n and
     Q = a + b: (a, b) = (x_l, x_k) for minus and k-th root, (-x_k, x_l) for
-    plus.  A tuple in the band is decided by _ends: s = (x_m + x_n) - a
-    against the integer under b."""
-    form, M = spec.form, spec.M
+    plus.  A tuple in the band _band(A + t), A the sum of the four largest
+    |roots|, is decided by _ends: s = (x_m + x_n) - a against the integer
+    under b.  With u = 2^-53: each float64 root rounds a longdouble root good
+    to 2^-60 and each table entry rounds one sum, so float64 |P - Q| is within
+    3u A of the exact value; a search key q +- w rounds t, w and the sum,
+    u (A + 3t + 2B), B the band; the rule, rounding s, s +- t and (s +- t)^r,
+    decides |P - Q| against t within 8 2^-64 (A + t).  The band covers the
+    total, under 4.1u A + 3.1u t + 2u B, three times over."""
+    form, M, r = spec.form, spec.M, spec.root_k
     kth, plus = form is SpacingForm.FOUR_ROOT_KTH, form is SpacingForm.FOUR_ROOT_PLUS
     Mp, K, L = (M, M, M) if kth else (spec.Mp, spec.K, spec.L)
-    r = spec.root_k if kth else 2
     # first, so that no root table is held while the zeros are counted
     zeros, trivial = _zero_count_four((M, Mp, K, L), 3 if plus else 2, r)
     if kth:
@@ -381,7 +373,7 @@ def _count_four(spec: BoxSpec) -> tuple[int, int, int]:
 
     top = float(xm[-1] + xn[-1] + xk[-1] + xl[-1])
     p64, q64 = ([x.astype(np.float64) for x in pair] for pair in ((xm, xn), (a, b)))
-    count = _count_pairs(p64, q64, float(t), _band(top, float(t)), decide)
+    count = _count_pairs(p64, q64, float(t), _band(top + float(t)), decide)
     return count - zeros if plus else count, zeros, trivial
 
 
@@ -507,18 +499,15 @@ def _pairs(side: int):
         yield pos - tri[n - 1] + 1, n
 
 
-def _screen_bound(roots: float, weight: float) -> float:
-    """Bound on |float64 gap - longdouble gap| where the |roots|, sqrt v
-    included, sum to at most A = roots and the weight to at most W.  With
-    u = 2^-53 the gap is |d| W, d = s - sqrt v, |d| <= A; longdouble is within
-    9 2^-64 A W of it.  float64 rounds s, sqrt v and d (|d_F - d| <= 2u A),
-    then sqrt(m n), scale, sqrt v and two products: 7u A W; twice that
-    covers rounding A, W and the cuts."""
-    return 16 * 2.0 ** -53 * roots * weight
-
-
 def _screen(m, n, s, scale: int, exact, sqrt64: np.ndarray):
-    """A block's candidates v (5 x pairs), float64 gaps (inf at exact zeros), bound."""
+    """A block's candidates v (5 x pairs), float64 gaps (inf at exact zeros)
+    and their bound _band(A W) on |float64 gap - longdouble gap|, where the
+    |roots|, sqrt v included, sum to at most A = 4 sqrt(limit) and the weight
+    scale sqrt(m n v) to at most W = max(scale sqrt(m n)) sqrt(limit).  With
+    u = 2^-53 the gap is |d| W, d = s - sqrt v, |d| <= A; longdouble is
+    within 9 2^-64 A W of it.  float64 rounds s, sqrt v and d
+    (|d_F - d| <= 2u A), then sqrt(m n), scale, sqrt v and two products:
+    7u A W; twice that covers rounding A, W and the cuts."""
     # the slots 1, floor(s^2) - 1, floor(s^2), floor(s^2) + 1 and limit (the
     # -+2^62 offsets clip to 1 and limit); a float64 floor could cross an
     # integer just where minima lie
@@ -531,7 +520,7 @@ def _screen(m, n, s, scale: int, exact, sqrt64: np.ndarray):
     gap *= weight
     gap *= root_v
     gap[v == exact] = np.inf
-    return v, gap, _screen_bound(4 * sqrt64[-1], weight.max() * sqrt64[-1])
+    return v, gap, _band(4 * sqrt64[-1] * (weight.max() * sqrt64[-1]))
 
 
 def _min_gap(blocks, limit: int, volume: int):

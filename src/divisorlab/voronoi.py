@@ -123,7 +123,7 @@ def evaluate_block(series: VoronoiSeries, xs) -> np.ndarray:
                          f"< 2^32, got x in [{flat.min()}, {flat.max()}]")
     amp = np.longdouble(series.amplitude)
     out = np.empty(flat.shape, dtype=float)
-    rows = max(1, numerics.BLOCK // series.truncation)
+    rows = numerics.rows(series.truncation)
     for start in range(0, flat.size, rows):
         xb = flat[start:start + rows].astype(np.longdouble)[:, None]
         t = phases(series, xb)

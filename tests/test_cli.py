@@ -316,6 +316,19 @@ def test_beyond_extended_precision_is_compute_error(capsys, argv):
     assert "compute error" in err
 
 
+def test_three_root_guard_reads_the_band_alone(capsys):
+    # (sqrt(128) + sqrt(128) + 1e5 * 8)^2 = 6.4e11, under 2^44, keeps the
+    # band under 2^-5; (5, 3, 1e7) reaches 5e14 and is refused
+    code, out, err = run(capsys, "--format", "json", "spacing", "--form", "three-root",
+                         "--M", "64", "--Mp", "64", "--delta", "1e5")
+    assert code == 0 and err == ""
+    assert json.loads(out)["count"] == 2621568156902998
+    code, out, err = run(capsys, "spacing", "--form", "three-root", "--M", "5", "--Mp", "3",
+                         "--delta", "1e7")
+    assert code == 2 and out == ""
+    assert err.startswith("compute error:") and "fractional bits" in err and "Mp*" not in err
+
+
 def test_spacing_root_power_overflow_is_silent(capsys):
     # (s + t)^50 overflows longdouble; the infinite end is clipped to the box
     code, out, err = run(capsys, "--format", "json", "spacing", "--form",

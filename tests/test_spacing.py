@@ -130,20 +130,26 @@ def test_three_root_matches_brute_force(M, Mp, delta):
 
 
 def test_three_root_wide_threshold_matches_mpmath():
-    # Mp*(sqrt(2M) + sqrt(2Mp) + delta*sqrt(M))^2 ~ 1.5e13, just under 2^44
-    M, Mp, delta = 5, 3, 1e6
-    with mpmath.workdps(60):
-        t = mpmath.mpf(delta) * mpmath.sqrt(M)
-        want = 0
-        for m in range(M + 1, 2 * M + 1):
-            for n in range(Mp + 1, 2 * Mp + 1):
-                s = mpmath.sqrt(m) + mpmath.sqrt(n)
-                lo = 1 if s <= t else int(mpmath.ceil((s - t) ** 2))
-                want += int(mpmath.floor((s + t) ** 2)) - lo + 1
-    spec = BoxSpec(form=SpacingForm.THREE_ROOT, M=M, Mp=Mp, delta=delta)
-    assert count_box(spec).count == want == 75000338476786
+    # (sqrt(2M) + sqrt(2Mp) + delta*sqrt(M))^2 is 5.0e12, 6.4e11 and 2.5e11,
+    # under the 2^44 that keeps the band under 2^-5, and 5.0e14 at delta 1e7
+    for M, Mp, delta, count in [(5, 3, 1e6, 75000338476786),
+                                (64, 64, 1e5, 2621568156902998),
+                                (100, 100, 5e4, 2500244210239616)]:
+        with mpmath.workdps(60):
+            t = mpmath.mpf(delta) * mpmath.sqrt(M)
+            want = 0
+            for m in range(M + 1, 2 * M + 1):
+                for n in range(Mp + 1, 2 * Mp + 1):
+                    s = mpmath.sqrt(m) + mpmath.sqrt(n)
+                    lo = 1 if s <= t else int(mpmath.ceil((s - t) ** 2))
+                    want += int(mpmath.floor((s + t) ** 2)) - lo + 1
+        x, y = spacing._sqrt_box(M), spacing._sqrt_box(Mp)
+        tld = np.longdouble(delta) * np.sqrt(np.longdouble(M))
+        assert count_solved((x, y), tld, 1, math.inf, 2, strict=False, paired=False) == want
+        spec = BoxSpec(form=SpacingForm.THREE_ROOT, M=M, Mp=Mp, delta=delta)
+        assert count_box(spec).count == want == count, (M, Mp, delta)
     with pytest.raises(ValueError, match="fractional bits"):
-        BoxSpec(form=SpacingForm.THREE_ROOT, M=M, Mp=Mp, delta=1e7)
+        BoxSpec(form=SpacingForm.THREE_ROOT, M=5, Mp=3, delta=1e7)
 
 
 # the three-root tie boxes of test_threshold_tie_counts_pinned, saturated
@@ -415,7 +421,7 @@ def test_band_covers_every_float64_misjudgement(form, box, ties):
     worst = 0.0
     for j, tied in zip((2, 3), ties):
         t = LD(2.0 ** -j) * LD(sides[0 if strict else 2]) ** (LD(1) / r)
-        band = spacing._band(float(sum(x.max() for x in (m, n, k, l))), float(t))
+        band = spacing._band(float(sum(x.max() for x in (m, n, k, l))) + float(t))
         near = misjudged = 0
         for x in m:    # one m at a time: 64^3 tuples
             s = x + n + last
