@@ -67,9 +67,6 @@ def _grid(text: str) -> list[float]:
     return values
 
 
-_CACHE_PATTERN = re.compile(r"^(divisor|two-squares)-(\d+)\.dvt$")
-
-
 def _table_for(args, need):
     """The step table ``need`` names: the smallest adequate table in the cache
     directory that loads, else a new sieve (cached when there is one).  Each
@@ -80,9 +77,9 @@ def _table_for(args, need):
     table_kind, limit = need
     tag = "divisor" if table_kind is TableKind.DIVISOR else "two-squares"
     if cache is not None and cache.is_dir():
-        found = sorted((int(m.group(2)), entry) for entry in cache.iterdir()
-                       if (m := _CACHE_PATTERN.match(entry.name))
-                       and m.group(1) == tag and int(m.group(2)) >= limit)
+        found = sorted((int(m[1]), entry) for entry in cache.iterdir()
+                       if (m := re.fullmatch(rf"{tag}-(\d+)\.dvt", entry.name))
+                       and int(m[1]) >= limit)
         for _, path in found:
             try:
                 return load_table(path, expected_kind=table_kind)

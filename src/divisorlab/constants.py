@@ -40,7 +40,7 @@ import numpy as np
 from .numerics import PI_LD
 # sieve_divisors stays bound: perfbench/tracing.py wraps it here
 from .sieves import (DivisorTable, TableKind, check_memory, core_families, sieve,  # noqa: F401
-                     sieve_divisors, width_runs)
+                     sieve_divisors)
 
 DEFAULT_CUTOFF = 10**5   # series cutoff of the theory coefficients and --cutoff
 DIVISOR_MAJORANT = 288 / 1441440 ** 0.25 * 1.5   # d(n) <= C*n^(1/4), see above
@@ -65,10 +65,12 @@ class SeriesValue:
 
 
 def _core_groups(d: np.ndarray, cores: np.ndarray, amaxes: np.ndarray):
-    """Per run of equal amax: (cores slice, W, conv), W[i, a-1] = d(a^2 q_i)
-    a^(-3/2) in longdouble and conv[i] = np.convolve(W[i], W[i]) bit for bit
-    (each column summed in ascending order from zero, as its dot does)."""
-    for lo, hi, amax in width_runs(amaxes):
+    """Per run amaxes[lo:hi] of one width amax: (cores slice, W, conv), W[i, a-1]
+    = d(a^2 q_i) a^(-3/2) in longdouble and conv[i] = np.convolve(W[i], W[i])
+    bit for bit (each column summed in ascending order from zero, as its dot does)."""
+    bounds = np.flatnonzero(np.diff(amaxes, prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        amax = int(amaxes[lo])
         a = np.arange(1, amax + 1, dtype=np.int64)
         W = d[cores[lo:hi, None] * (a * a)].astype(np.longdouble) \
             * a.astype(np.longdouble) ** np.longdouble(-1.5)

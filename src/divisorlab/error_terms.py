@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import RangeError
 from .numerics import EULER_GAMMA, PI_LD, NamedEnum
-from .sieves import TableKind, check_memory, summatory_d, summatory_r
+from .sieves import MAX_SUMMATORY_X, TableKind, check_memory, summatory_d, summatory_r
 
 # peak bytes per entry of a step table, the uint16 table and its int64 prefix
 # (tracemalloc, fresh process, each kind, 1e6 and 3e6 entries)
@@ -81,9 +81,12 @@ def step_part(kind: ErrorTermKind, count, ticks):
 
 
 def error_term(kind: ErrorTermKind, x) -> float:
-    """Evaluate the requested error term at a single point x >= 1."""
-    if not 1 <= x < math.inf:
-        raise RangeError(f"error terms are defined for finite x >= 1, got {x}")
+    """Evaluate the requested error term at a single point 1 <= x <=
+    MAX_SUMMATORY_X / kind.denom, the x whose counts stay in summatory range."""
+    top = MAX_SUMMATORY_X / kind.denom
+    if not 1 <= x <= top:
+        raise RangeError(f"{kind.value} is defined for finite x >= 1 up to {top:g}, "
+                         f"got {x}")
     # read from the module at call time: perfbench/tracing.py wraps them here
     count = summatory_d if kind.table is TableKind.DIVISOR else summatory_r
     step = step_part(kind, count, math.floor(kind.denom * x))

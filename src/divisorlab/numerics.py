@@ -69,20 +69,14 @@ class NamedEnum(Enum):
         return cls(name)
 
 
-def fmt17(value) -> str:
-    """Render a real with 17 significant digits (round-trip exact for doubles)."""
-    return format(float(value), ".17g")
-
-
 def render_json(obj, indent: int = 0) -> str:
-    """Tiny JSON renderer with floats forced to 17 significant digits.
+    """Tiny JSON renderer with floats forced to 17 significant digits
+    (round-trip exact for doubles).
 
     Supports the flat report structures this package emits (dict / list /
     str / Enum, as its value / bool / int / float / None).  Deterministic key
     order is the caller's responsibility (plain dicts preserve insertion order).
     """
-    pad = " " * indent
-    inner = " " * (indent + 2)
     if obj is None:
         return "null"
     if obj is True:
@@ -97,19 +91,20 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return fmt17(obj)
+        return format(float(obj), ".17g")
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{render_json(str(k))}: {render_json(v, indent + 2)}'
+        brackets = "{}"
+        items = [f"{render_json(str(k))}: {render_json(v, indent + 2)}"
                  for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        items = [f"{inner}{render_json(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot render {type(obj)!r} as JSON")
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = [render_json(v, indent + 2) for v in obj]
+    else:
+        raise TypeError(f"cannot render {type(obj)!r} as JSON")
+    if not items:
+        return brackets
+    pad = "\n" + " " * indent
+    return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
 
 
 def loglog_slope(xs, ys) -> float:

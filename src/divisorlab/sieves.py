@@ -1,5 +1,6 @@
 """Exact arithmetic kernels: divisor-count and two-squares sieves, their
-summatory functions, and a binary table cache.
+summatory functions, a binary table cache, and the power-free core table
+n = root^r * core with the squarefree core families read off it.
 
 Everything in this module is exact integer arithmetic.  Summatory values are
 returned as Python ints.  Both tables come from one divisor-sum sieve of a
@@ -38,6 +39,8 @@ MAX_SUMMATORY_X = 10**17
 
 _MAGIC = b"DVT1"
 _FORMAT_VERSION = 1
+# the table file header: magic, version, kind byte, limit
+_HEADER = struct.Struct("<4sIBQ")
 
 
 class TableKind(Enum):
@@ -54,20 +57,16 @@ class DivisorTable:
     read-only after construction.
     """
 
-    limit: int
     kind: TableKind
     values: np.ndarray
 
     def __post_init__(self):
         if self.values.dtype != np.uint16:
             raise TypeError("table values must be uint16")
-        if len(self.values) != self.limit + 1:
-            raise ValueError("values length must be limit+1")
 
-    def value(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise RangeError(f"n={n} outside table range [1, {self.limit}]")
-        return int(self.values[n])
+    @property
+    def limit(self) -> int:
+        return len(self.values) - 1
 
 
 def check_memory(nbytes: int, what: str) -> None:
@@ -113,8 +112,7 @@ def _divisor_sum(limit: int, chi: tuple[int, ...]) -> np.ndarray:
 
 def sieve_divisors(limit: int) -> DivisorTable:
     """d(n) = sum_{d | n} 1 for n <= limit."""
-    return DivisorTable(limit=limit, kind=TableKind.DIVISOR,
-                        values=_divisor_sum(limit, (1,)).view(np.uint16))
+    return DivisorTable(TableKind.DIVISOR, _divisor_sum(limit, (1,)).view(np.uint16))
 
 
 def sieve_r(limit: int) -> DivisorTable:
@@ -122,8 +120,7 @@ def sieve_r(limit: int) -> DivisorTable:
     4 * sum_{d | n} chi(d) with chi the non-principal character mod 4."""
     work = _divisor_sum(limit, (0, 1, 0, -1))
     work *= 4
-    return DivisorTable(limit=limit, kind=TableKind.SUM_OF_TWO_SQUARES,
-                        values=work.view(np.uint16))
+    return DivisorTable(TableKind.SUM_OF_TWO_SQUARES, work.view(np.uint16))
 
 
 def sieve(kind: TableKind, limit: int,
@@ -184,13 +181,6 @@ def core_families(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return q, _isqrt(limit // q)
 
 
-def width_runs(amaxes: np.ndarray):
-    """(lo, hi, amax) for each run amaxes[lo:hi] of one width amax."""
-    bounds = np.flatnonzero(np.diff(amaxes, prepend=-1, append=-1)).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        yield lo, hi, int(amaxes[lo])
-
-
 def _floor_arg(x) -> int:
     if not 0 <= x < math.inf:
         raise ValueError(f"summatory argument must be finite and >= 0, got {x}")
@@ -246,11 +236,10 @@ def save_table(table: DivisorTable, path) -> None:
     """
     payload = table.values[1:].astype("<u2").tobytes()
     crc = zlib.crc32(payload) & 0xFFFFFFFF
-    header = _MAGIC + struct.pack("<IBQ", _FORMAT_VERSION, table.kind.value, table.limit)
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(header)
+            fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, table.kind.value, table.limit))
             fh.write(payload)
             fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
@@ -262,21 +251,20 @@ def save_table(table: DivisorTable, path) -> None:
 def load_table(path, expected_kind: TableKind | None = None) -> DivisorTable:
     """Read a table cache, verifying magic, version, length, and checksum;
     the payload is read once, straight into the table's values[1:]."""
-    header_len = 4 + 4 + 1 + 8
     with open(path, "rb") as fh:
-        header = fh.read(header_len)
-        if len(header) < header_len:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
             raise TableFormatError(f"{path}: file too short for a table header")
-        if header[:4] != _MAGIC:
-            raise TableFormatError(f"{path}: bad magic {header[:4]!r}")
-        version, kind_byte, limit = struct.unpack("<IBQ", header[4:])
+        magic, version, kind_byte, limit = _HEADER.unpack(header)
+        if magic != _MAGIC:
+            raise TableFormatError(f"{path}: bad magic {magic!r}")
         if version != _FORMAT_VERSION:
             raise TableFormatError(f"{path}: unsupported format version {version}")
         try:
             kind = TableKind(kind_byte)
         except ValueError:
             raise TableFormatError(f"{path}: unknown kind byte {kind_byte}") from None
-        expected_len = header_len + 2 * limit + 4
+        expected_len = _HEADER.size + 2 * limit + 4
         size = os.fstat(fh.fileno()).st_size
         if size != expected_len:
             raise TableFormatError(
@@ -291,5 +279,4 @@ def load_table(path, expected_kind: TableKind | None = None) -> DivisorTable:
     if expected_kind is not None and kind != expected_kind:
         raise TableKindMismatch(
             f"{path}: table kind is {kind.name}, caller requested {expected_kind.name}")
-    return DivisorTable(limit=int(limit), kind=kind,
-                        values=values.astype(np.uint16, copy=False))
+    return DivisorTable(kind, values.astype(np.uint16, copy=False))

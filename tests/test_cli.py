@@ -38,7 +38,7 @@ def test_sieve_roundtrip(tmp_path, capsys):
                      "--limit", "100")
     assert code == 0
     table = load_table(path, expected_kind=TableKind.DIVISOR)
-    assert table.limit == 100 and table.value(12) == 6
+    assert table.limit == 100 and int(table.values[12]) == 6
 
 
 def test_moment_csv_row(capsys, tmp_path):
@@ -287,6 +287,15 @@ def test_empty_grid_is_usage_error(capsys):
     assert out == "" and "empty grid" in err
 
 
+def test_eval_range_error_names_the_x_given(capsys):
+    # delta-star reads D(4x): its top is 1e17 / 4, and the message names the
+    # x given, not 4x
+    code, out, err = run(capsys, "eval", "--kind", "delta-star", "--x", "3e16")
+    assert code == 2 and out == ""
+    assert err.startswith("compute error:") and "3e+16" in err
+    assert run(capsys, "eval", "--kind", "delta-star", "--x", "2.5e16") == (0, "5801.75\n", "")
+
+
 def test_compute_error_exit_code(capsys):
     code, _, err = run(capsys, "eval", "--kind", "delta", "--x", "0.5")
     assert code == 2
@@ -384,6 +393,37 @@ def test_cache_dir_reuse(tmp_path, capsys):
     code, _, _ = run(capsys, "--cache-dir", str(cache), "moment", "--kind",
                      "delta", "--power", "1", "--to", "50")
     assert code == 0
+
+
+def test_cache_lookup_opens_only_the_needed_kind(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sieved although an adequate cache file loads")
+
+    # the other names carry the needed limit, so that a lookup that took
+    # them for divisor tables would try them before divisor-100.dvt
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    save_table(sieve_divisors(100), cache / "divisor-100.dvt")
+    save_table(sieve_r(50), cache / "two-squares-50.dvt")
+    save_table(sieve_divisors(50), cache / "xdivisor-50.dvt")
+    # what a save_table interrupted before its rename leaves behind
+    partial = (cache / "xdivisor-50.dvt").read_bytes()[:40]
+    (cache / "divisor-50.dvt.4242.tmp").write_bytes(partial)
+    names = sorted(entry.name for entry in cache.iterdir())
+    opened = []
+
+    def recording_load(path, *args, **kwargs):
+        opened.append(Path(path).name)
+        return load_table(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_table", recording_load)
+    monkeypatch.setattr(cli, "sieve", unreachable)
+    # the library's need for --to 50: d up to 50
+    code, out, err = run(capsys, "--cache-dir", str(cache), "moment", "--kind",
+                         "delta", "--power", "1", "--to", "50")
+    assert code == 0 and out and err == ""
+    assert opened == ["divisor-100.dvt"]
+    assert sorted(entry.name for entry in cache.iterdir()) == names
 
 
 def test_step_table_over_ceiling_is_compute_error(capsys, monkeypatch):

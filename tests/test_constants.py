@@ -42,7 +42,8 @@ def test_cubic_series_equals_sum_over_enumerated_triples():
     table = sieve_divisors(cutoff)
     total = 0.0
     for m, n, k in enumerate_exact_triples(cutoff).tolist():
-        total += table.value(m) * table.value(n) * table.value(k) * (m * n * k) ** -0.75
+        total += (int(table.values[m]) * int(table.values[n]) * int(table.values[k])
+                  * (m * n * k) ** -0.75)
     assert cubic_diagonal_series(cutoff).value == pytest.approx(total, rel=1e-12)
 
 

@@ -100,7 +100,7 @@ def test_segment_jumps_match_sieve():
     table = sieve_divisors(60)
     pieces = _step_pieces(ErrorTermKind.DELTA, 3, 50)
     for a, b in zip(pieces, pieces[1:]):
-        assert b[2] - a[2] == table.value(int(b[0]))
+        assert b[2] - a[2] == int(table.values[int(b[0])])
 
 
 def test_segment_value_matches_error_term():

@@ -1,6 +1,7 @@
 import math
 import resource
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -27,31 +28,31 @@ def test_divisor_sieve_limit_one():
 
 
 def test_divisor_sieve_twelve():
-    assert sieve_divisors(12).value(12) == 6
+    assert int(sieve_divisors(12).values[12]) == 6
 
 
 def test_divisor_sieve_vs_trial_division():
     table = sieve_divisors(2000)
     for n in range(1, 2001):
-        assert table.value(n) == divisor_count(n)
+        assert int(table.values[n]) == divisor_count(n)
 
 
 def test_primes_have_two_divisors():
     table = sieve_divisors(500)
     for p in (2, 3, 5, 7, 11, 97, 499):
-        assert table.value(p) == 2
+        assert int(table.values[p]) == 2
 
 
 def test_r_sieve_small_values():
     table = sieve_r(25)
-    assert [table.value(n) for n in (1, 2, 3, 4, 5)] == [4, 4, 0, 4, 8]
-    assert table.value(25) == 12
+    assert [int(table.values[n]) for n in (1, 2, 3, 4, 5)] == [4, 4, 0, 4, 8]
+    assert int(table.values[25]) == 12
 
 
 def test_r_sieve_vs_lattice_enumeration():
     table = sieve_r(2000)
     for n in range(1, 2001):
-        assert table.value(n) == two_squares_count(n)
+        assert int(table.values[n]) == two_squares_count(n)
 
 
 def test_both_sieves_vs_oracles_at_every_small_limit():
@@ -94,16 +95,6 @@ def test_isqrt_at_squares_and_their_neighbours():
                         np.arange(root - 2000, root + 2000), [2**31]]).astype(np.int64)
     v = np.concatenate([k * k - 1, k * k, k * k + 1, [0]])
     assert sieves._isqrt(v).tolist() == [math.isqrt(int(x)) for x in v]
-
-
-@pytest.mark.parametrize("amaxes,runs", [
-    ([], []),
-    ([7], [(0, 1, 7)]),
-    ([3, 3, 3], [(0, 3, 3)]),
-    ([9, 5, 5, 4, 2, 2, 2], [(0, 1, 9), (1, 3, 5), (3, 4, 4), (4, 7, 2)]),
-], ids=["empty", "one-core", "one-run", "four-runs"])
-def test_width_runs(amaxes, runs):
-    assert list(sieves.width_runs(np.array(amaxes, dtype=np.int64))) == runs
 
 
 def test_summatory_r_examples():
@@ -232,6 +223,23 @@ def test_table_roundtrip(tmp_path):
     assert loaded.limit == 10
     assert loaded.kind is TableKind.DIVISOR
     assert (loaded.values == table.values).all()
+
+
+def test_table_file_layout(tmp_path):
+    # README's layout, little-endian: magic, u32 version, kind byte, u64
+    # limit, the u16 values for n = 1..limit, the CRC-32 of those values
+    path = tmp_path / "r5.dvt"
+    save_table(sieve_r(5), path)
+    data = path.read_bytes()
+    assert len(data) == 4 + 4 + 1 + 8 + 2 * 5 + 4
+    assert data[0:4] == b"DVT1"
+    assert int.from_bytes(data[4:8], "little") == 1
+    assert data[8] == 1
+    assert int.from_bytes(data[9:17], "little") == 5
+    values = data[17:27]
+    assert [int.from_bytes(values[i:i + 2], "little")
+            for i in range(0, 10, 2)] == [4, 4, 0, 4, 8]
+    assert int.from_bytes(data[27:31], "little") == zlib.crc32(values)
 
 
 def test_table_roundtrip_r(tmp_path):
