@@ -70,8 +70,9 @@ def _grid(text: str) -> list[float]:
 def _table_for(args, need):
     """The step table ``need`` names: the smallest adequate table in the cache
     directory that loads, else a new sieve (cached when there is one).  Each
-    damaged cache file tried is deleted, so that no later run reads it
-    again, and reported once on stderr."""
+    damaged cache file tried, one that does not load or holds another limit
+    than its name's, is deleted, so that no later run reads it again, and
+    reported once on stderr."""
     raw = args.cache_dir or os.environ.get(CACHE_ENV)
     cache = Path(raw) if raw else None
     table_kind, limit = need
@@ -80,9 +81,13 @@ def _table_for(args, need):
         found = sorted((int(m[1]), entry) for entry in cache.iterdir()
                        if (m := re.fullmatch(rf"{tag}-(\d+)\.dvt", entry.name))
                        and int(m[1]) >= limit)
-        for _, path in found:
+        for named, path in found:
             try:
-                return load_table(path, expected_kind=table_kind)
+                table = load_table(path, expected_kind=table_kind)
+                if table.limit != named:
+                    raise TableFormatError(f"{path}: holds limit {table.limit}, "
+                                           f"named {named}")
+                return table
             except (TableFormatError, TableKindMismatch) as exc:
                 path.unlink(missing_ok=True)
                 sys.stderr.write(f"cache: {exc}; removed\n")

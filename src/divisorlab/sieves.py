@@ -48,13 +48,14 @@ class TableKind(Enum):
     SUM_OF_TWO_SQUARES = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DivisorTable:
     """Sieved values d(n) or r(n) for 1 <= n <= limit.
 
     ``values`` has length limit+1 with values[0] = 0 so that values[n] is
     the count for n.  The array is immutable by convention; treat it as
-    read-only after construction.
+    read-only after construction.  A table equals only itself and hashes by
+    identity: comparing the arrays would not give one truth value.
     """
 
     kind: TableKind

@@ -20,8 +20,11 @@ Conventions used throughout:
     longdouble only what lies within the one band _band of the decision: the
     three-root ends of blocks of rows of (m, n) sums, four-root |P - Q|
     against t for two tables of pair sums (the smaller sorted once, the
-    larger streamed against it in blocks of sorted rows), and the gap
-    candidates near the least, the first in one fixed order winning.
+    larger streamed against it in blocks of sorted rows), and in the gap
+    searches first the pairs whose float64 lower bound on every gap (_floor,
+    its allowance the band) is not above the best gap so far, every pair
+    with an exact hit among them, then of their candidates those near the
+    least, the first in one fixed order winning.
   * Bound values evaluate the reference bound shapes with the epsilon term
     dropped and the implied constant set to 1, so measured ratios carry all
     the constant information.
@@ -485,18 +488,56 @@ def count_box(spec: BoxSpec) -> SpacingCount:
 # ---------------------------------------------------------------------------
 # minimal scaled gaps
 
-# Peak bytes of a gap search (tracemalloc): 266-282 per pair of its largest block, 48 per limit
+# Peak bytes of a gap search (tracemalloc): per pair of its largest block
+# 203-208 for three-root, whose first block is screened whole (limits
+# 300-20000), and 64-80 for four-root (limits 40-300); 48 per limit
 _GAP_BYTES_PER_PAIR = 300
 _GAP_BYTES_PER_LIMIT = 50
 
 
 def _pairs(side: int):
     """Pairs (m, n), 1 <= m <= n <= side, n-major, in numerics.BLOCK blocks."""
-    tri = np.cumsum(np.arange(side + 1))    # pairs with n < j: tri[j - 1]
-    for lo in range(0, int(tri[side]), numerics.BLOCK):
-        pos = np.arange(lo, min(lo + numerics.BLOCK, tri[side]))
-        n = np.searchsorted(tri, pos, side="right")
-        yield pos - tri[n - 1] + 1, n
+    total = side * (side + 1) // 2
+    for lo in range(0, total, numerics.BLOCK):
+        hi = min(lo + numerics.BLOCK, total)
+        # column n numbers its pairs from p = n (n - 1) / 2, where isqrt(8p + 1) = 2n - 1
+        n = np.arange((math.isqrt(8 * lo + 1) + 1) // 2, (math.isqrt(8 * hi - 7) + 3) // 2)
+        start = n * (n - 1) // 2
+        count = np.minimum(start + n, hi) - np.maximum(start, lo)
+        yield np.arange(lo, hi) - np.repeat(start - 1, count), np.repeat(n, count)
+
+
+def _floor(m, n, k, sign: int, scale, sqrt64: np.ndarray):
+    """A float64 lower bound on the longdouble gap |s - sqrt v| * scale *
+    sqrt(m n v) of _min_gap at every v in [1, limit], s the sums sqrt m +
+    sqrt n + sign sqrt k, whose |roots|, sqrt v included, sum to at most
+    A = 4 sqrt(limit) >= 4.  For s >= 0, |s - sqrt v| sqrt v
+    = |s^2 - v| sqrt v / (s + sqrt v) >= dist(s^2, Z) / (s + 1); with |s|
+    for s the same holds for s < 0, and |s - sqrt v| sqrt v >= 1 - s holds
+    for every s.  With u = 2^-53 and in units of the weight w = scale
+    sqrt(m n): float64 s is within 3u A of the longdouble s, so 1 - s is too,
+    and its square within 6u A^2 of s^2, whose distance to the nearest
+    integer is then found exactly; rounding 1 - s or 1 + |s| and the
+    quotient (at most 1/2), the allowance's difference, w and the product
+    adds under 8u A <= 2u A^2.  The longdouble gap rounds sqrt v, the
+    difference and three products, so lies at most 2^-64 (A^2 + 5A) under
+    either bound.  The allowance _band(A^2) = 16u A^2 covers the total, under
+    9u A^2, so the bound is at most the gap at every v, exact zeros included:
+    a pair with an exact hit v = s^2 has dist(s^2, Z) = 0, a bound below
+    zero, and is never pruned, although _screen then leaves that v out."""
+    a, b = sqrt64[m], sqrt64[n]
+    s = a + b
+    s += sign * sqrt64[k]
+    unit = s * s
+    unit -= np.rint(unit)
+    np.abs(unit, out=unit)
+    unit /= 1 + np.abs(s)
+    np.maximum(unit, np.subtract(1, s, out=s), out=unit)
+    unit -= _band(16 * (len(sqrt64) - 1))
+    a *= b
+    a *= scale
+    a *= unit
+    return a
 
 
 def _screen(m, n, s, scale: int, exact, sqrt64: np.ndarray):
@@ -523,26 +564,39 @@ def _screen(m, n, s, scale: int, exact, sqrt64: np.ndarray):
     return v, gap, _band(4 * sqrt64[-1] * (weight.max() * sqrt64[-1]))
 
 
-def _min_gap(blocks, limit: int, volume: int):
+def _min_gap(blocks, exact, sign: int, limit: int, volume: int):
     """(gap, o, slot, m, n, v) of the least |s - sqrt v| * scale * sqrt(m n v)
-    over v in [1, limit] and the pairs of blocks(sqrt_tab), which yields o, m,
-    n, the sums s, the scale and the v where each sum vanishes (-1: none); inf
-    and zeros if all vanish.  volume counts the tuples (o, m, n).  In v,
-    |s - sqrt v| * sqrt v rises on [1, s^2/4], falls to s^2 and rises beyond,
-    so only 5 slots (_screen) can attain the minimum.  Those within two screen
-    bounds of the block's least float64 gap and one of the best so far are
-    evaluated in longdouble; the first minimum in (o, slot, m, n) order wins."""
+    over v in [1, limit] and the tuples of blocks, which yields o, m and n,
+    and k and the scale of the block, s = sqrt m + sqrt n + sign sqrt k; inf
+    and zeros if all vanish.  exact(core, root, m, n, k) gives the v where
+    each s vanishes (-1: none), and volume counts the tuples (o, m, n).  A
+    tuple whose _floor lies above the best gap so far, rounded to float64 and
+    raised by _band of itself, cannot reach it and takes no longdouble work;
+    a tuple with an exact hit is never dropped, so every k of a four-root
+    search, its last block holding (k, k) for sign +1 and the column n = k
+    for sign -1, is screened still.
+    In v, |s - sqrt v| * sqrt v rises on [1, s^2/4], falls to s^2 and rises
+    beyond, so only 5 slots (_screen) of each tuple left can attain the
+    minimum.  Those within two screen bounds of the block's least float64 gap
+    and one of the best so far are evaluated in longdouble; the first minimum
+    in (o, slot, m, n) order wins."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if volume > WORK_BUDGET:
         raise BudgetError(f"search volume {volume} exceeds budget {WORK_BUDGET}")
     check_memory(_GAP_BYTES_PER_PAIR * min(numerics.BLOCK, limit * (limit + 1) // 2)
                  + _GAP_BYTES_PER_LIMIT * limit, f"gap search up to {limit}")
+    core, root = core_tables(limit)
     sqrt_tab = np.sqrt(np.arange(limit + 1).astype(LD))
     sqrt64 = np.sqrt(np.arange(limit + 1, dtype=np.float64))
-    best = (LD(np.inf), 0, 0, 0, 0, 0)
-    for o, m, n, s, scale, exact in blocks(sqrt_tab):
-        v, gap, bound = _screen(m, n, s, scale, exact, sqrt64)
+    best, above = (LD(np.inf), 0, 0, 0, 0, 0), np.inf
+    for o, m, n, k, scale in blocks:
+        keep = np.flatnonzero(_floor(m, n, k, sign, scale, sqrt64) <= above)
+        if not keep.size:
+            continue
+        o, m, n = o[keep] if np.ndim(o) else o, m[keep], n[keep]
+        s = sqrt_tab[m] + sqrt_tab[n] + LD(sign) * sqrt_tab[k]
+        v, gap, bound = _screen(m, n, s, scale, exact(core, root, m, n, k), sqrt64)
         low, cut = gap.min(), float(best[0]) + bound
         if low == np.inf or low > cut:
             continue
@@ -551,6 +605,8 @@ def _min_gap(blocks, limit: int, volume: int):
         exact_gap = np.abs(s[i] - sqrt_tab[v]) * LD(scale) * np.sqrt((m * n * v).astype(LD))
         best = min(best, *zip(exact_gap, np.broadcast_to(o, s.shape)[i].tolist(),
                               slot.tolist(), m.tolist(), n.tolist(), v.tolist()))
+        above = float(best[0])
+        above += _band(above)
     return best
 
 
@@ -558,13 +614,11 @@ def min_gap_three(limit: int) -> GapResult:
     """Minimum of |sqrt m + sqrt n - sqrt k| * sqrt(mnk) over m, n, k <= limit
     with a nonzero combination; reports a minimizing triple with m <= n.  The
     solved variable is k; an exact hit k = s^2 needs m and n of one core."""
-    def blocks(sqrt_tab):
-        core, root = core_tables(limit)
-        for m, n in _pairs(limit):
-            yield m, m, n, sqrt_tab[m] + sqrt_tab[n], 1, \
-                np.where(core[m] == core[n], (root[m] + root[n]) ** 2 * core[m], -1)
+    def exact(core, root, m, n, _):
+        return np.where(core[m] == core[n], (root[m] + root[n]) ** 2 * core[m], -1)
 
-    best, _, _, m, n, k = _min_gap(blocks, limit, limit * limit)
+    blocks = ((m, m, n, 0, 1) for m, n in _pairs(limit))
+    best, _, _, m, n, k = _min_gap(blocks, exact, 1, limit, limit * limit)
     return GapResult(min_scaled_gap=float(best), argmin=(m, n, k))
 
 
@@ -581,17 +635,12 @@ def min_gap_four(limit: int, sign: int = 1) -> GapResult:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
 
-    def blocks(sqrt_tab):
-        core, root = core_tables(limit)
-        for k in range(1, limit + 1):
-            for m, n in _pairs(k):
-                a = root[m] + root[n] + sign * root[k]
-                exact = np.where((core[m] == core[n]) & (core[m] == core[k]) & (a > 0),
-                                 a * a * core[k], -1)
-                if sign < 0:
-                    exact = np.where(m == k, n, np.where(n == k, m, exact))
-                yield k, m, n, sqrt_tab[m] + sqrt_tab[n] + LD(sign) * sqrt_tab[k], \
-                    k * k, exact
+    def exact(core, root, m, n, k):
+        a = root[m] + root[n] + sign * root[k]
+        hit = np.where((core[m] == core[n]) & (core[m] == core[k]) & (a > 0),
+                       a * a * core[k], -1)
+        return np.where(m == k, n, np.where(n == k, m, hit)) if sign < 0 else hit
 
-    best, k, _, m, n, lv = _min_gap(blocks, limit, limit**3)
+    blocks = ((k, m, n, k, k * k) for k in range(1, limit + 1) for m, n in _pairs(k))
+    best, k, _, m, n, lv = _min_gap(blocks, exact, sign, limit, limit**3)
     return GapResult(min_scaled_gap=float(best), argmin=(m, n, k, lv))

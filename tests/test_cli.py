@@ -554,6 +554,23 @@ def test_damaged_cache_file_yields_to_a_larger_one(tmp_path, capsys, monkeypatch
     assert run(capsys, *argv) == (0, out, "")
 
 
+def test_cache_file_of_another_limit_is_sieved_again(tmp_path, capsys):
+    # divisor-100.dvt holding a limit-20 table loads, but is short of the 50
+    # that --to 50 needs: it is damaged, deleted and reported once, and the
+    # run prints what a run with a fresh cache prints
+    argv = ("moment", "--kind", "delta", "--power", "1", "--to", "50")
+    fresh = run(capsys, "--cache-dir", str(tmp_path / "fresh"), *argv)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    save_table(sieve_divisors(20), cache / "divisor-100.dvt")
+    code, out, err = run(capsys, "--cache-dir", str(cache), *argv)
+    assert (code, out) == fresh[:2] and code == 0
+    assert err.startswith("cache: ") and "holds limit 20, named 100; removed" in err
+    assert err.count("\n") == 1
+    assert [p.name for p in cache.iterdir()] == ["divisor-50.dvt"]
+    assert run(capsys, "--cache-dir", str(cache), *argv) == fresh
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "envcache"
     monkeypatch.setenv("DIVISORLAB_CACHE", str(cache))

@@ -225,6 +225,15 @@ def test_table_roundtrip(tmp_path):
     assert (loaded.values == table.values).all()
 
 
+def test_table_equals_only_itself_and_hashes():
+    # equal values are not one table: == compared the arrays and raised, and
+    # hash raised on the array field
+    table, again = sieve_divisors(10), sieve_divisors(10)
+    assert table == table and table != again
+    assert hash(table) == hash(table)
+    assert len({table, again, table}) == 2
+
+
 def test_table_file_layout(tmp_path):
     # README's layout, little-endian: magic, u32 version, kind byte, u64
     # limit, the u16 values for n = 1..limit, the CRC-32 of those values

@@ -619,35 +619,76 @@ def test_min_gaps_pinned_in_blocks_of_seven(monkeypatch):
     test_min_gaps_pinned_bit_for_bit()
 
 
+GAP_SEARCHES = [lambda: min_gap_three(300), lambda: min_gap_four(60, 1),
+                lambda: min_gap_four(60, -1)]
+
+
+def _recorded(monkeypatch, search, *names):
+    # (name, arguments, result) of each call of the named spacing functions
+    # that the search makes, in order
+    calls = []
+
+    def recording(name, function):
+        def record(*args):
+            out = function(*args)
+            calls.append((name, args, out))
+            return out
+        return record
+
+    for name in names:
+        monkeypatch.setattr(spacing, name, recording(name, getattr(spacing, name)))
+    search()
+    monkeypatch.undo()
+    return calls
+
+
 def test_screen_bound_covers_every_candidate(monkeypatch):
     # every screened candidate's float64 gap lies within the screen's bound
     # of its longdouble gap, so no candidate that can attain the longdouble
     # minimum is cut
-    screened = []
-
-    def recording(*args):
-        out = screen(*args)
-        screened.append((*args, *out))
-        return out
-
-    screen = spacing._screen
-    monkeypatch.setattr(spacing, "_screen", recording)
-    min_gap_three(300)
-    min_gap_four(60, 1)
-    min_gap_four(60, -1)
     worst = 0.0
-    for m, n, s, scale, exact, sqrt64, v, gap, bound in screened:
-        sqrt_ld = np.sqrt(np.arange(len(sqrt64)).astype(np.longdouble))
-        exact_gap = np.abs(s - sqrt_ld[v]) * np.longdouble(scale) \
-            * np.sqrt((m * n * v).astype(np.longdouble))
-        nonzero = v != exact
-        assert np.array_equal(np.isinf(gap), ~nonzero)
-        diff = np.abs(gap[nonzero] - exact_gap[nonzero])
-        assert np.all(diff <= bound)
-        worst = max(worst, float(diff.max(initial=0)) / bound)
-    # 45,150 pairs up to 300 in blocks of numerics.BLOCK, one block per k <= 60
-    assert len(screened) == math.ceil(300 * 301 / 2 / numerics.BLOCK) + 2 * 60
+    for search in GAP_SEARCHES:
+        # a block is screened when one of its pairs has a floor at most the
+        # least longdouble gap of the blocks screened before it, raised by _band
+        best, expect, screened = np.inf, 0, 0
+        for name, args, out in _recorded(monkeypatch, search, "_floor", "_screen"):
+            if name == "_floor":
+                expect += bool(out.min() <= best + spacing._band(best))
+                continue
+            screened += 1
+            (m, n, s, scale, exact, sqrt64), (v, gap, bound) = args, out
+            sqrt_ld = np.sqrt(np.arange(len(sqrt64)).astype(np.longdouble))
+            exact_gap = np.abs(s - sqrt_ld[v]) * np.longdouble(scale) \
+                * np.sqrt((m * n * v).astype(np.longdouble))
+            nonzero = v != exact
+            assert np.array_equal(np.isinf(gap), ~nonzero)
+            diff = np.abs(gap[nonzero] - exact_gap[nonzero])
+            assert np.all(diff <= bound)
+            worst = max(worst, float(diff.max(initial=0)) / bound)
+            best = min(best, float(exact_gap[nonzero].min(initial=np.inf)))
+        assert screened == expect
     assert 0 < worst <= 1
+
+
+def test_prune_bound_below_every_gap(monkeypatch):
+    # every pair's float64 floor lies at most at its longdouble gap at every
+    # v in [1, limit], at negative sums and exact zeros too, so no pair that
+    # can attain or tie the least gap is dropped
+    negative = zero = 0
+    for search in GAP_SEARCHES:
+        for _, (m, n, k, sign, scale, sqrt64), bound in _recorded(monkeypatch, search,
+                                                                    "_floor"):
+            sqrt_ld = np.sqrt(np.arange(len(sqrt64)).astype(np.longdouble))
+            s = sqrt_ld[m] + sqrt_ld[n] + np.longdouble(sign) * sqrt_ld[k]
+            least = np.full(s.shape, np.inf, dtype=np.longdouble)
+            for v in range(1, len(sqrt64)):
+                gap = np.abs(s - sqrt_ld[v]) * np.longdouble(scale) \
+                    * np.sqrt((m * n * v).astype(np.longdouble))
+                np.minimum(least, gap, out=least)
+            assert np.all(bound <= least)
+            negative += np.count_nonzero(s < 0)
+            zero += np.count_nonzero(least == 0)
+    assert negative and zero
 
 
 def test_min_gap_four_dual_precision_stability():
