@@ -22,9 +22,9 @@ Conventions used throughout:
     against t for two tables of pair sums (the smaller sorted once, the
     larger streamed against it in blocks of sorted rows), and in the gap
     searches first the pairs whose float64 lower bound on every gap (_floor,
-    its allowance the band) is not above the best gap so far, every pair
-    with an exact hit among them, then of their candidates those near the
-    least, the first in one fixed order winning.
+    its allowance the band), and for a pair with an exact hit on every gap
+    but the exact slot's, is not above the best gap so far, then of their
+    candidates those near the least, the first in one fixed order winning.
   * Bound values evaluate the reference bound shapes with the epsilon term
     dropped and the implied constant set to 1, so measured ratios carry all
     the constant information.
@@ -50,7 +50,8 @@ WORK_BUDGET = 10**10
 # Peak bytes of count_box (tracemalloc, each form): 64-286 per unit of the
 # sides summed (sides to 1e6); 16-31.4 per entry of a sorted pair table
 # (tables to 2.25e6); per element of a streamed block, 42 for a block of
-# pair sums and 41-66 for a block of three-root sums (blocks to 1e6).
+# pair sums (blocks to 1e6) and 28-30 for a block of three-root sums in its
+# workspace (boxes 256^2 to 8192^2).
 _BOX_BYTES_PER_SIDE = 290
 _BOX_BYTES_PER_TABLE = 33
 _BOX_BYTES_PER_BLOCK = 100
@@ -182,7 +183,7 @@ def enumerate_exact_triples(limit: int) -> np.ndarray:
 
 # Peak memory of enumerate_exact_quadruples per pair (m, n) <= limit: the
 # signature keys, their stable order, the join indices and the rows.
-# Measured 138-139 bytes (tracemalloc, fresh process, limits 300-2000).
+# Measured 105-106 bytes (tracemalloc, fresh process, limits 300-2000).
 _QUADRUPLE_BYTES_PER_PAIR = 140
 
 
@@ -218,8 +219,8 @@ def enumerate_exact_quadruples(limit: int) -> np.ndarray:
     joined = order[np.repeat(first - np.cumsum(count) + count, count) + np.arange(pair.size)]
     del first, count, order
     rows = np.empty((pair.size, 4), dtype=np.int64)
-    rows[:, 0], rows[:, 1] = np.divmod(pair, side)
-    rows[:, 2], rows[:, 3] = np.divmod(joined, side)
+    np.divmod(pair, side, out=(rows[:, 0], rows[:, 1]))
+    np.divmod(joined, side, out=(rows[:, 2], rows[:, 3]))
     rows += 1
     return rows
 
@@ -236,19 +237,34 @@ def _count_solved(x, y, t) -> int:
     7u (A + t)^2 (7.1u with the rule's own rounding).  Only sums with an end
     within _band((A + t)^2) of an integer go to _ends.  That band is under
     2^-5 (BoxSpec), so a lower end at or below 1/2 gives k >= 1 on both
-    routes and is not tested."""
+    routes and is not tested.  Every block reuses one workspace."""
     x64, y64, t64 = x.astype(np.float64), y.astype(np.float64), float(t)
     band = _band((float(x[-1] + y[-1]) + t64) ** 2)
     total, step = 0, numerics.rows(y.size)
+    # the ends, an end's distance to the nearest integer and two masks
+    work = np.empty((3, min(step, x.size), y.size))
+    masks = np.empty((2, *work.shape[1:]), dtype=bool)
     for r0 in range(0, x.size, step):
-        lo, hi = _ends(np.add.outer(x64[r0:r0 + step], y64), t64, 2)
-        near = (np.abs(hi - np.rint(hi)) <= band) | (lo > 0.5) & (np.abs(lo - np.rint(lo)) <= band)
+        lo, hi, off = work[:, :x.size - r0]
+        near, low = masks[:, :x.size - r0]
+        _ends(np.add.outer(x64[r0:r0 + step], y64, out=hi), t64, 2, out=(lo, hi))
+        np.less_equal(_off_integer(hi, off), band, out=near)
+        np.less_equal(_off_integer(lo, off), band, out=low)
+        near |= low & (lo > 0.5)
         i, j = np.nonzero(near)
         lo_ld, hi_ld = _ends(x[r0 + i] + y[j], t, 2)
         lo[i, j], hi[i, j] = np.ceil(lo_ld), np.floor(hi_ld)    # exact in float64
-        cnt = np.floor(hi) - np.maximum(np.ceil(lo), 1) + 1
-        total += int(np.sum(np.maximum(cnt, 0, out=cnt), dtype=np.int64))
+        np.floor(hi, out=hi)
+        hi -= np.maximum(np.ceil(lo, out=lo), 1, out=lo)
+        hi += 1
+        total += int(np.sum(np.maximum(hi, 0, out=hi), dtype=np.int64))
     return total
+
+
+def _off_integer(a, out):
+    """|a - rint(a)|, written to out."""
+    np.subtract(a, np.rint(a, out=out), out=out)
+    return np.abs(out, out=out)
 
 
 def _sqrt_box(R: int) -> np.ndarray:
@@ -272,13 +288,14 @@ def _band(size: float) -> float:
     return 16 * 2.0 ** -53 * size
 
 
-def _ends(s, t, r: int):
+def _ends(s, t, r: int, out=(None, None)):
     """max(s - t, 0)^r and max(s + t, 0)^r in longdouble: the one threshold
     rule.  The integer left out of the sums s, each formed in one fixed
-    order, counts where it lies between the two (strictly for k-th root)."""
-    lo, hi = s - t, s + t
-    lo[lo < 0] = 0
-    hi[hi < 0] = 0
+    order, counts where it lies between the two (strictly for k-th root).
+    out, if given, names the two arrays written; the second may be s."""
+    lo, hi = np.subtract(s, t, out=out[0]), np.add(s, t, out=out[1])
+    np.maximum(lo, 0, out=lo)
+    np.maximum(hi, 0, out=hi)
     with np.errstate(over="ignore"):    # an infinite hi^r compares as it should
         lo **= r
         hi **= r
@@ -488,18 +505,21 @@ def count_box(spec: BoxSpec) -> SpacingCount:
 # ---------------------------------------------------------------------------
 # minimal scaled gaps
 
-# Peak bytes of a gap search (tracemalloc): per pair of its largest block
-# 203-208 for three-root, whose first block is screened whole (limits
-# 300-20000), and 64-80 for four-root (limits 40-300); 48 per limit
-_GAP_BYTES_PER_PAIR = 300
+# Peak bytes of a gap search (tracemalloc, fresh process): per pair of its
+# largest block 72-76 for three-root (limits 300-20000) and 4-43 for
+# four-root (limits 40-1000) besides 40 per pair of the pair table that
+# four-root holds throughout (m, n, two roots and their product while it is
+# built); 48 per limit
+_GAP_BYTES_PER_PAIR = 100
+_GAP_BYTES_PER_TABLE = 40
 _GAP_BYTES_PER_LIMIT = 50
 
 
-def _pairs(side: int):
-    """Pairs (m, n), 1 <= m <= n <= side, n-major, in numerics.BLOCK blocks."""
+def _pairs(side: int, size: int):
+    """Pairs (m, n), 1 <= m <= n <= side, n-major, in blocks of size."""
     total = side * (side + 1) // 2
-    for lo in range(0, total, numerics.BLOCK):
-        hi = min(lo + numerics.BLOCK, total)
+    for lo in range(0, total, size):
+        hi = min(lo + size, total)
         # column n numbers its pairs from p = n (n - 1) / 2, where isqrt(8p + 1) = 2n - 1
         n = np.arange((math.isqrt(8 * lo + 1) + 1) // 2, (math.isqrt(8 * hi - 7) + 3) // 2)
         start = n * (n - 1) // 2
@@ -507,37 +527,47 @@ def _pairs(side: int):
         yield np.arange(lo, hi) - np.repeat(start - 1, count), np.repeat(n, count)
 
 
-def _floor(m, n, k, sign: int, scale, sqrt64: np.ndarray):
-    """A float64 lower bound on the longdouble gap |s - sqrt v| * scale *
-    sqrt(m n v) of _min_gap at every v in [1, limit], s the sums sqrt m +
-    sqrt n + sign sqrt k, whose |roots|, sqrt v included, sum to at most
-    A = 4 sqrt(limit) >= 4.  For s >= 0, |s - sqrt v| sqrt v
-    = |s^2 - v| sqrt v / (s + sqrt v) >= dist(s^2, Z) / (s + 1); with |s|
-    for s the same holds for s < 0, and |s - sqrt v| sqrt v >= 1 - s holds
-    for every s.  With u = 2^-53 and in units of the weight w = scale
-    sqrt(m n): float64 s is within 3u A of the longdouble s, so 1 - s is too,
-    and its square within 6u A^2 of s^2, whose distance to the nearest
-    integer is then found exactly; rounding 1 - s or 1 + |s| and the
-    quotient (at most 1/2), the allowance's difference, w and the product
-    adds under 8u A <= 2u A^2.  The longdouble gap rounds sqrt v, the
-    difference and three products, so lies at most 2^-64 (A^2 + 5A) under
-    either bound.  The allowance _band(A^2) = 16u A^2 covers the total, under
-    9u A^2, so the bound is at most the gap at every v, exact zeros included:
-    a pair with an exact hit v = s^2 has dist(s^2, Z) = 0, a bound below
-    zero, and is never pruned, although _screen then leaves that v out."""
+def _with_roots(m, n, sqrt64: np.ndarray):
+    """The pair table (m, n, sqrt m + sqrt n, sqrt m sqrt n), roots in float64."""
     a, b = sqrt64[m], sqrt64[n]
-    s = a + b
-    s += sign * sqrt64[k]
+    ab = a * b
+    a += b
+    return m, n, a, ab
+
+
+def _floor(pairs, k, sign: int, scale, sqrt64: np.ndarray, hit=None):
+    """A float64 lower bound on the longdouble gap |s - sqrt v| * scale *
+    sqrt(m n v) of _min_gap for each pair of the table pairs (_with_roots),
+    s = sqrt m + sqrt n + sign sqrt k, at every v in [1, limit] but, where
+    hit is given, the pair's exact hit v = hit >= 0.  The |roots|, sqrt v
+    included, sum to at most A = 4 sqrt(limit) >= 4.  For s >= 0,
+    |s - sqrt v| sqrt v = |s^2 - v| sqrt v / (s + sqrt v)
+    >= dist(s^2, Z) / (s + 1); with |s| for s the same holds for s < 0, and
+    |s - sqrt v| sqrt v >= 1 - s holds for every s.  An exact hit has
+    s = sqrt(hit) >= 1 and s^2 = hit an integer, so |s^2 - v| >= 1 at every
+    other integer v, and 1 stands in for dist(s^2, Z).  With u = 2^-53 and
+    in units of the weight w = scale sqrt(m n): float64 s is within 3u A of
+    the longdouble s, so 1 - s and 1 / (1 + |s|) are too, and its square
+    within 6u A^2 of s^2, whose distance to the nearest integer is then
+    found exactly; rounding 1 - s or 1 + |s| and the quotient (at most 1/2),
+    the allowance's difference, w and the product adds under 8u A <= 2u A^2.
+    The longdouble gap rounds sqrt v, the difference and three products, so
+    lies at most 2^-64 (A^2 + 5A) under either bound.  The allowance
+    _band(A^2) = 16u A^2 covers the total, under 9u A^2, so the bound is at
+    most the gap at every such v: without hit, a pair with an exact hit has
+    dist(s^2, Z) = 0 and a bound below zero, the gap at its exact slot."""
+    s = pairs[2] + sign * sqrt64[k]
     unit = s * s
     unit -= np.rint(unit)
     np.abs(unit, out=unit)
+    if hit is not None:
+        unit[hit >= 0] = 1
     unit /= 1 + np.abs(s)
     np.maximum(unit, np.subtract(1, s, out=s), out=unit)
     unit -= _band(16 * (len(sqrt64) - 1))
-    a *= b
-    a *= scale
-    a *= unit
-    return a
+    w = pairs[3] * scale
+    w *= unit
+    return w
 
 
 def _screen(m, n, s, scale: int, exact, sqrt64: np.ndarray):
@@ -564,17 +594,20 @@ def _screen(m, n, s, scale: int, exact, sqrt64: np.ndarray):
     return v, gap, _band(4 * sqrt64[-1] * (weight.max() * sqrt64[-1]))
 
 
-def _min_gap(blocks, exact, sign: int, limit: int, volume: int):
+def _min_gap(blocks, exact, sign: int, limit: int, volume: int, table: int = 0):
     """(gap, o, slot, m, n, v) of the least |s - sqrt v| * scale * sqrt(m n v)
-    over v in [1, limit] and the tuples of blocks, which yields o, m and n,
-    and k and the scale of the block, s = sqrt m + sqrt n + sign sqrt k; inf
-    and zeros if all vanish.  exact(core, root, m, n, k) gives the v where
-    each s vanishes (-1: none), and volume counts the tuples (o, m, n).  A
-    tuple whose _floor lies above the best gap so far, rounded to float64 and
-    raised by _band of itself, cannot reach it and takes no longdouble work;
-    a tuple with an exact hit is never dropped, so every k of a four-root
-    search, its last block holding (k, k) for sign +1 and the column n = k
-    for sign -1, is screened still.
+    over v in [1, limit] and the tuples (o, m, n) of blocks(sqrt64),
+    s = sqrt m + sqrt n + sign sqrt k; inf and zeros if all vanish.  Each
+    block is o (one number, or one per pair), its pair table (_with_roots),
+    k and scale.  exact(core, root, m, n, k) gives the v where each s
+    vanishes (-1: none), volume counts the tuples and table the pairs the
+    search holds throughout.
+    A tuple whose _floor lies above the best gap so far, rounded to float64
+    and raised by _band of itself, cannot reach it and takes no longdouble
+    work.  A tuple left with an exact hit, whose slot _screen leaves out, is
+    bounded again by _floor without that slot, so the last block of a
+    four-root k, which holds (k, k) for sign +1 and the column n = k for
+    sign -1, all exact hits, is screened only if a tuple in it can still win.
     In v, |s - sqrt v| * sqrt v rises on [1, s^2/4], falls to s^2 and rises
     beyond, so only 5 slots (_screen) of each tuple left can attain the
     minimum.  Those within two screen bounds of the block's least float64 gap
@@ -585,18 +618,27 @@ def _min_gap(blocks, exact, sign: int, limit: int, volume: int):
     if volume > WORK_BUDGET:
         raise BudgetError(f"search volume {volume} exceeds budget {WORK_BUDGET}")
     check_memory(_GAP_BYTES_PER_PAIR * min(numerics.BLOCK, limit * (limit + 1) // 2)
-                 + _GAP_BYTES_PER_LIMIT * limit, f"gap search up to {limit}")
+                 + _GAP_BYTES_PER_TABLE * table + _GAP_BYTES_PER_LIMIT * limit,
+                 f"gap search up to {limit}")
     core, root = core_tables(limit)
     sqrt_tab = np.sqrt(np.arange(limit + 1).astype(LD))
     sqrt64 = np.sqrt(np.arange(limit + 1, dtype=np.float64))
     best, above = (LD(np.inf), 0, 0, 0, 0, 0), np.inf
-    for o, m, n, k, scale in blocks:
-        keep = np.flatnonzero(_floor(m, n, k, sign, scale, sqrt64) <= above)
+
+    def take(o, pairs, keep):
+        return o[keep] if np.ndim(o) else o, tuple(a[keep] for a in pairs)
+
+    for o, pairs, k, scale in blocks(sqrt64):
+        keep = np.flatnonzero(_floor(pairs, k, sign, scale, sqrt64) <= above)
+        if keep.size:
+            o, pairs = take(o, pairs, keep)
+            hit = exact(core, root, pairs[0], pairs[1], k)
+            keep = np.flatnonzero(_floor(pairs, k, sign, scale, sqrt64, hit) <= above)
         if not keep.size:
             continue
-        o, m, n = o[keep] if np.ndim(o) else o, m[keep], n[keep]
+        (o, (m, n, _, _)), hit = take(o, pairs, keep), hit[keep]
         s = sqrt_tab[m] + sqrt_tab[n] + LD(sign) * sqrt_tab[k]
-        v, gap, bound = _screen(m, n, s, scale, exact(core, root, m, n, k), sqrt64)
+        v, gap, bound = _screen(m, n, s, scale, hit, sqrt64)
         low, cut = gap.min(), float(best[0]) + bound
         if low == np.inf or low > cut:
             continue
@@ -617,7 +659,14 @@ def min_gap_three(limit: int) -> GapResult:
     def exact(core, root, m, n, _):
         return np.where(core[m] == core[n], (root[m] + root[n]) ** 2 * core[m], -1)
 
-    blocks = ((m, m, n, 0, 1) for m, n in _pairs(limit))
+    def blocks(sqrt64):
+        # the pair (1, 1) first, and again in its block: its gap, 0.464 from
+        # limit 3, prunes most of the first block
+        one = np.ones(1, dtype=np.int64)
+        yield one, _with_roots(one, one, sqrt64), 0, 1
+        for m, n in _pairs(limit, numerics.BLOCK):
+            yield m, _with_roots(m, n, sqrt64), 0, 1
+
     best, _, _, m, n, k = _min_gap(blocks, exact, 1, limit, limit * limit)
     return GapResult(min_scaled_gap=float(best), argmin=(m, n, k))
 
@@ -641,6 +690,15 @@ def min_gap_four(limit: int, sign: int = 1) -> GapResult:
                        a * a * core[k], -1)
         return np.where(m == k, n, np.where(n == k, m, hit)) if sign < 0 else hit
 
-    blocks = ((k, m, n, k, k * k) for k in range(1, limit + 1) for m, n in _pairs(k))
-    best, k, _, m, n, lv = _min_gap(blocks, exact, sign, limit, limit**3)
+    table = limit * (limit + 1) // 2
+
+    def blocks(sqrt64):
+        # the pairs of each k are a prefix of the n-major table up to limit
+        pairs = _with_roots(*next(_pairs(limit, table)), sqrt64)
+        for k in range(1, limit + 1):
+            size = k * (k + 1) // 2
+            for lo in range(0, size, numerics.BLOCK):
+                yield k, tuple(a[lo:min(lo + numerics.BLOCK, size)] for a in pairs), k, k * k
+
+    best, k, _, m, n, lv = _min_gap(blocks, exact, sign, limit, limit**3, table)
     return GapResult(min_scaled_gap=float(best), argmin=(m, n, k, lv))

@@ -649,11 +649,18 @@ def test_screen_bound_covers_every_candidate(monkeypatch):
     worst = 0.0
     for search in GAP_SEARCHES:
         # a block is screened when one of its pairs has a floor at most the
-        # least longdouble gap of the blocks screened before it, raised by _band
-        best, expect, screened = np.inf, 0, 0
+        # least longdouble gap of the blocks screened before it, raised by
+        # _band, and then its floor without the exact slot (the call given
+        # the hits, made on just those pairs) too
+        best, survived, rebounded, expect, screened = np.inf, 0, 0, 0, 0
         for name, args, out in _recorded(monkeypatch, search, "_floor", "_screen"):
             if name == "_floor":
-                expect += bool(out.min() <= best + spacing._band(best))
+                below = bool(out.min() <= best + spacing._band(best))
+                if len(args) == 5:
+                    survived += below
+                else:
+                    rebounded += 1
+                    expect += below
                 continue
             screened += 1
             (m, n, s, scale, exact, sqrt64), (v, gap, bound) = args, out
@@ -667,28 +674,46 @@ def test_screen_bound_covers_every_candidate(monkeypatch):
             worst = max(worst, float(diff.max(initial=0)) / bound)
             best = min(best, float(exact_gap[nonzero].min(initial=np.inf)))
         assert screened == expect
+        assert survived == rebounded
     assert 0 < worst <= 1
 
 
 def test_prune_bound_below_every_gap(monkeypatch):
     # every pair's float64 floor lies at most at its longdouble gap at every
-    # v in [1, limit], at negative sums and exact zeros too, so no pair that
-    # can attain or tie the least gap is dropped
-    negative = zero = 0
+    # v in [1, limit], at negative sums and exact zeros too, and the floor
+    # given the exact hits at every v but a pair's exact slot, so no pair
+    # that can attain or tie the least gap is dropped
+    negative = zero = hits = 0
     for search in GAP_SEARCHES:
-        for _, (m, n, k, sign, scale, sqrt64), bound in _recorded(monkeypatch, search,
-                                                                    "_floor"):
+        for _, ((m, n, _, _), k, sign, scale, sqrt64, *hit), bound in _recorded(
+                monkeypatch, search, "_floor"):
             sqrt_ld = np.sqrt(np.arange(len(sqrt64)).astype(np.longdouble))
             s = sqrt_ld[m] + sqrt_ld[n] + np.longdouble(sign) * sqrt_ld[k]
             least = np.full(s.shape, np.inf, dtype=np.longdouble)
             for v in range(1, len(sqrt64)):
                 gap = np.abs(s - sqrt_ld[v]) * np.longdouble(scale) \
                     * np.sqrt((m * n * v).astype(np.longdouble))
+                if hit:
+                    gap[hit[0] == v] = np.inf
                 np.minimum(least, gap, out=least)
             assert np.all(bound <= least)
             negative += np.count_nonzero(s < 0)
             zero += np.count_nonzero(least == 0)
-    assert negative and zero
+            hits += np.count_nonzero(hit[0] >= 0) if hit else 0
+    assert negative and zero and hits
+
+
+def test_gap_searches_screen_few_blocks(monkeypatch):
+    # the floor without the exact slot leaves a four-root k's block with an
+    # exact hit unscreened unless it can still win, and the pair (1, 1),
+    # searched first, prunes most of the three-root search's first block
+    for sign in (1, -1):
+        screens = _recorded(monkeypatch, lambda: min_gap_four(150, sign), "_screen")
+        assert len(screens) <= 15
+    screens = _recorded(monkeypatch, lambda: min_gap_three(1000), "_screen")
+    # the pairs each block screens, of numerics.BLOCK in the first block
+    pairs = [len(args[0]) for _, args, _ in screens]
+    assert pairs[0] == 1 and 0 < pairs[1] < numerics.BLOCK // 2
 
 
 def test_min_gap_four_dual_precision_stability():
@@ -913,20 +938,23 @@ def test_quadruple_memory_ceiling(monkeypatch):
 
 
 def test_gap_memory_ceiling(monkeypatch):
-    # 300 bytes per pair m <= n of the largest block, at most numerics.BLOCK
-    # of them, and 50 per unit of the limit, checked before any table
+    # 100 bytes per pair m <= n of the largest block, at most numerics.BLOCK
+    # of them, 40 per pair of the table a four-root search holds (every pair
+    # up to the limit) and 50 per unit of the limit, checked before any table
     def unreachable(*args, **kwargs):
         raise AssertionError("allocation reached past the memory ceiling")
 
-    for search, limit, pairs in [(lambda: min_gap_three(1000), 1000, numerics.BLOCK),
-                                 (lambda: min_gap_four(40, -1), 40, 40 * 41 // 2),
-                                 (lambda: min_gap_four(40, 1), 40, 40 * 41 // 2)]:
-        need = 300 * pairs + 50 * limit
+    for search, limit, pairs, table in [
+            (lambda: min_gap_three(1000), 1000, numerics.BLOCK, 0),
+            (lambda: min_gap_four(40, -1), 40, 40 * 41 // 2, 40 * 41 // 2),
+            (lambda: min_gap_four(40, 1), 40, 40 * 41 // 2, 40 * 41 // 2)]:
+        need = 100 * pairs + 40 * table + 50 * limit
         monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", need)
         search()
         monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", need - 1)
         with monkeypatch.context() as patch:
-            patch.setattr(spacing, "core_tables", unreachable)
+            for name in ("core_tables", "_pairs"):
+                patch.setattr(spacing, name, unreachable)
             with pytest.raises(errors.CapacityError):
                 search()
 
