@@ -9,12 +9,19 @@ off-grid end.  Each piece reduces with numpy's deterministic pairwise sum,
 the pieces combine in ascending order through a Kahan accumulator, and each
 segment's node sum is formed on its own, in numerics.BLOCK-node blocks.
 Thread count and block size change no bit.
+
+The step counts D(t) or R(t) are read from the uint16 table a block at a
+time, as an int64 running sum from the nearest of the exact anchors kept
+every STRIDE entries, so no array of the table's length exists but the
+table.  The caller allocates one workspace per worker that check_profile
+accounts for, and the pieces take them in turn from a queue.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,8 +36,11 @@ from .sieves import DivisorTable, check_memory, sieve, sieve_divisors, sieve_r  
 
 # segments per chunk: the unit of pairwise reduction and of thread work
 CHUNK_SEGMENTS = 1 << 16
-# peak bytes per block node of _chunk_partials (tracemalloc, each kind, 3 to 5000 nodes)
-_BLOCK_BYTES_PER_NODE = 112
+# peak bytes per block node of a workspace and the _chunk_partials pass it
+# serves, chunk sums apart (tracemalloc, each kind, 100 to 20000 segments)
+_BLOCK_BYTES_PER_NODE = 104
+# table entries per exact int64 anchor of the step counts
+STRIDE = 1024
 # the one quadrature rule: Gauss-Legendre of order 8 on [0, 1], longdouble
 NODES, WEIGHTS = np.polynomial.legendre.leggauss(8)
 NODES, WEIGHTS = (NODES.astype(np.longdouble) + 1) / 2, WEIGHTS.astype(np.longdouble) / 2
@@ -77,17 +87,39 @@ def main_exponent(power: int) -> float:
     return 1.0 + power / 4.0
 
 
-def _step_prefix(kind: ErrorTermKind, upto: float,
-                 table: DivisorTable | None = None) -> np.ndarray:
-    """Exact int64 prefix sums (prefix[0] = 0) of the step table of ``kind`` on [1, upto]."""
-    table_kind, limit = step_table_need(kind, upto)
-    prefix = sieve(table_kind, limit, table).values[:limit + 1].astype(np.int64)
-    return np.cumsum(prefix, out=prefix)
+def _anchors(values: np.ndarray) -> np.ndarray:
+    """Exact int64 anchors of a uint16 step table: anchors[j] = values[0] +
+    ... + values[j*STRIDE - 1] for every j with j*STRIDE < len(values)."""
+    n = (len(values) - 1) // STRIDE
+    anchors = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(values[:n * STRIDE].reshape(n, STRIDE).sum(axis=1, dtype=np.int64),
+              out=anchors[1:])
+    return anchors
 
 
-def _chunk_partials(kind: ErrorTermKind, prefix: np.ndarray, x0: float, x1: float,
+def _step_counts(values: np.ndarray, anchors: np.ndarray, ticks: np.ndarray) -> np.ndarray:
+    """values[0] + ... + values[t] per tick t of a sorted int64 array, exact:
+    the table's running sum from the last anchor at or before the first tick."""
+    lo = ticks[0] - ticks[0] % STRIDE
+    run = np.cumsum(values[lo:ticks[-1] + 1], dtype=np.int64)
+    run += anchors[lo // STRIDE]
+    return run[ticks - lo]
+
+
+def _workspace(n_powers: int, segments: int) -> tuple[np.ndarray, np.ndarray]:
+    """One worker's buffers for _chunk_partials: the node sums of up to
+    CHUNK_SEGMENTS segments per power, and one block of x, err, prod and
+    weighted nodes of up to numerics.rows(len(NODES)) segments."""
+    rows = min(segments, numerics.rows(len(NODES)))
+    return (np.empty((n_powers, min(segments, CHUNK_SEGMENTS)), dtype=np.longdouble),
+            np.empty((4, rows, len(NODES)), dtype=np.longdouble))
+
+
+def _chunk_partials(kind: ErrorTermKind, count, workspace, x0: float, x1: float,
                     powers: tuple[int, ...]) -> dict[int, np.longdouble]:
-    """Integrals of error^k over the x-range [x0, x1) in one pairwise pass.
+    """Integrals of error^k over the x-range [x0, x1) in one pairwise pass,
+    with count(ticks) the exact step counts (_step_counts) and every array
+    of the pass in ``workspace`` (_workspace).
 
     Precondition: the range is a run of whole segments or part of one
     segment, so all its segments share one width and only the first can
@@ -98,27 +130,32 @@ def _chunk_partials(kind: ErrorTermKind, prefix: np.ndarray, x0: float, x1: floa
     m0, m1 = math.floor(x0 * denom), math.ceil(x1 * denom)
     lo, hi = np.longdouble(m0) / denom, np.longdouble(m0 + 1) / denom
     width = min(hi, np.longdouble(x1)) - max(lo, np.longdouble(x0))
-    sums = {k: np.empty(m1 - m0, dtype=np.longdouble) for k in powers}
+    sums, block = workspace
     rows = numerics.rows(len(NODES))
     for i in range(0, m1 - m0, rows):
         ticks = np.arange(m0 + i, min(m0 + i + rows, m1), dtype=np.int64)
         left = ticks.astype(np.longdouble) / denom
         left[0] = max(left[0], np.longdouble(x0))
-        xs = left[:, None] + width * NODES[None, :]
-        err = step_part(kind, prefix.__getitem__, ticks)[:, None] - smooth_main_term(kind, xs)
-        prod = None
+        xs, err, buf, weighted = block[:, :len(ticks)]
+        np.add(left[:, None], width * NODES, out=xs)
+        smooth_main_term(kind, xs, out=err)
+        np.subtract(step_part(kind, count, ticks)[:, None], err, out=err)
+        prod = err
         for k in range(1, max(powers) + 1):
-            prod = err if prod is None else prod * err
+            if k > 1:
+                prod = np.multiply(prod, err, out=buf)
             if k in powers:
-                sums[k][i:i + rows] = np.sum(prod * WEIGHTS[None, :], axis=1)
-    return {k: np.sum(sums[k]) * width for k in powers}
+                np.sum(np.multiply(prod, WEIGHTS, out=weighted), axis=1,
+                       out=sums[powers.index(k), i:i + len(ticks)])
+    return {k: np.sum(sums[j, :m1 - m0]) * width for j, k in enumerate(powers)}
 
 
 def check_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
                   threads: int = 1):
     """Reject what moment_profile would reject before its table is built:
-    powers, stops, start, thread count and memory, step-table size.  Returns
-    the sorted distinct powers, the stops as floats and the step table's need."""
+    powers, stops, start, thread count, step-table size and the workers'
+    memory.  Returns the sorted distinct powers, the stops as floats, the
+    step table's need, the segment count and the number of workers."""
     powers = tuple(sorted(set(int(p) for p in powers)))
     if not powers:
         raise ValueError("powers must be a non-empty set")
@@ -135,13 +172,14 @@ def check_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
         raise ValueError(f"threads must be >= 1, got {threads}")
     if stops[0] < start:
         raise ValueError("first stop lies before the interval start")
+    need = step_table_need(kind, stops[-1])
     segments = math.ceil(stops[-1] * kind.denom) - math.floor(start * kind.denom)
     workers = min(threads, segments // CHUNK_SEGMENTS + 3)
     check_memory(workers * (16 * len(powers) * min(segments, CHUNK_SEGMENTS)  # chunk sums
                             + _BLOCK_BYTES_PER_NODE * len(NODES)
                             * min(segments, numerics.rows(len(NODES)))),
                  f"{workers} integration threads")
-    return powers, stops, step_table_need(kind, stops[-1])
+    return powers, stops, need, segments, workers
 
 
 def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
@@ -153,17 +191,27 @@ def moment_profile(kind: ErrorTermKind, powers, stops, start: float = 1.0,
     quadrature nodes are shared and only the power accumulation differs.
     Results are recorded at each stop in ascending order.
     """
-    powers, stops, _ = check_profile(kind, powers, stops, start, threads)
+    powers, stops, (table_kind, limit), segments, workers = check_profile(
+        kind, powers, stops, start, threads)
     denom = kind.denom
-    prefix = _step_prefix(kind, stops[-1], table)
+    values = sieve(table_kind, limit, table).values[:limit + 1]
+    count = functools.partial(_step_counts, values, _anchors(values))
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(_workspace(len(powers), segments))
+
+    def run(x0, x1):
+        workspace = free.get()
+        try:
+            return _chunk_partials(kind, count, workspace, x0, x1, powers)
+        finally:
+            free.put(workspace)
 
     acc = {p: KahanAccumulator() for p in powers}
     results: dict[int, list[float]] = {p: [] for p in powers}
-
-    run = functools.partial(_chunk_partials, kind, prefix, powers=powers)
     prev = start
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pieces = map if threads == 1 else pool.map  # one thread: the caller integrates
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pieces = map if workers == 1 else pool.map  # one worker: the caller integrates
         for stop in stops:
             first, last = math.ceil(prev * denom), math.floor(stop * denom)
             # x-ranges between consecutive cuts, in Kahan add order: head

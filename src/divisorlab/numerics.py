@@ -1,5 +1,6 @@
 """Shared machinery: extended-precision constants, an exact longdouble floor,
-compensated accumulation, named-choice enums, 17-significant-digit rendering.
+compensated accumulation, named-choice enums, 17-significant-digit rendering
+and short three-digit sizes.
 
 All phase/smooth-part arithmetic in this package runs in numpy longdouble
 (80-bit extended on x86-64, 64-bit mantissa).  That keeps the cancellation
@@ -22,6 +23,15 @@ TWO_PI_LD = np.longdouble("6.28318530717958647692528676655900577")
 # elements in each transient array of a blocked numpy loop (summatory chunks,
 # moment node blocks, Voronoi point blocks); no result depends on it
 BLOCK = 1 << 15
+
+
+def short(n) -> str:
+    """n >= 0, a float or an int of any size, to three digits as 1.23e+45
+    (cut, not rounded, past 1e300)."""
+    if n < 1e300:
+        return f"{n:.2e}"
+    digits = str(int(n))
+    return f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
 
 
 def rows(cols: int) -> int:

@@ -71,9 +71,10 @@ class DivisorTable:
 
 
 def check_memory(nbytes: int, what: str) -> None:
-    """Raise CapacityError if ``what`` needs more than MEMORY_CEILING_BYTES."""
+    """Raise CapacityError if ``what`` needs more than MEMORY_CEILING_BYTES;
+    the message names the need to three digits, whatever its size."""
     if nbytes > MEMORY_CEILING_BYTES:
-        raise CapacityError(f"{what} needs about {nbytes} bytes, over the "
+        raise CapacityError(f"{what} needs about {numerics.short(nbytes)} bytes, over the "
                             f"{MEMORY_CEILING_BYTES}-byte memory ceiling")
 
 

@@ -9,7 +9,9 @@ not share code paths with it: nothing here imports divisorlab.
 from __future__ import annotations
 
 import math
+import operator
 
+import mpmath
 import numpy as np
 
 
@@ -91,6 +93,33 @@ def piecewise_segments(kind_name: str, a: float, b: float) -> list[tuple]:
             if quarters else step(left)
         out.append((left, right, const))
     return out
+
+
+def circle_moment_exact(k: int, X: int, dps: int = 80):
+    """The integral of P(x)^k over [1, X], P(x) = R(x) - pi*x, exactly up to
+    the final mpf rounding at ``dps`` digits, for an integer X >= 2.
+
+    On [n, n+1) P is R_n - pi*n - pi*u with u = x - n, so the integral is
+    sum_j C(k, j) (-pi)^j / (j+1) * sum_n (R_n - pi*n)^(k-j), a polynomial
+    in pi whose coefficients are the integer power sums sum_n R_n^a n^b,
+    a + b <= k, over 1 <= n < X, formed in Python ints; only the polynomial
+    is evaluated in mpmath, where its terms cancel over many digits.
+    """
+    counts = lattice_cumulative(X - 1).tolist()[1:]
+    ns = range(1, X)
+    sums = {}
+    for a in range(k + 1):
+        ra = [r ** a for r in counts]
+        for b in range(k + 1 - a):
+            sums[a, b] = sum(map(operator.mul, ra, (n ** b for n in ns)))
+    with mpmath.workdps(dps):
+        pi = mpmath.pi
+        total = mpmath.mpf(0)
+        for j in range(k + 1):
+            m = k - j
+            shifted = sum(math.comb(m, i) * (-pi) ** i * sums[m - i, i] for i in range(m + 1))
+            total += math.comb(k, j) * (-pi) ** j / (j + 1) * shifted
+        return +total
 
 
 def squarefree_core(n: int) -> tuple[int, int]:

@@ -430,13 +430,26 @@ def test_step_table_over_ceiling_is_compute_error(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("allocation reached past the memory ceiling")
 
-    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 10**6)
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 8 * 10**5)
     monkeypatch.setattr(cli, "sieve", unreachable)
-    # delta-star reads D(4x): 4e5 entries at 10 bytes each
+    # delta-star reads D(4x): 4e5 entries at 2.1 bytes each
     code, out, err = run(capsys, "moment", "--kind", "delta-star", "--power", "1",
                          "--to", "1e5")
     assert code == 2
-    assert out == "" and err.startswith("compute error:") and "ceiling" in err
+    assert out == "" and err.startswith("compute error: step table") and "ceiling" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("moment", "--kind", "delta", "--power", "2", "--to", "1e308"),
+    # 4 * 1e308 leaves the double range
+    ("moment", "--kind", "delta-star", "--power", "2", "--to", "1e308"),
+    ("short-interval", "--kind", "delta", "--power", "4", "--x", "1e300", "--h", "1"),
+], ids=["moment-delta", "moment-delta-star", "short-interval"])
+def test_huge_x_capacity_message_is_short(capsys, argv):
+    # the sizes were printed in full, more than 600 digits
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("compute error: step table of ") and len(err) < 200
 
 
 _NO_THEORY = ("theoretical moment coefficients are tabulated for the divisor "
@@ -484,7 +497,7 @@ def test_rejected_before_any_table_is_sieved(capsys, monkeypatch, tmp_path, argv
     (("short-interval", "--kind", "delta", "--power", "4", "--x", "100", "--h", "500"),
      "need 1 <= H <= X, got H=500.0, X=100.0"),
     (("moment", "--kind", "delta", "--power", "3", "--to", "1e12", "--cutoff", "3000000"),
-     "step table of 1000000000000 entries needs about 10000000000010 bytes, "
+     "step table of 1.00e+12 entries needs about 2.10e+12 bytes, "
      f"over the {sieves.MEMORY_CEILING_BYTES}-byte memory ceiling"),
 ], ids=["fit-grid", "moment-interval", "short-interval-h", "moment-ceiling"])
 def test_rejected_before_theory_series(capsys, monkeypatch, argv, message):

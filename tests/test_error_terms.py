@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -7,9 +8,9 @@ import pytest
 from divisorlab import errors
 from divisorlab.error_terms import (ErrorTermKind, error_term, smooth_main_term, step_part,
                                     step_table_need)
-from divisorlab.moments import _step_prefix, moment_profile
+from divisorlab.moments import _anchors, _step_counts, moment_profile
 from divisorlab.numerics import render_json
-from divisorlab.sieves import TableKind, sieve_divisors, summatory_d, summatory_r
+from divisorlab.sieves import TableKind, sieve, sieve_divisors, summatory_d, summatory_r
 from divisorlab.voronoi import remainder_stats
 from oracles import alternating_prefix, piecewise_segments
 
@@ -70,7 +71,8 @@ def _step_pieces(kind, a, b):
     """(left, right, constant) of the step table's segments covering [a, b]."""
     denom = kind.denom
     ticks = np.arange(math.floor(a * denom), math.ceil(b * denom))
-    consts = step_part(kind, _step_prefix(kind, b).__getitem__, ticks)
+    values = sieve(*step_table_need(kind, b)).values
+    consts = step_part(kind, functools.partial(_step_counts, values, _anchors(values)), ticks)
     return [(t / denom, (t + 1) / denom, c) for t, c in zip(ticks, consts)]
 
 

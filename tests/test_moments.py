@@ -1,4 +1,7 @@
+import functools
+import sys
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,7 +13,7 @@ from divisorlab.moments import (CHUNK_SEGMENTS, fit_coefficient, fit_main_term,
                                 main_exponent, moment, moment_profile,
                                 short_interval_ratio, theory_coefficient)
 from divisorlab.sieves import sieve_divisors
-from oracles import piecewise_segments
+from oracles import circle_moment_exact, piecewise_segments
 
 DELTA = ErrorTermKind.DELTA
 
@@ -95,6 +98,14 @@ def test_circle_moment_vs_adaptive_quadrature():
                 lambda t: (mpmath.mpf(const) - mpmath.pi * t) ** 3,
                 [left, right])
     assert engine == pytest.approx(float(total), rel=1e-11)
+
+
+@pytest.mark.parametrize("power", (1, 2, 3, 4))
+def test_circle_moment_vs_exact_power_sums(power):
+    # the k = 1 error, 2.4e-15, is PI_LD's rounding: (PI_LD - pi) * (X^2 - 1) / 2
+    exact = circle_moment_exact(power, 10**5)
+    got = moment(ErrorTermKind.CIRCLE, power, (1, 1e5)).integral
+    assert got == pytest.approx(float(exact), rel=1e-14)
 
 
 # float.hex of moment_profile, recorded when head and tail pieces still had
@@ -227,7 +238,8 @@ def test_stop_on_chunk_start_bits_pinned(threads, monkeypatch):
 
 @pytest.mark.parametrize("kind", list(ErrorTermKind))
 def test_block_size_does_not_change_bits(kind, monkeypatch):
-    prefix = moments._step_prefix(kind, 16000)
+    values = sieves.sieve(kind.table, 16000 * kind.denom).values
+    count = functools.partial(moments._step_counts, values, moments._anchors(values))
     d = kind.denom
     # a run of 5000 whole segments, then a head and a tail piece of segment 999
     parts = [(10**4 / d, (10**4 + 5000) / d), ((999 + 0.3) / d, 1000 / d),
@@ -235,9 +247,85 @@ def test_block_size_does_not_change_bits(kind, monkeypatch):
     runs = []
     for rows in (1, 7, 2048, 5000):    # 5000: the whole run in one block
         monkeypatch.setattr(numerics, "BLOCK", rows * len(moments.NODES))
-        runs.append([moments._chunk_partials(kind, prefix, *part, powers)
+        workspace = moments._workspace(len(PINNED_POWERS), 5000)
+        runs.append([moments._chunk_partials(kind, count, workspace, *part, powers)
                      for part in parts for powers in ((3, 4), (4,), PINNED_POWERS)])
     assert runs[0] == runs[1] == runs[2] == runs[3]
+
+
+@pytest.mark.parametrize("kind", list(ErrorTermKind))
+def test_step_counts_equal_whole_range_cumsum(kind):
+    stride = moments.STRIDE
+    limit = 5 * stride + 3
+    values = sieves.sieve(kind.table, limit).values
+    exact = np.cumsum(values.astype(np.int64))
+    count = functools.partial(moments._step_counts, values, moments._anchors(values))
+    windows = [np.array([0]), np.arange(0, 10), np.array([limit]),
+               np.arange(stride - 2, stride + 3), np.arange(2 * stride, 3 * stride),
+               np.arange(3 * stride - 1, 4 * stride + 1), np.arange(limit - 700, limit + 1),
+               np.array([1, 5, stride, 3 * stride + 7, limit])]
+    ticks = np.arange(4 * 999 + 1, limit + 1, dtype=np.int64)    # delta-star's three reads
+    windows += [ticks // 4, ticks // 2, ticks]
+    for window in windows:
+        window = window.astype(np.int64)
+        assert np.array_equal(count(window), exact[window])
+
+
+def test_integration_memory_is_flat_in_x():
+    # no array of table length but the uint16 table: four times the range
+    # moves the traced peak by far less than the 9.6 MB an int64 prefix grew by
+    table = sieve_divisors(1_600_000)
+    peaks = []
+    for X in (4e5, 1.6e6):
+        tracemalloc.start()
+        try:
+            moment_profile(DELTA, (3, 4), [X], threads=2, table=table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1 << 20
+
+
+def test_workspaces_are_the_checked_workers(monkeypatch):
+    made, pools = [], []
+    real_workspace, real_pool = moments._workspace, moments.ThreadPoolExecutor
+
+    def workspace(*args):
+        made.append(args)
+        return real_workspace(*args)
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(moments, "_workspace", workspace)
+    monkeypatch.setattr(moments, "ThreadPoolExecutor", pool)
+    # 999 segments: min(threads, 0 + 3) workers, each with one workspace
+    for threads, workers in ((1, 1), (2, 2), (5, 3)):
+        made.clear()
+        pools.clear()
+        moment_profile(DELTA, (2, 3), [1000.5], start=2.5, threads=threads)
+        assert made == [(2, 999)] * workers and pools == [workers]
+
+
+def test_workspaces_stay_private_under_fast_thread_switching(monkeypatch):
+    # a workspace handed to two pieces at once would mix their node sums
+    monkeypatch.setattr(moments, "CHUNK_SEGMENTS", 7)
+    monkeypatch.setattr(numerics, "BLOCK", 3 * len(moments.NODES))
+    args = ErrorTermKind.CIRCLE, PINNED_POWERS, [3.1, 2000.6]
+    alone = moment_profile(*args, start=2.5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shared = moment_profile(*args, start=2.5, threads=4)    # 3 workers
+    finally:
+        sys.setswitchinterval(interval)
+    assert shared == alone
+
+
+def test_delta_to_1e9_within_the_ceiling(monkeypatch):
+    monkeypatch.setattr(moments, "sieve", _unreachable)
+    assert moments.check_interval(DELTA, 2, 1, 1e9) == (sieves.TableKind.DIVISOR, 10**9)
 
 
 def test_short_interval_additivity():
@@ -303,17 +391,17 @@ def _unreachable(*args, **kwargs):
 
 
 def test_segment_budget(monkeypatch):
-    # the step table and its int64 prefix, 10 bytes per entry, are checked
+    # the step table and its int64 anchors, 2.1 bytes per entry, are checked
     # before the sieve runs or a passed table is summed
     table = sieve_divisors(4 * 10**4)
-    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 10 * 10**4)
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 21 * 10**3)
     monkeypatch.setattr(moments, "sieve", _unreachable)
     monkeypatch.setattr(moments.np, "cumsum", _unreachable)
     for kind, stop in ((DELTA, 10**4), (ErrorTermKind.CIRCLE, 10**4),
                        (ErrorTermKind.DELTA_STAR, 2500)):
-        with pytest.raises(errors.CapacityError):
+        with pytest.raises(errors.CapacityError, match="step table of 1.00e[+]04 entries"):
             moment_profile(kind, (1,), [stop])
-    with pytest.raises(errors.CapacityError):
+    with pytest.raises(errors.CapacityError, match="step table"):
         moment(DELTA, 2, (1, 10**4), table=table)
 
 
