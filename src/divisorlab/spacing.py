@@ -4,27 +4,21 @@ inequalities, plus exact enumeration of square-root identities.
 Conventions used throughout:
 
   * A dyadic box parameter R means the integer range (R, 2R].
-  * Exact vanishing of a signed combination of square roots is decided by
-    pure integer arithmetic on the core table: n = s^2*q with q squarefree;
-    sums of sqrt over distinct squarefree cores are linearly independent, so
-    a combination vanishes iff the per-core coefficient sums do (a triple is
-    listed under its largest entry).  No floating tolerance ever classifies
-    a tuple as exactly zero, and a root-sum box whose threshold t is under
-    2^-56 times its largest root sum, where rounding would, is rejected.
+  * Exact vanishing of a signed combination of roots is decided by integer
+    arithmetic on the core table, n = a^r q with q r-power-free: roots over
+    distinct kernels are linearly independent, so a combination vanishes iff
+    its per-kernel sums of parts do (a box's exact zeros are one join on
+    (q, sum of parts)).  No floating tolerance ever classifies a tuple as
+    exactly zero, and a root-sum box whose threshold t is under 2^-56 times
+    its largest root sum, where rounding would, is rejected.
   * Threshold comparisons (|combination| vs delta * scale) are decided in
     80-bit extended precision by one rule, _ends: with the sum s of all
     roots but one formed in one fixed order, the integer v left out counts
     where it lies between max(s - t, 0)^r and max(s + t, 0)^r (strictly for
     k-th root), so that order's longdouble rounding decides exact ties.
     Each root-sum count and gap search screens in float64 and leaves to
-    longdouble only what lies within the one band _band of the decision: the
-    three-root ends of blocks of rows of (m, n) sums, four-root |P - Q|
-    against t for two tables of pair sums (the smaller sorted once, the
-    larger streamed against it in blocks of sorted rows), and in the gap
-    searches first the pairs whose float64 lower bound on every gap (_floor,
-    its allowance the band), and for a pair with an exact hit on every gap
-    but the exact slot's, is not above the best gap so far, then of their
-    candidates those near the least, the first in one fixed order winning.
+    longdouble only what lies within the one band _band of the decision
+    (_count_solved, _count_pairs, _min_gap).
   * Bound values evaluate the reference bound shapes with the epsilon term
     dropped and the implied constant set to 1, so measured ratios carry all
     the constant information.
@@ -34,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import reduce
 
 import numpy as np
 
@@ -48,10 +41,10 @@ LD = np.longdouble
 # the most entries a count sorts plus streams, or tuples a gap search scans
 WORK_BUDGET = 10**10
 # Peak bytes of count_box (tracemalloc, each form): 64-286 per unit of the
-# sides summed (sides to 1e6); 16-31.4 per entry of a sorted pair table
-# (tables to 2.25e6); per element of a streamed block, 42 for a block of
-# pair sums (blocks to 1e6) and 28-30 for a block of three-root sums in its
-# workspace (boxes 256^2 to 8192^2).
+# sides summed (sides to 1e6), 34-63 of it the exact-zero join (sides 1024
+# to 4096); 16-31.4 per entry of a sorted pair table (tables to 2.25e6); per
+# element of a streamed block, 42 for a block of pair sums (blocks to 1e6)
+# and 28-30 for a block of three-root sums in its workspace (boxes 256^2 to 8192^2).
 _BOX_BYTES_PER_SIDE = 290
 _BOX_BYTES_PER_TABLE = 33
 _BOX_BYTES_PER_BLOCK = 100
@@ -155,6 +148,12 @@ class GapResult:
 # ---------------------------------------------------------------------------
 # exact square-root identities
 
+def _ragged(starts, sizes) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + sizes[i] - 1, concatenated."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if ends.size else 0)
+
+
 # Peak memory of enumerate_exact_triples per row: a, q, s and the columns
 # beside the stacked rows, or the rows, their sort key and order and the
 # sorted copy.  Measured 72 bytes (tracemalloc, fresh process, limits 1e4-1e6).
@@ -171,10 +170,8 @@ def enumerate_exact_triples(limit: int) -> np.ndarray:
     """
     q, s = core_tables(max(limit, 0))
     q, s = q[s >= 2], s[s >= 2]    # core[k] and root[k] of each k with s >= 2
-    total = int(np.sum(s - 1))
-    check_memory(_TRIPLE_BYTES_PER_ROW * total, f"triples up to {limit}")
-    # a = 1 .. s - 1 for each k: the ragged range of _count_pairs
-    a = np.repeat(s - np.cumsum(s - 1), s - 1) + np.arange(total)
+    check_memory(_TRIPLE_BYTES_PER_ROW * int(np.sum(s - 1)), f"triples up to {limit}")
+    a = _ragged(1, s - 1)    # a = 1 .. s - 1 for each k
     q, s = np.repeat(q, s - 1), np.repeat(s, s - 1)
     rows = np.stack([a * a * q, (s - a) ** 2 * q, s * s * q], axis=1)
     del a, q, s
@@ -182,9 +179,9 @@ def enumerate_exact_triples(limit: int) -> np.ndarray:
 
 
 # Peak memory of enumerate_exact_quadruples per pair (m, n) <= limit: the
-# signature keys, their stable order, the join indices and the rows.
-# Measured 105-106 bytes (tracemalloc, fresh process, limits 300-2000).
-_QUADRUPLE_BYTES_PER_PAIR = 140
+# rows, about two a pair, each pair's first row and its swapped (k, l).
+# Measured 88.9-90.2 bytes (tracemalloc, fresh process, limits 300-2000).
+_QUADRUPLE_BYTES_PER_PAIR = 110
 
 
 def enumerate_exact_quadruples(limit: int) -> np.ndarray:
@@ -192,36 +189,37 @@ def enumerate_exact_quadruples(limit: int) -> np.ndarray:
     sqrt(m) + sqrt(n) = sqrt(k) + sqrt(l), as a lexicographically sorted
     (N, 4) integer array.
 
-    By independence of square roots of distinct squarefree numbers,
-    sqrt(m) + sqrt(n) is fixed by a signature: (q, a + b) when m = a^2 q and
-    n = b^2 q share the core q, and the set {m, n} otherwise.  The rows are
-    the self-join of all pairs on that signature: each pair, in lexicographic
-    order, joined with every pair of its signature, also in that order, so
-    they come out sorted.
+    By independence of square roots of distinct squarefree numbers, a pair
+    (m, n) of distinct cores has the rows (m, n, min, max), (m, n, max, min),
+    and a pair (a^2 q, b^2 q) of one core q a row (m, n, c^2 q, (s - c)^2 q)
+    for each c in [1, s) with both entries <= limit, s = a + b.
     """
     side = max(limit, 0)
     check_memory(_QUADRUPLE_BYTES_PER_PAIR * side * side, f"quadruples up to {limit}")
-    core, root = core_tables(side)
-    # pair p is (m, n) = (p // side + 1, p % side + 1)
-    m, n = (np.indices((side, side), dtype=np.int64) + 1).reshape(2, -1)
-    q = core[m]
-    # common-core signatures are positive, {m, n} ones negative
-    key = np.where(q == core[n], q * (2 * math.isqrt(side) + 1) + root[m] + root[n],
-                   -(np.minimum(m, n) * (side + 1) + np.maximum(m, n)))
-    order = np.argsort(key, kind="stable")
-    start, size = np.unique(key[order], return_index=True, return_counts=True)[1:]
-    del m, n, q, key
-    # each pair's group, by its first position in ``order`` and its size
-    first, count = np.empty_like(order), np.empty_like(order)
-    first[order], count[order] = np.repeat(start, size), np.repeat(size, size)
-    # pair p has count[p] rows, and its j-th row joins order[first[p] + j]
-    pair = np.repeat(np.arange(order.size), count)
-    joined = order[np.repeat(first - np.cumsum(count) + count, count) + np.arange(pair.size)]
-    del first, count, order
-    rows = np.empty((pair.size, 4), dtype=np.int64)
-    np.divmod(pair, side, out=(rows[:, 0], rows[:, 1]))
-    np.divmod(joined, side, out=(rows[:, 2], rows[:, 3]))
-    rows += 1
+    core, root = (a[1:] for a in core_tables(side))    # of 1 .. side
+    # pair p is (m, n) = (p // side + 1, p % side + 1); same-core ones' c in [low, low + size)
+    same = np.flatnonzero(core[:, None] == core)
+    m, n = np.divmod(same, side)
+    q, s = core[m], root[m] + root[n]
+    top = np.bincount(core)[q]    # c^2 q <= side for c <= top
+    low = np.maximum(s - top, 1)
+    size = np.minimum(s - 1, top) - low + 1
+    offset = np.r_[0, np.full(side * side, 2)]    # 0, then each pair's rows
+    offset[same + 1] = size
+    np.cumsum(offset, out=offset)    # the first row of each pair, and the total
+    rows = np.zeros((offset[-1], 4), dtype=np.int64)
+    m, n, k, l = rows.T
+    # m and n, each a sum of steps at the first rows of pairs (of each m for m)
+    m[offset[:-1:max(side, 1)]] = 1
+    n[offset[:-1]] = 1
+    n[offset[side:-1:max(side, 1)]] = 1 - side
+    np.cumsum(rows[:, :2], axis=0, out=rows[:, :2])
+    np.maximum(m, n, out=k)
+    np.minimum(m, n, out=l)
+    k[offset[:-1]], l[offset[:-1]] = l[offset[:-1]], k[offset[:-1]]    # first rows (min, max)
+    at, c = _ragged(offset[same], size), _ragged(low, size)
+    q, s = np.repeat(q, size), np.repeat(s, size)
+    k[at], l[at] = c * c * q, (s - c) ** 2 * q
     return rows
 
 
@@ -334,19 +332,15 @@ def _count_pairs(p, q, t: float, band: float, decide) -> int:
         # the first partner table[lo] and the last table[hi - 1]
         edge = ext[1:][lo] < keys - near
         edge |= ext[hi] >= keys + near
-        if not edge.any():
-            continue
         at = np.flatnonzero(edge)
+        if not at.size:
+            continue
         # the low band [ends[0], ends[1]) and the high band [ends[2], ends[3])
         ends = np.searchsorted(table, keys[at] + [[-far], [-near], [near], [far]])
         start, size = ends[::2].ravel(), (ends[1::2] - ends[::2]).ravel()
         total -= int(np.sum(size))
-        hit = np.flatnonzero(size)
-        size = size[hit]
-        cum = np.cumsum(size)
-        i, j = np.divmod(order[np.repeat(start[hit] - cum + size, size)
-                               + np.arange(cum[-1])], sb.size)
-        k, l = np.divmod(np.repeat(at[hit % at.size], size) + r0 * rb.size, rb.size)
+        i, j = np.divmod(order[_ragged(start, size)], sb.size)
+        k, l = np.divmod(np.repeat(np.tile(at, 2), size) + r0 * rb.size, rb.size)
         total += int(np.count_nonzero(decide(k, l, i, j) if swap else decide(i, j, k, l)))
     return total
 
@@ -400,13 +394,10 @@ def _count_four(spec: BoxSpec) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # exact-zero counting inside boxes
 
-def _equal_sums(left: list[np.ndarray], right: list[np.ndarray]) -> int:
-    """Number of pairs (one element from each left array, one from each
-    right array) whose left sum equals their right sum."""
-    h1, h2 = (np.bincount(reduce(np.add.outer, parts).ravel())
-              for parts in (left, right))
-    n = min(len(h1), len(h2))
-    return int(np.dot(h1[:n], h2[:n]))
+def _equal_sums(left: np.ndarray, right: np.ndarray) -> int:
+    """Number of pairs (i, j) with left[i] == right[j], in nonnegative integers."""
+    h1, h2 = np.bincount(left), np.bincount(right)
+    return int(np.dot(h1[:len(h2)], h2[:len(h1)]))
 
 
 def _zero_count_four(boxes: tuple[int, int, int, int], n_left: int,
@@ -418,29 +409,38 @@ def _zero_count_four(boxes: tuple[int, int, int, int], n_left: int,
     Write each n = a^r q with q r-power-free.  Roots over distinct kernels
     are linearly independent, so either all four kernels coincide and the
     parts a balance, or (two roots a side) the kernels on the left differ
-    and the right side is the left side reordered."""
-    core, root = core_tables(2 * max(boxes), r)
-    orders = (np.argsort(core[R + 1:2 * R + 1], kind="stable") + R + 1 for R in boxes)
-    sides = [(core[o], root[o]) for o in orders]
-    # the runs, side by side, of each kernel that all four sides hold (a set
-    # intersection: np.intersect1d's np.unique would import numpy.ma)
-    shared = np.array(sorted(set.intersection(*(set(c.tolist()) for c, _ in sides))), int)
-    ends = [np.searchsorted(c, [shared, shared + 1]).T.tolist() for c, _ in sides]
-    total = 0
-    for runs in zip(*ends):
-        parts = [a[lo:hi] for (_, a), (lo, hi) in zip(sides, runs)]
-        total += _equal_sums(parts[:n_left], parts[n_left:])
+    and the right side is the left side reordered.  The first are one join
+    of keys offset[q] + a_1 + a_2 and offset[q] + a_3 + a_4 (a_4 - a_3 for
+    three roots on the left) over the kernels q all four boxes hold."""
+    core = core_tables(2 * max(boxes), r)[0]
+    cut = 2 * min(boxes) + 1    # only kernels q < cut lie in all four boxes
+    # c[x][q], the n <= x of kernel q: those n are a^r q for a = 1, 2, ...,
+    # so box (R, 2R] holds the parts a of q in (c[R][q], c[2R][q]]
+    c = {x: np.bincount(core[1:x + 1], minlength=cut)[:cut]
+         for x in {*boxes, *(2 * R for R in boxes)}}
+    shared = np.flatnonzero(np.minimum.reduce([c[2 * R] - c[R] for R in boxes]))
+    top = c[2 * max(boxes)][shared]    # the largest part of q
+    offset = np.cumsum(3 * top + 1) - 2 * top - 1    # keys of q in [offset - top, offset + 2 top]
+
+    def keys(*sides):
+        q, key = shared, offset
+        for R, sign in sides:
+            size = c[2 * R][q] - c[R][q]
+            key, q = np.repeat(key, size) + sign * _ragged(c[R][q] + 1, size), np.repeat(q, size)
+        return key
+
+    R1, R2, R3, R4 = boxes
+    total = _equal_sums(keys((R1, 1), (R2, 1)), keys((R3, 1 if n_left == 2 else -1), (R4, 1)))
     if n_left != 2:
         return total, 0
     # the trivial pairings (k, l) = (m, n) and (k, l) = (n, m): m and n range
     # over two box intersections, and on distinct cores they are all the zeros
-    R1, R2, R3, R4 = boxes
     pairings = 0
     for r_k, r_l in ((R3, R4), (R4, R3)):
         c1 = core[max(R1, r_k) + 1:min(2 * R1, 2 * r_k) + 1]
         c2 = core[max(R2, r_l) + 1:min(2 * R2, 2 * r_l) + 1]
         pairings += len(c1) * len(c2)
-        total += len(c1) * len(c2) - _equal_sums([c1], [c2])
+        total += len(c1) * len(c2) - _equal_sums(c1, c2)
     # m = n = k = l is both pairings
     return total, pairings - max(0, min(2 * R for R in boxes) - max(boxes))
 
@@ -491,7 +491,7 @@ def count_box(spec: BoxSpec) -> SpacingCount:
         # k is unconstrained and exact hits always satisfy the inequality, so
         # the zero count is the number of same-core pairs (m, n)
         core, _ = core_tables(2 * max(M, Mp))
-        zeros = _equal_sums([core[M + 1:2 * M + 1]], [core[Mp + 1:2 * Mp + 1]])
+        zeros = _equal_sums(core[M + 1:2 * M + 1], core[Mp + 1:2 * Mp + 1])
     else:
         count, zeros, trivial = _count_four(spec)
     primary, secondary = _bounds(spec)
@@ -524,7 +524,7 @@ def _pairs(side: int, size: int):
         n = np.arange((math.isqrt(8 * lo + 1) + 1) // 2, (math.isqrt(8 * hi - 7) + 3) // 2)
         start = n * (n - 1) // 2
         count = np.minimum(start + n, hi) - np.maximum(start, lo)
-        yield np.arange(lo, hi) - np.repeat(start - 1, count), np.repeat(n, count)
+        yield _ragged(np.maximum(start, lo) - start + 1, count), np.repeat(n, count)
 
 
 def _with_roots(m, n, sqrt64: np.ndarray):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import product
 
 import mpmath
 import numpy as np
@@ -281,6 +282,26 @@ def brute_count_four_root(M, Mp, K, L, delta, sign, exclude_exact) -> int:
                             continue
                     count += 1
     return count
+
+
+def brute_zero_counts(boxes, n_left: int, r: int, trivial: bool) -> tuple[int, int]:
+    """(exact zeros, trivial pairings) over every tuple of the dyadic boxes:
+    a zero has its first n_left r-th roots summing to the others, decided
+    per kernel after power_free_split (roots of distinct r-power-free
+    kernels are linearly independent); a trivial pairing, counted only if
+    trivial, is a zero (m, n, k, l) with (k, l) = (m, n) or (n, m)."""
+    zeros = pairings = 0
+    for tup in product(*(range(R + 1, 2 * R + 1) for R in boxes)):
+        balance = {}
+        for i, v in enumerate(tup):
+            q, a = power_free_split(v, r)
+            balance[q] = balance.get(q, 0) + (a if i < n_left else -a)
+        if any(balance.values()):
+            continue
+        zeros += 1
+        m, n, k, l = tup
+        pairings += trivial and (k, l) in ((m, n), (n, m))
+    return zeros, pairings
 
 
 def brute_count_kth(N: int, delta: float, r: int) -> int:

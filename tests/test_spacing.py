@@ -15,8 +15,8 @@ from divisorlab.spacing import (BoxSpec, SpacingForm, count_box,
 from oracles import (brute_count_four_root, brute_count_kth,
                      brute_count_three_root, brute_exact_quadruples,
                      brute_exact_triples, count_solved,
-                     near_integer_count_by_sorting, power_free_split,
-                     solved_count_four, squarefree_core)
+                     brute_zero_counts, near_integer_count_by_sorting,
+                     power_free_split, solved_count_four, squarefree_core)
 from test_acceptance import PILOT_DELTAS, PILOT_GRID
 
 
@@ -108,7 +108,7 @@ def test_exact_quadruples_examples():
 
 def test_exact_quadruples_vs_brute_force():
     # the empty case, singles only up to 3, the first common-core family at 4
-    for limit in [*range(9), 60]:
+    for limit in [*range(41), 60, 61]:
         got = enumerate_exact_quadruples(limit)
         want = brute_exact_quadruples(limit)
         assert got.dtype == np.int64 and got.shape == want.shape
@@ -446,6 +446,29 @@ def test_trivial_pairings_reported_separately():
     # at this threshold only exact zeros remain, and on an all-equal box the
     # zero set is exactly the trivial pairings
     assert res.count == res.trivial_count == res.exact_zero_count == 28
+
+
+# unequal boxes of each four-root form, cube roots, a box whose four sides
+# share no kernel (every zero trivial), boxes with a side of 1, and a plus
+# box where a join of kernels spaced too closely would find zeros
+@pytest.mark.parametrize("form,box,zeros,trivial", [
+    ("four-root-minus", {"M": 12, "Mp": 9, "K": 8, "L": 18}, 43, 42),
+    ("four-root-minus", {"M": 2, "Mp": 18, "K": 8, "L": 9}, 3, 0),
+    ("four-root-minus", {"M": 3, "Mp": 6, "K": 4, "L": 6}, 12, 12),
+    ("four-root-minus", {"M": 1, "Mp": 25, "K": 4, "L": 16}, 2, 0),
+    ("four-root-plus", {"M": 8, "Mp": 8, "K": 8, "L": 64}, 12, 0),
+    ("four-root-plus", {"M": 2, "Mp": 2, "K": 8, "L": 25}, 2, 0),
+    ("four-root-plus", {"M": 1, "Mp": 4, "K": 4, "L": 25}, 1, 0),
+    ("four-root-plus", {"M": 3, "Mp": 5, "K": 3, "L": 3}, 0, 0),
+    ("four-root-kth", {"M": 6}, 66, 0),
+    ("four-root-kth", {"M": 9, "root_k": 3}, 153, 0),
+    ("four-root-kth", {"M": 1}, 1, 0)])
+def test_four_root_zero_counts_match_brute_force(form, box, zeros, trivial):
+    res = count_box(BoxSpec(form=SpacingForm.parse(form), delta=0.1, **box))
+    sides = [box["M"]] * 4 if form == "four-root-kth" else [box[k] for k in ("M", "Mp", "K", "L")]
+    want = brute_zero_counts(sides, 3 if form == "four-root-plus" else 2, box.get("root_k", 2),
+                             trivial=form == "four-root-minus")
+    assert (res.exact_zero_count, res.trivial_count) == want == (zeros, trivial)
 
 
 def test_three_root_zero_detection():
@@ -836,7 +859,7 @@ def test_budget_errors(monkeypatch):
         min_gap_three(10**6)
     with pytest.raises(errors.BudgetError):
         min_gap_four(10**5)
-    # a memory ceiling, not a work budget: 140 bytes per pair
+    # a memory ceiling, not a work budget: 110 bytes per pair
     with pytest.raises(errors.CapacityError):
         enumerate_exact_quadruples(10**5)
 
@@ -919,13 +942,13 @@ def test_triple_memory_ceiling(monkeypatch):
 
 
 def test_quadruple_memory_ceiling(monkeypatch):
-    # 140 bytes per pair (m, n) <= limit, checked before any pair is listed
-    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 140 * 60 * 60)
+    # 110 bytes per pair (m, n) <= limit, checked before any pair is listed
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 110 * 60 * 60)
     assert len(enumerate_exact_quadruples(60)) == 7344
-    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 140 * 60 * 60 - 1)
+    monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 110 * 60 * 60 - 1)
     with pytest.raises(errors.CapacityError):
         enumerate_exact_quadruples(60)
-    # 1e8 pairs up to 1e4 would take 14 GB; only the core table may be built
+    # 1e8 pairs up to 1e4 would take 11 GB; only the core table may be built
     monkeypatch.setattr(sieves, "MEMORY_CEILING_BYTES", 10**6)
     tracemalloc.start()
     try:
@@ -935,6 +958,27 @@ def test_quadruple_memory_ceiling(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+
+
+def _peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quadruple_and_zero_count_peaks_within_their_ceilings():
+    # the quadruples to 300 within _QUADRUPLE_BYTES_PER_PAIR a pair, and the
+    # exact-zero join of each four-root form within _BOX_BYTES_PER_SIDE a
+    # unit of the sides, which count_box checks before the pair tables exist
+    assert _peak(lambda: enumerate_exact_quadruples(300)) \
+        <= spacing._QUADRUPLE_BYTES_PER_PAIR * 300 * 300
+    for boxes, n_left, r in [((1024,) * 4, 2, 2), ((1024,) * 4, 3, 2), ((1024,) * 4, 2, 3),
+                             ((128, 128, 128, 1024), 3, 2), ((1, 1, 1, 4096), 2, 2)]:
+        assert _peak(lambda: spacing._zero_count_four(boxes, n_left, r)) \
+            <= spacing._BOX_BYTES_PER_SIDE * sum(boxes)
 
 
 def test_gap_memory_ceiling(monkeypatch):
