@@ -2,12 +2,14 @@
 summatory functions, a binary table cache, and the power-free core table
 n = root^r * core with the squarefree core families read off it.
 
-Everything in this module is exact integer arithmetic.  Summatory values are
-returned as Python ints.  Both tables come from one divisor-sum sieve of a
-character, sum_{d | n} chi(d), run in an int16 work array that becomes the
-uint16 table in place: every partial sum is bounded by d(n) < 6720 up to a
-table limit of 1e12, and the one range check is |sum| < 2^13, so r(n) =
-4 * sum still fits.
+Every result of this module is exact.  The arithmetic is integer, except
+that summatory_d takes its quotients floor(n/k) as truncated float64
+divisions when n + isqrt(n) < 2^53, where each one is provably exact (see
+summatory_d).  Summatory values are returned as Python ints.  Both tables
+come from one divisor-sum sieve of a character, sum_{d | n} chi(d), run in
+an int16 work array that becomes the uint16 table in place: every partial
+sum is bounded by d(n) < 6720 up to a table limit of 1e12, and the one range
+check is |sum| < 2^13, so r(n) = 4 * sum still fits.
 """
 
 from __future__ import annotations
@@ -192,12 +194,13 @@ def _floor_arg(x) -> int:
     return n
 
 
-def _chunked_sum(term, stop: int) -> int:
-    """sum of term(ks) over the int64 ks = range(1, stop), in chunks of
-    numerics.BLOCK, so peak memory stays at a few blocks for any stop."""
+def _chunked_sum(term, stop: int, dtype=np.int64) -> int:
+    """sum of the int64 term(ks) over ks = range(1, stop) as fresh dtype
+    arrays (float64 only for stop <= 2^53), in chunks of numerics.BLOCK, so
+    peak memory stays at a few blocks for any stop."""
     total = 0
     for lo in range(1, stop, numerics.BLOCK):
-        ks = np.arange(lo, min(stop, lo + numerics.BLOCK), dtype=np.int64)
+        ks = np.arange(lo, min(stop, lo + numerics.BLOCK), dtype=dtype)
         total += int(np.sum(term(ks), dtype=np.int64))
     return total
 
@@ -205,12 +208,23 @@ def _chunked_sum(term, stop: int) -> int:
 def summatory_d(x) -> int:
     """D(x) = sum_{n <= x} d(n), by the Dirichlet hyperbola method.
 
-    D(x) = 2*sum_{n<=sqrt(x)} floor(x/n) - floor(sqrt(x))^2, exact in
-    O(sqrt(x)) integer operations.
+    D(x) = 2*sum_{k<=sqrt(x)} floor(x/k) - floor(sqrt(x))^2, exact in
+    O(sqrt(x)) operations.  When n + isqrt(n) < 2^53 for n = floor(x), the
+    quotient q = n // k is the float64 n/k truncated, 1.5-2x faster than
+    int64 floor division: n/k <= q + 1 - 1/k, and the rounding adds at most
+    (q+1)*2^-53 < 1/k since (q+1)*k <= n + k < 2^53, so n/k rounds below
+    q + 1.  Above that, where float(n) itself may round, the division is
+    int64.
     """
     n = _floor_arg(x)
     root = math.isqrt(n)
-    return 2 * _chunked_sum(lambda k: n // k, root + 1) - root * root
+    if n + root < 1 << 53:
+        nf = float(n)
+        total = _chunked_sum(lambda k: np.divide(nf, k, out=k).astype(np.int64),
+                             root + 1, np.float64)
+    else:
+        total = _chunked_sum(lambda k: n // k, root + 1)
+    return 2 * total - root * root
 
 
 def summatory_r(x) -> int:
@@ -245,8 +259,11 @@ def save_table(table: DivisorTable, path) -> None:
             fh.write(payload)
             fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            # name the file the caller asked for, not the temporary beside it
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

@@ -96,21 +96,35 @@ def piecewise_segments(kind_name: str, a: float, b: float) -> list[tuple]:
     return out
 
 
-def circle_moment_exact(k: int, X: int, dps: int = 80):
-    """The integral of P(x)^k over [1, X], P(x) = R(x) - pi*x, exactly up to
-    the final mpf rounding at ``dps`` digits, for an integer X >= 2.
+def circle_moment_exact(k: int, X, start=1, dps: int = 80):
+    """The integral of P(x)^k over [start, X], P(x) = R(x) - pi*x, exactly up
+    to the final mpf rounding at ``dps`` digits, for 1 <= start <= X, either
+    end an integer or a float.
 
-    On [n, n+1) P is R_n - pi*n - pi*u with u = x - n, so the integral is
-    sum_j C(k, j) (-pi)^j / (j+1) * sum_n (R_n - pi*n)^(k-j), a polynomial
-    in pi whose coefficients are the integer power sums sum_n R_n^a n^b,
-    a + b <= k, over 1 <= n < X, formed in Python ints; only the polynomial
-    is evaluated in mpmath, where its terms cancel over many digits.
+    On [n, n+1) P is c_n - pi*u with c_n = R_n - pi*n and u = x - n, so
+    over u in [u0, u1] the integral is sum_j C(k, j) (-pi)^j (u1^(j+1) -
+    u0^(j+1)) / (j+1) * c_n^(k-j).  Over the whole segments it is a
+    polynomial in pi whose coefficients are the integer power sums sum_n
+    R_n^a n^b, a + b <= k, formed in Python ints; a fractional end adds one
+    partial segment, its u0 and u1 exact in mpmath.  Only the polynomials
+    are evaluated in mpmath, where their terms cancel over many digits.
     """
-    counts = lattice_cumulative(X - 1).tolist()[1:]
-    ns = range(1, X)
+    first, last = math.ceil(start), math.floor(X)
+    counts = lattice_cumulative(last).tolist()
+    # (n, u0, u1) of the partial segments: one inside a single segment, or
+    # a head and a tail where an end is fractional
+    partial = []
+    if math.floor(start) == last and last < X:
+        partial.append((last, start - last, X - last))
+    else:
+        if start < first:
+            partial.append((first - 1, start - first + 1, 1))
+        if last < X:
+            partial.append((last, 0, X - last))
+    ns = range(first, last)
     sums = {}
     for a in range(k + 1):
-        ra = [r ** a for r in counts]
+        ra = [r ** a for r in counts[first:last]]
         for b in range(k + 1 - a):
             sums[a, b] = sum(map(operator.mul, ra, (n ** b for n in ns)))
     with mpmath.workdps(dps):
@@ -120,6 +134,10 @@ def circle_moment_exact(k: int, X: int, dps: int = 80):
             m = k - j
             shifted = sum(math.comb(m, i) * (-pi) ** i * sums[m - i, i] for i in range(m + 1))
             total += math.comb(k, j) * (-pi) ** j / (j + 1) * shifted
+            for n, u0, u1 in partial:
+                width = mpmath.mpf(u1) ** (j + 1) - mpmath.mpf(u0) ** (j + 1)
+                total += (math.comb(k, j) * (-pi) ** j * width / (j + 1)
+                          * (counts[n] - pi * n) ** m)
         return +total
 
 

@@ -265,6 +265,17 @@ def test_unwritable_output_is_file_error(capsys, tmp_path, argv):
     assert not target.parent.exists()
 
 
+def test_missing_output_directory_names_the_path_given(capsys, tmp_path):
+    # save_table writes a temporary beside the target; the message names
+    # the target
+    target = tmp_path / "missing" / "t.dvt"
+    code, out, err = run(capsys, "--output", str(target), "sieve", "--kind",
+                         "divisor", "--limit", "100")
+    assert code == 2 and out == ""
+    assert err.startswith("file error:") and repr(str(target)) in err
+    assert ".tmp" not in err
+
+
 @pytest.mark.parametrize("argv,names", [
     (("eval", "--kind", "delta-prime", "--x", "10"),
      [kind.value for kind in ErrorTermKind]),
@@ -294,6 +305,20 @@ def test_eval_range_error_names_the_x_given(capsys):
     assert code == 2 and out == ""
     assert err.startswith("compute error:") and "3e+16" in err
     assert run(capsys, "eval", "--kind", "delta-star", "--x", "2.5e16") == (0, "5801.75\n", "")
+
+
+def test_one_parser_carries_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    stats = ("voronoi", "--kind", "delta", "--truncation", "32", "--scale", "1000",
+             "--seed", "42")
+    assert run(capsys, "eval", "--kind", "delta")[0] == 1
+    assert run(capsys, "eval", "--kind", "delta", "--x", "0.5")[0] == 2
+    code, out, _ = run(capsys, "--format", "json", *stats)
+    assert code == 0 and json.loads(out)["N"] == 32
+    code, out, _ = run(capsys, *stats)
+    assert code == 0 and out.startswith("kind,X,N,") and len(out.splitlines()) == 2
+    assert run(capsys, "eval", "--kind", "delta", "--x", "10") == (
+        0, "2.4298357720288859\n", "")
 
 
 def test_compute_error_exit_code(capsys):

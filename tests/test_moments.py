@@ -108,6 +108,18 @@ def test_circle_moment_vs_exact_power_sums(power):
     assert got == pytest.approx(float(exact), rel=1e-14)
 
 
+@pytest.mark.parametrize("power", (1, 2, 3, 4))
+@pytest.mark.parametrize("a, b", [(12.25, 100000.375), (99000.6, 100000.3),
+                                  (100000.25, 100000.75)],
+                         ids=["long", "near-1e5", "one-segment"])
+def test_circle_moment_fractional_ends_vs_exact_power_sums(power, a, b):
+    # a partial segment at each end, or one inside a single segment;
+    # measured relative errors up to 2.5e-15 (k = 1, long: PI_LD again)
+    exact = circle_moment_exact(power, b, a)
+    got = moment(ErrorTermKind.CIRCLE, power, (a, b)).integral
+    assert got == pytest.approx(float(exact), rel=1e-14)
+
+
 # float.hex of moment_profile, recorded when head and tail pieces still had
 # their own kernel and kept since the kernel integrates clipped x-ranges:
 # (kind, start, CHUNK_SEGMENTS) -> per power, the cumulative integral at each

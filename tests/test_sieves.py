@@ -82,6 +82,35 @@ def test_summatory_d_real_arguments():
         assert summatory_d(float(x)) == int(prefix[int(x)])
 
 
+def _hyperbola_by_int64(n):
+    """D(n) by the hyperbola sum with int64 floor division, in chunks."""
+    root = math.isqrt(n)
+    total = 0
+    for lo in range(1, root + 1, 1 << 20):
+        ks = np.arange(lo, min(root + 1, lo + (1 << 20)), dtype=np.int64)
+        total += int(np.floor_divide(n, ks, out=ks).sum())
+    return 2 * total - root * root
+
+
+# summatory_d divides in float64 while n + isqrt(n) < 2^53: k^2 - 1, k^2 and
+# k^2 + 1 at the largest root below the switch, the five n around it
+# (n + isqrt(n) = 2^53 - 2 ... 2^53 + 2), and 2^53 + 1, which float(n) rounds
+_SWITCH_ROOT = math.isqrt(2**53)
+
+
+@pytest.mark.parametrize("n", [_SWITCH_ROOT**2 + e for e in (-1, 0, 1)]
+                         + [2**53 - _SWITCH_ROOT + e for e in range(-2, 3)] + [2**53 + 1])
+def test_summatory_d_float_quotients_at_the_switch(n):
+    assert (n + math.isqrt(n) < 2**53) == (n < 2**53 - _SWITCH_ROOT)
+    assert summatory_d(n) == _hyperbola_by_int64(n)
+
+
+def test_summatory_d_float_quotients_vs_int64():
+    rng = np.random.default_rng(53)
+    ns = [*range(3000), *rng.integers(1, 10**12, 50).tolist()]
+    assert [summatory_d(n) for n in ns] == [_hyperbola_by_int64(n) for n in ns]
+
+
 def test_summatory_d_monotone_and_floors():
     values = [summatory_d(x) for x in range(1, 300)]
     assert all(b >= a for a, b in zip(values, values[1:]))
@@ -133,14 +162,16 @@ def test_summatory_block_size_does_not_change_values(monkeypatch):
     assert [[f(x) for x in xs] for f in kernels] == default
 
 
-@pytest.mark.parametrize("kernel, ceiling", [(summatory_d, 2 << 20),
-                                             (summatory_r, 4 << 20)],
-                         ids=["summatory_d", "summatory_r"])
-def test_summatory_memory_is_flat(kernel, ceiling):
-    # at 1e16 the kernels sum 1e8 terms, in transient arrays a few blocks long
+@pytest.mark.parametrize("kernel, ceiling, x", [(summatory_d, 2 << 20, 10**16),
+                                                (summatory_r, 4 << 20, 10**16),
+                                                (summatory_d, 2 << 20, 2**53 - 2**30)],
+                         ids=["summatory_d", "summatory_r", "summatory_d-float"])
+def test_summatory_memory_is_flat(kernel, ceiling, x):
+    # at 1e16 the kernels sum 1e8 terms, in transient arrays a few blocks
+    # long; below 2^53 summatory_d divides in float64, in such arrays too
     tracemalloc.start()
     try:
-        kernel(10**16)
+        kernel(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
